@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import DegreeTooLow, ZeroPolynomial
+from ..errors import DegreeTooLow, SquareFreeRequired, ZeroPolynomial
 from .gaussian import GaussianRational, ONE, ZERO
 
 
@@ -772,10 +772,10 @@ def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePol
         xs.append(x0)
         vals.append(_sylvester_determinant(rp, rq, np_, nq))
         t += 1
-    return _lagrange_interpolate(xs, vals)
+    return interpolate(xs, vals)
 
 
-def _lagrange_interpolate(xs, vals) -> UnivariatePolynomial:
+def interpolate(xs, vals) -> UnivariatePolynomial:
     """Exact interpolation through (xs[k], vals[k]) via Newton divided differences."""
     n = len(xs)
     table = list(vals)
@@ -800,3 +800,13 @@ def discriminant_y(P: BivariatePolynomial) -> UnivariatePolynomial:
     if (n * (n - 1) // 2) % 2:
         disc = -disc
     return disc
+
+
+def singular_locator(P: BivariatePolynomial) -> UnivariatePolynomial:
+    """squarefree_part(lc_y(P) * disc_y(P)), from one resultant: disc_y
+    vanishes exactly when P has a repeated y-factor."""
+    disc = discriminant_y(P)
+    if disc.is_zero():
+        raise SquareFreeRequired(
+            "P has repeated y-factors; deflate before monodromy")
+    return (P.leading_y() * disc).squarefree_part()

@@ -8,7 +8,6 @@ disk from the classical bound |z - root| <= n |p(z)/p'(z)| for square-free p.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np

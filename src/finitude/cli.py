@@ -22,18 +22,22 @@ from .algebra.poly import RationalFunction
 from .config import Settings, load_settings
 from .differential import (LinearODE, integrate_rational,
                            rational_witness_search)
-from .errors import ExprSyntaxError, FinitudeError
+from .errors import (BasePointTooClose, ExprSyntaxError, FinitudeError,
+                     IterationLimitExceeded, PathCollision, SingularOnPath)
 from .fuchsian import FuchsianSystem, small_norm_verdict, system_monodromy
 from .monodromy import monodromy_group, singular_points
 from .puiseux import INFINITY, puiseux_expand
 from .solvability import (invertible_by_radicals, k_radicals_verdict,
-                          radical_tower, radicals_verdict, ritt_decompose)
-from .solvability.verdicts import VerdictStatus
+                          radicals_verdict, ritt_decompose)
+from .solvability.verdicts import VerdictStatus, monodromy_failed
 
 EXIT_REPRESENTABLE = 0
 EXIT_NOT_REPRESENTABLE = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
+
+MONODROMY_FAILURES = (BasePointTooClose, IterationLimitExceeded,  # exit 2
+                      PathCollision, SingularOnPath)
 
 
 def _status_exit(status) -> int:
@@ -77,15 +81,25 @@ def cmd_algebraic(args, settings) -> int:
     report = Report("algebraic", {"expr": args.expr, "k": args.k,
                                   "tower": args.tower}, settings)
     P = parse_expression(args.expr, ["x", "y"])
-    action = monodromy_group(P, tol=settings.continuation_tol)
-    singular = singular_points(P, settings.root_tol)
-    report.add("monodromy", action.report(singular))
-    lines = [f"curve: {P.format()}",
-             f"singular points: "
-             f"{[_fmt_complex(p.center) for p in singular.points]}",
-             f"group order: {action.group.order()}  "
-             f"transitive: {action.transitive}"]
-    verdict = radicals_verdict(P, want_certificate=args.tower)
+    lines = [f"curve: {P.format()}"]
+    # one monodromy action serves the report and every verdict; it belongs
+    # to the primitive part of P, so x-content gets its own singular set
+    action = failure = None
+    try:
+        action = monodromy_group(P, tol=settings.continuation_tol)
+        singular = (action.singular.recertify(settings.root_tol)
+                    if action.polynomial == P
+                    else singular_points(P, settings.root_tol))
+    except MONODROMY_FAILURES as err:
+        failure = monodromy_failed(err)
+    else:
+        report.add("monodromy", action.report(singular))
+        lines += [f"singular points: "
+                  f"{[_fmt_complex(p.center) for p in singular.points]}",
+                  f"group order: {action.group.order()}  "
+                  f"transitive: {action.transitive}"]
+    verdict = failure or radicals_verdict(
+        P, want_certificate=args.tower, action=action)
     report.add("radicals", verdict.to_json())
     lines.append(f"representable by radicals: {verdict.status} "
                  f"({verdict.reason})")
@@ -93,7 +107,7 @@ def cmd_algebraic(args, settings) -> int:
         lines.append(f"certificate: {verdict.certificate.to_string()}")
     exit_code = _status_exit(verdict.status)
     if args.k is not None:
-        kv = k_radicals_verdict(P, args.k)
+        kv = failure or k_radicals_verdict(P, args.k, action=action)
         report.add("k_radicals", kv.to_json())
         lines.append(f"representable by {args.k}-radicals: {kv.status}")
         exit_code = _status_exit(kv.status)

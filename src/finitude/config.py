@@ -6,7 +6,7 @@ effective values are echoed in every report so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass

@@ -13,9 +13,6 @@ u, u', u'', u''', u^(4), ...
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import RationalFunction
 from ..errors import NotHomogeneous, OrderTooLarge
 

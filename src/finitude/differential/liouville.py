@@ -21,24 +21,10 @@ from fractions import Fraction
 
 from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
-                            UnivariatePolynomial, resultant_y,
+                            UnivariatePolynomial, interpolate, resultant_y,
                             squarefree_factorization)
 from ..algebra.roots import complex_roots, exact_gaussian_roots
 from ..errors import ZeroPolynomial
-
-
-def _interpolate(xs, vals) -> UnivariatePolynomial:
-    """Exact Newton interpolation through (xs[k], vals[k])."""
-    n = len(xs)
-    table = list(vals)
-    for level in range(1, n):
-        for k in range(n - 1, level - 1, -1):
-            table[k] = (table[k] - table[k - 1]) / (xs[k] - xs[k - level])
-    poly = UnivariatePolynomial()
-    for k in range(n - 1, -1, -1):
-        poly = poly * UnivariatePolynomial([-xs[k], 1]) + \
-            UnivariatePolynomial.constant(table[k])
-    return poly
 
 
 class _SplitNeeded(Exception):
@@ -128,11 +114,6 @@ def _rpoly_trim(coeffs):
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return coeffs
-
-
-def _rpoly_from_bivariate(ring: QuotientRing, rows_t):
-    """Convert coefficients-in-t rows to a list of RingElements."""
-    return _rpoly_trim([ring.element(row) for row in rows_t])
 
 
 def _rpoly_mod(a, b):
@@ -435,7 +416,7 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
             # Sylvester structure and break the interpolation
         ts.append(tg)
         values.append(spec.resultant(den))
-    resultant = _interpolate(ts, values)
+    resultant = interpolate(ts, values)
     if resultant.is_zero():
         raise ZeroPolynomial("degenerate Rothstein-Trager resultant")
     squarefree = resultant.squarefree_part()

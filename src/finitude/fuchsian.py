@@ -12,9 +12,6 @@ threshold is an existence statement with no formula to evaluate.
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 from .errors import StepSizeUnderflow

@@ -2,8 +2,8 @@
 
 Pipeline: certified singular points (roots of lc_y * disc_y), deterministic
 petal loops from a real base point, predictor-corrector tracking of all n
-branches along each loop, end matching by minimal-cost assignment, and group
-closure through the permutation-group layer.
+branches along each loop, end matching to the nearest start root within the
+separation margin, and group closure through the permutation-group layer.
 
 Conventions (fixed so reruns are bit-identical):
 
@@ -27,10 +27,9 @@ import cmath
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .algebra.poly import BivariatePolynomial, discriminant_y
-from .algebra.roots import ComplexInterval, complex_roots
+from .algebra.poly import BivariatePolynomial, singular_locator
+from .algebra.roots import complex_roots
 from .errors import (BasePointTooClose, IterationLimitExceeded,
                      PathCollision, SingularOnPath, SquareFreeRequired)
 from .permgroups import PermGroup, cycles_string
@@ -40,11 +39,19 @@ DEFAULT_TOL = 1e-10
 
 
 class SingularSet:
-    """Certified enclosures of the singular points of a curve."""
+    """Certified enclosures of the singular points of a curve, with the exact
+    locator polynomial they were certified from (None when given directly)."""
 
-    def __init__(self, points, source: BivariatePolynomial):
+    def __init__(self, points, source: BivariatePolynomial, locator=None):
         self.points = list(points)  # ComplexInterval, deduplicated
         self.source = source
+        self.locator = locator
+
+    def recertify(self, tol: float) -> "SingularSet":
+        """The same singular points certified at ``tol``, by root finding on
+        the stored locator only (no new resultant)."""
+        return SingularSet(_locator_roots(self.locator, tol), self.source,
+                           self.locator)
 
     def centers(self):
         return [p.center for p in self.points]
@@ -74,9 +81,10 @@ class Loop:
 class MonodromyAction:
     """Base point, labeled roots, generator permutations, and the group."""
 
-    def __init__(self, polynomial, base_point, roots, loops, generators,
-                 group: PermGroup):
+    def __init__(self, polynomial, singular: SingularSet, base_point, roots,
+                 loops, generators, group: PermGroup):
         self.polynomial = polynomial
+        self.singular = singular  # the set the loops were built around
         self.base_point = complex(base_point)
         self.roots = [complex(r) for r in roots]
         self.loops = list(loops)
@@ -126,13 +134,13 @@ def singular_points(P: BivariatePolynomial, tol: float = 1e-12) -> SingularSet:
     """
     if P.degree_y() < 2:
         raise SquareFreeRequired("need degree >= 2 in y")
-    if not P.squarefree_y():
-        raise SquareFreeRequired(
-            "P has repeated y-factors; deflate before monodromy")
-    product = P.leading_y() * discriminant_y(P)
-    if product.degree() < 1:
-        return SingularSet([], P)
-    locator = product.squarefree_part()
+    locator = singular_locator(P)
+    return SingularSet(_locator_roots(locator, tol), P, locator)
+
+
+def _locator_roots(locator, tol):
+    if locator.degree() < 1:
+        return []
     attempt = tol
     while True:
         try:
@@ -142,7 +150,7 @@ def singular_points(P: BivariatePolynomial, tol: float = 1e-12) -> SingularSet:
             attempt *= 10
             if attempt > 1e-8:
                 raise
-    return SingularSet(enclosures, P)
+    return enclosures
 
 
 # --- loop construction --------------------------------------------------------
@@ -231,22 +239,6 @@ def _dist_to_ray(z, theta, r_lo, r_hi):
     w = z * cmath.exp(-1j * theta)  # rotate the ray onto the positive axis
     t = min(max(w.real, r_lo), r_hi)
     return abs(w - t)
-
-
-def _first_circle_hit(outer, inner, center, radius):
-    """First intersection of segment outer->inner with |z - center| = radius."""
-    d = inner - outer
-    f = outer - center
-    a = (d * d.conjugate()).real
-    b = 2 * (f * d.conjugate()).real
-    c = (f * f.conjugate()).real - radius * radius
-    disc = b * b - 4 * a * c
-    if disc <= 0:
-        return inner
-    t = (-b - math.sqrt(disc)) / (2 * a)
-    if not 0.0 <= t <= 1.0:
-        return inner
-    return outer + t * d
 
 
 def generate_loops(singular: SingularSet, base=None):
@@ -504,25 +496,29 @@ def continue_roots(P: BivariatePolynomial, loop: Loop, start_roots,
     """Track all branches around the loop; return the permutation.
 
     The result sigma maps tracked-branch index i to the label sigma[i] of
-    the start root where branch i lands.  End matching uses a minimal-cost
-    perfect assignment and must beat one third of the minimal start-root
-    separation.
+    the start root where branch i lands.
     """
     tracker = _Tracker(P, tol)
     start = np.array(start_roots, dtype=complex)
     end = tracker.track(loop.waypoints, start)
+    return match_end_roots(end, start, tracker._min_separation(start) / 3.0)
+
+
+def match_end_roots(end, start, margin):
+    """Match each end root to its nearest start root: every distance must be
+    finite and below ``margin`` (a third of the minimal start-root
+    separation) and the matching a permutation.  Every other start root is
+    then more than twice the margin away, so this is the unique minimal-cost
+    perfect assignment."""
     cost = np.abs(end[:, None] - start[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    sep = tracker._min_separation(start)
-    margin = sep / 3.0
-    sigma = [0] * len(start)
-    for i, j in zip(rows, cols):
-        if cost[i, j] >= margin:
-            raise PathCollision(
-                f"end matching distance {cost[i, j]:.3g} exceeds margin "
-                f"{margin:.3g}")
-        sigma[i] = int(j)
-    return tuple(sigma)
+    sigma = np.argmin(cost, axis=1)
+    worst = float(np.max(cost[np.arange(len(end)), sigma], initial=0.0))
+    if not np.all(np.isfinite(end)) or not worst < margin:
+        raise PathCollision(
+            f"end matching distance {worst:.3g} exceeds margin {margin:.3g}")
+    if len(set(sigma.tolist())) != len(sigma):
+        raise PathCollision("two branches end at the same start root")
+    return tuple(int(j) for j in sigma)
 
 
 def track_to_point(P: BivariatePolynomial, singular: SingularSet,
@@ -560,7 +556,7 @@ def monodromy_group(P: BivariatePolynomial, tol: float = DEFAULT_TOL,
     roots = base_roots(P, base)
     generators = [continue_roots(P, loop, roots, tol) for loop in loops]
     group = PermGroup(max(P.degree_y(), 1), generators)
-    return MonodromyAction(P, base, roots, loops, generators, group)
+    return MonodromyAction(P, singular, base, roots, loops, generators, group)
 
 
 def loop_at_infinity_permutation(P: BivariatePolynomial, singular, roots,

@@ -27,8 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra.gaussian import GaussianRational
-from .algebra.poly import BivariatePolynomial
-from .errors import NonExactCenter, NumericBreakdown, OrderTooSmall
+from .algebra.poly import BivariatePolynomial, singular_locator
+from .errors import (NonExactCenter, NumericBreakdown, OrderTooSmall,
+                     SquareFreeRequired)
 
 INFINITY = "infinity"
 
@@ -276,13 +277,14 @@ def _polish_singular_center(P: BivariatePolynomial, z: complex):
     their exact Q(i) values straight to extended precision: its 1/lc
     coefficients are not dyadic, and rounding them to double first would
     cap the center's accuracy at double precision."""
-    from .algebra.poly import discriminant_y
     if P.degree_y() < 2:
         return None
-    locator = (P.leading_y() * discriminant_y(P))
+    try:
+        locator = singular_locator(P)
+    except SquareFreeRequired:
+        return None
     if locator.degree() < 1:
         return None
-    locator = locator.squarefree_part()
     cs = [_exact_to_long(c) for c in locator.coeffs]
     dcs = [cs[k] * k for k in range(1, len(cs))]
 

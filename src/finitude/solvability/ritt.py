@@ -13,8 +13,6 @@ else is Other.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..algebra.gaussian import GaussianRational, exact_nth_root
 from ..algebra.poly import (BivariatePolynomial, UnivariatePolynomial,
                             discriminant_y)

@@ -22,11 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..algebra.gaussian import GaussianRational, rationalize_complex
+from ..algebra.gaussian import rationalize_complex
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
                             UnivariatePolynomial)
 from ..errors import UnsupportedGroup
-from ..monodromy import MonodromyAction, monodromy_group, singular_points, track_to_point
+from ..monodromy import MonodromyAction, monodromy_group, track_to_point
 from ..permgroups import compose, cycle_type, inverse
 from . import radexpr as rx
 
@@ -265,7 +265,7 @@ def _sample_points(action, count):
 
 
 def _sample_roots(P, action, points):
-    sing = singular_points(P)
+    sing = action.singular.recertify(1e-12)
     out = []
     for x in points:
         vals = track_to_point(P, sing, action.base_point, action.roots, x)

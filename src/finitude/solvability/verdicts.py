@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..algebra.poly import BivariatePolynomial, UnivariatePolynomial
 from ..errors import (FinitudeError, ReducibleInput, SearchBudgetExceeded,
                       UnsupportedGroup)
-from ..monodromy import monodromy_group
+from ..monodromy import MonodromyAction, monodromy_group
 from ..permgroups import cycles_string, is_k_solvable
 from .ritt import classify_primitive, ritt_decompose
 from .towers import radical_tower
@@ -58,30 +58,39 @@ class Verdict:
         return f"Verdict({self.status}: {self.reason})"
 
 
-def _monodromy_or_undecided(P: BivariatePolynomial):
-    try:
-        return monodromy_group(P), None
-    except FinitudeError as err:
-        return None, Verdict(VerdictStatus.UNDECIDED,
-                             f"monodromy computation failed: {err}")
+def monodromy_failed(err: FinitudeError) -> Verdict:
+    return Verdict(VerdictStatus.UNDECIDED,
+                   f"monodromy computation failed: {err}")
 
 
-def radicals_verdict(P: BivariatePolynomial,
-                     want_certificate: bool = True) -> Verdict:
-    """Representability of the algebraic function P(x, y) = 0 by radicals.
-
-    Solvable monodromy gives Representable (with a radical tower when the
-    constructive scope covers the group); unsolvable monodromy gives
-    NotRepresentable with the group as witness.  Reducible curves (the
-    action is intransitive) are rejected, as the verdict is per branch.
-    """
-    action, failure = _monodromy_or_undecided(P)
-    if failure is not None:
-        return failure
+def _transitive_action(P: BivariatePolynomial, action):
+    """The given action, else the computed one or an Undecided verdict;
+    reducible curves are rejected, as verdicts are per branch."""
+    if action is None:
+        try:
+            action = monodromy_group(P)
+        except FinitudeError as err:
+            return None, monodromy_failed(err)
     if not action.transitive:
         raise ReducibleInput(
             f"curve splits into orbits {action.orbits()}; "
             "apply the verdict to each factor")
+    return action, None
+
+
+def radicals_verdict(P: BivariatePolynomial, want_certificate: bool = True,
+                     action: MonodromyAction = None) -> Verdict:
+    """Representability of the algebraic function P(x, y) = 0 by radicals.
+
+    Solvable monodromy gives Representable (with a radical tower when the
+    constructive scope covers the group); unsolvable monodromy gives
+    NotRepresentable with the group as witness.  A precomputed ``action``
+    of P is used as is; without one, the monodromy is computed here and any
+    failure gives Undecided.
+    """
+    action, failure = _transitive_action(P, action)
+    if failure is not None:
+        return failure
     group = action.group
     if not group.is_solvable():
         return Verdict(
@@ -101,15 +110,12 @@ def radicals_verdict(P: BivariatePolynomial,
                    certificate=certificate)
 
 
-def k_radicals_verdict(P: BivariatePolynomial, k: int) -> Verdict:
+def k_radicals_verdict(P: BivariatePolynomial, k: int,
+                       action: MonodromyAction = None) -> Verdict:
     """Representability by k-radicals via k-solvability of the monodromy."""
-    action, failure = _monodromy_or_undecided(P)
+    action, failure = _transitive_action(P, action)
     if failure is not None:
         return failure
-    if not action.transitive:
-        raise ReducibleInput(
-            f"curve splits into orbits {action.orbits()}; "
-            "apply the verdict to each factor")
     group = action.group
     try:
         ok, chain = is_k_solvable(group, k)

@@ -3,10 +3,13 @@
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
+from finitude import errors, monodromy
+from finitude.algebra import poly
 from finitude.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +63,16 @@ class TestReports:
         d1.pop("elapsed_seconds"), d2.pop("elapsed_seconds")
         assert d1 == d2
 
+    def test_x_content_keeps_its_singular_points(self):
+        # the monodromy is that of y^2 - x; the report lists x = 1 as well
+        code, out, _ = run(["--json", "algebraic", "--", "(x-1)*(y^2-x)"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["monodromy"]["group_order"] == 2
+        got = sorted(round(re, 9) for re, _im in
+                     data["monodromy"]["singular_points"])
+        assert got == [0.0, 1.0]
+
     def test_integrate(self):
         code, out, _ = run(["--json", "integrate", "1/(x^2-1)"])
         assert code == 0
@@ -104,6 +117,73 @@ class TestReports:
                             "algebraic", "y^2-x"])
         assert code == 0
         assert json.loads(out)["settings"]["continuation_tol"] == 1e-9
+
+
+def count_calls(monkeypatch, name, original):
+    """Record every call of ``original`` through any finitude module that
+    binds it as ``name``; returns the list of (args, kwargs)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("finitude")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkPerRequest:
+    ARGV = ["algebraic", "--k", "4", "--tower", "--", "y^3-x"]
+
+    def test_one_monodromy_and_one_resultant(self, monkeypatch):
+        groups = count_calls(monkeypatch, "monodromy_group",
+                             monodromy.monodromy_group)
+        resultants = count_calls(monkeypatch, "resultant_y", poly.resultant_y)
+        code, out, _ = run(["--json"] + self.ARGV)
+        assert code == 0
+        data = json.loads(out)
+        assert data["radicals"]["certificate"] == "root(3, x)"
+        assert data["k_radicals"]["status"] == "Representable"
+        assert len(groups) == 1
+        assert len(resultants) == 1
+
+    def test_continuation_tol_reaches_the_single_computation(
+            self, monkeypatch, tmp_path):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("continuation_tol = 1e-9\n")
+        groups = count_calls(monkeypatch, "monodromy_group",
+                             monodromy.monodromy_group)
+        code, _, _ = run(["--json", "--config", str(cfg)] + self.ARGV)
+        assert code == 0
+        assert [kwargs.get("tol") for _args, kwargs in groups] == [1e-9]
+
+    @pytest.mark.parametrize("error", [
+        errors.PathCollision, errors.SingularOnPath,
+        errors.BasePointTooClose, errors.IterationLimitExceeded])
+    def test_numeric_monodromy_failure_is_undecided(self, monkeypatch, error):
+        def fail(*_args, **_kwargs):
+            raise error("tracking broke down near x=0.5")
+
+        monkeypatch.setattr(monodromy, "continue_roots", fail)
+        code, out, _ = run(["--json", "algebraic", "--k", "4", "--tower",
+                            "--", "y^5+y-x"])
+        assert code == 2
+        data = json.loads(out)
+        assert data["radicals"] == {
+            "status": "Undecided",
+            "reason": "monodromy computation failed: "
+                      "tracking broke down near x=0.5"}
+        assert data["k_radicals"] == data["radicals"]
+        assert "monodromy" not in data
+
+    def test_input_errors_stay_64(self):
+        code, _, err = run(["algebraic", "(y-x)^2"])
+        assert code == 64 and "SquareFreeRequired" in err
+        code, _, err = run(["algebraic", "(y^2-x)*(y-x^2)"])
+        assert code == 64 and "ReducibleInput" in err
 
 
 class TestCorpus:

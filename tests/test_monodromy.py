@@ -2,15 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from finitude.algebra import (BivariatePolynomial, UnivariatePolynomial,
                               parse_bivariate)
-from finitude.errors import SquareFreeRequired
+from finitude.errors import PathCollision, SquareFreeRequired
 from finitude.monodromy import (auto_base_point, continue_roots,
                                 generate_loops, loop_at_infinity_permutation,
-                                monodromy_group, ordered_product,
-                                singular_points)
+                                match_end_roots, monodromy_group,
+                                ordered_product, singular_points)
 from finitude.permgroups import cycle_type, cycles_string, inverse
 
 
@@ -34,6 +36,19 @@ class TestSingularPoints:
     def test_squarefree_required(self):
         with pytest.raises(SquareFreeRequired):
             singular_points(parse_bivariate("(y - x)^2"))
+
+    def test_recertify_matches_a_fresh_certification(self):
+        P = parse_bivariate("y^4 + x*y + x^3 + 1")
+        coarse = singular_points(P, 1e-10)
+        fine = coarse.recertify(1e-12)
+        fresh = singular_points(P, 1e-12)
+        assert fine.locator == coarse.locator == fresh.locator
+        assert [(p.center, p.radius) for p in fine.points] == \
+            [(p.center, p.radius) for p in fresh.points]
+
+    def test_action_keeps_its_singular_set(self):
+        act = monodromy_group(parse_bivariate("y^5 + y - x"))
+        assert len(act.singular) == len(act.loops) == 4
 
 
 class TestLoops:
@@ -81,6 +96,53 @@ class TestContinuation:
         square = [base, base + 0.5, base + 0.5 + 0.5j, base + 0.5j, base]
         sigma = continue_roots(P, Loop(base, square, -1), roots)
         assert sigma == tuple(range(2))
+
+
+class TestEndMatching:
+    """Nearest-start-root matching against the optimal assignment."""
+
+    @staticmethod
+    def _optimal(end, start, margin):
+        cost = np.abs(end[:, None] - start[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        if any(cost[i, j] >= margin for i, j in zip(rows, cols)):
+            return None
+        return tuple(int(j) for _i, j in sorted(zip(rows, cols)))
+
+    def test_agrees_with_linear_sum_assignment(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(600):
+            n = int(rng.integers(2, 8))
+            start = rng.normal(size=n) + 1j * rng.normal(size=n)
+            gaps = np.abs(start[:, None] - start[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            margin = float(np.min(gaps)) / 3.0
+            # end roots scattered from a permuted start, from well inside
+            # the margin to well beyond it
+            spread = margin * rng.choice([0.1, 0.5, 0.9, 1.2, 2.0, 4.0])
+            end = start[rng.permutation(n)] + spread * (
+                rng.normal(size=n) + 1j * rng.normal(size=n)) / 2.0
+            expected = self._optimal(end, start, margin)
+            outcomes.add(expected is None)
+            if expected is None:
+                with pytest.raises(PathCollision):
+                    match_end_roots(end, start, margin)
+            else:
+                assert match_end_roots(end, start, margin) == expected
+        assert outcomes == {True, False}
+
+    def test_two_ends_at_one_start_root_fail(self):
+        start = np.array([1.0, -1.0, 3j])
+        end = np.array([1.01, 0.99, 3j])
+        with pytest.raises(PathCollision):
+            match_end_roots(end, start, 2.0 / 3.0)
+
+    def test_nan_end_value_fails(self):
+        start = np.array([1.0, -1.0, 3j])
+        end = np.array([1.0, complex("nan"), 3j])
+        with pytest.raises(PathCollision):
+            match_end_roots(end, start, 2.0 / 3.0)
 
 
 class TestGroups:
