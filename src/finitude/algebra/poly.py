@@ -492,11 +492,6 @@ class BivariatePolynomial:
                                     UnivariatePolynomial.constant(1)])
 
     @staticmethod
-    def from_univariate_in_y(p: UnivariatePolynomial) -> "BivariatePolynomial":
-        return BivariatePolynomial(
-            [UnivariatePolynomial.constant(c) for c in p.coeffs])
-
-    @staticmethod
     def coerce(value) -> "BivariatePolynomial":
         if isinstance(value, BivariatePolynomial):
             return value
@@ -589,16 +584,6 @@ class BivariatePolynomial:
     def derivative_x(self) -> "BivariatePolynomial":
         return BivariatePolynomial([r.derivative() for r in self.rows])
 
-    def eval_x(self, x0) -> UnivariatePolynomial:
-        """Specialize x; result is a univariate polynomial in y."""
-        return UnivariatePolynomial([r(x0) for r in self.rows])
-
-    def eval_y(self, y0) -> UnivariatePolynomial:
-        acc = UnivariatePolynomial()
-        for r in reversed(self.rows):
-            acc = acc * UnivariatePolynomial.coerce(y0) + r
-        return acc
-
     def __call__(self, x, y):
         if isinstance(x, (int, Fraction, GaussianRational)) and \
                 isinstance(y, (int, Fraction, GaussianRational)):
@@ -625,15 +610,6 @@ class BivariatePolynomial:
             result = result + power * BivariatePolynomial([r])
             power = power * shifted
         return result
-
-    def swap_variables(self) -> "BivariatePolynomial":
-        """Q(x, y) = P(y, x)."""
-        dx = self.degree_x()
-        rows = []
-        for i in range(dx + 1):
-            rows.append(UnivariatePolynomial(
-                [self.coefficient(i, j) for j in range(self.degree_y() + 1)]))
-        return BivariatePolynomial(rows)
 
     def primitive_y(self) -> "BivariatePolynomial":
         """Divide out the x-content so the curve is primitive in y."""

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from ..config import ROOT_TOL
 from ..errors import IterationLimitExceeded, ZeroPolynomial
 from .poly import UnivariatePolynomial, squarefree_factorization
 
@@ -99,7 +100,7 @@ def _certify(coeffs: np.ndarray, z: complex) -> float:
     return n * abs(pv / dv)
 
 
-def complex_roots(p: UnivariatePolynomial, tol: float = 1e-12):
+def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL):
     """All complex roots of ``p`` with multiplicity, as certified disks.
 
     Returns a list of (ComplexInterval, multiplicity) pairs.  Distinct roots
@@ -152,7 +153,7 @@ def complex_roots(p: UnivariatePolynomial, tol: float = 1e-12):
     return out
 
 
-def complex_roots_flat(p: UnivariatePolynomial, tol: float = 1e-12):
+def complex_roots_flat(p: UnivariatePolynomial, tol: float = ROOT_TOL):
     """Roots repeated by multiplicity, as a flat list of ComplexInterval."""
     flat = []
     for enc, mult in complex_roots(p, tol):
@@ -160,7 +161,7 @@ def complex_roots_flat(p: UnivariatePolynomial, tol: float = 1e-12):
     return flat
 
 
-def distinct_roots(p: UnivariatePolynomial, tol: float = 1e-12):
+def distinct_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL):
     """Centers of the distinct-root enclosures (no multiplicities)."""
     return [enc.center for enc, _ in complex_roots(p, tol)]
 

@@ -2,19 +2,20 @@
 
 Subcommands: algebraic, ode, integrate, decompose, fuchsian, puiseux,
 corpus.  Exit codes: 0 = Representable, 1 = NotRepresentable,
-2 = Undecided, 64 = usage or input error.  --json emits the machine report;
-the corpus driver replays plain-text cases and may run them in parallel
-(FINITUDE_THREADS caps the pool).
+2 = Undecided (also when a numeric step fails on valid input), 64 = usage
+or input error.  --json emits the machine report; the corpus driver replays
+plain-text cases.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stdout
 
 from . import __version__
 from .algebra import parse_expression, parse_univariate
@@ -22,22 +23,18 @@ from .algebra.poly import RationalFunction
 from .config import Settings, load_settings
 from .differential import (LinearODE, integrate_rational,
                            rational_witness_search)
-from .errors import (BasePointTooClose, ExprSyntaxError, FinitudeError,
-                     IterationLimitExceeded, PathCollision, SingularOnPath)
+from .errors import ExprSyntaxError, FinitudeError, NumericFailure
 from .fuchsian import FuchsianSystem, small_norm_verdict, system_monodromy
 from .monodromy import monodromy_group, singular_points
 from .puiseux import INFINITY, puiseux_expand
 from .solvability import (invertible_by_radicals, k_radicals_verdict,
-                          radicals_verdict, ritt_decompose)
+                          radicals_verdict)
 from .solvability.verdicts import VerdictStatus, monodromy_failed
 
 EXIT_REPRESENTABLE = 0
 EXIT_NOT_REPRESENTABLE = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
-
-MONODROMY_FAILURES = (BasePointTooClose, IterationLimitExceeded,  # exit 2
-                      PathCollision, SingularOnPath)
 
 
 def _status_exit(status) -> int:
@@ -90,7 +87,7 @@ def cmd_algebraic(args, settings) -> int:
         singular = (action.singular.recertify(settings.root_tol)
                     if action.polynomial == P
                     else singular_points(P, settings.root_tol))
-    except MONODROMY_FAILURES as err:
+    except NumericFailure as err:
         failure = monodromy_failed(err)
     else:
         report.add("monodromy", action.report(singular))
@@ -161,13 +158,12 @@ def cmd_integrate(args, settings) -> int:
 
 def cmd_decompose(args, settings) -> int:
     report = Report("decompose", {"expr": args.expr}, settings)
-    f = parse_univariate(args.expr)
-    chain = ritt_decompose(f)
-    verdict = invertible_by_radicals(f)
-    report.add("chain", [g.format() for g in chain])
+    verdict = invertible_by_radicals(parse_univariate(args.expr))
+    chain = verdict.extras["factors"]
+    report.add("chain", chain)
     report.add("invertible_by_radicals", verdict.to_json())
     lines = ["composition chain (innermost first):"]
-    lines += [f"  {g.format()}" for g in chain]
+    lines += [f"  {g}" for g in chain]
     lines.append(f"inverse representable by radicals: {verdict.status}")
     _emit(report, args.json, lines)
     return _status_exit(verdict.status)
@@ -213,7 +209,7 @@ def cmd_puiseux(args, settings) -> int:
     return EXIT_REPRESENTABLE
 
 
-def cmd_corpus(args, settings) -> int:
+def cmd_corpus(args, _settings) -> int:
     cases = []
     for name in sorted(os.listdir(args.directory)):
         if name.endswith(".case"):
@@ -221,15 +217,7 @@ def cmd_corpus(args, settings) -> int:
     if not cases:
         print(f"no .case files under {args.directory}", file=sys.stderr)
         return EXIT_USAGE
-    workers = int(os.environ.get("FINITUDE_THREADS", "1"))
-    results = []
-    if workers > 1:
-        # out-of-process execution: stdout capture is process-global, so
-        # parallel cases each get their own interpreter
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case_subprocess, cases))
-    else:
-        results = [_run_case(c, settings) for c in cases]
+    results = [_run_case(c) for c in cases]
     failed = [name for name, ok, _detail in results if not ok]
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {os.path.basename(name)}"
@@ -253,40 +241,24 @@ def _parse_case(path):
     return command, expects
 
 
-def _check_case(path, expects, output):
-    canonical = json.dumps(json.loads(output), sort_keys=True) \
-        if output.strip().startswith("{") else output
-    for fragment in expects:
-        if fragment not in canonical:
-            return path, False, f"missing fragment {fragment!r}"
-    return path, True, ""
-
-
-def _run_case(path, settings):
+def _run_case(path):
     """A case file holds one command line and expected JSON fragments."""
     command, expects = _parse_case(path)
     if command is None:
         return path, False, "no cmd line"
-    import io
-    from contextlib import redirect_stdout
     buffer = io.StringIO()
     try:
         with redirect_stdout(buffer):
             main(["--json"] + command.split())
     except SystemExit:
         pass
-    return _check_case(path, expects, buffer.getvalue())
-
-
-def _run_case_subprocess(path):
-    import subprocess
-    command, expects = _parse_case(path)
-    if command is None:
-        return path, False, "no cmd line"
-    proc = subprocess.run(
-        [sys.executable, "-m", "finitude.cli", "--json"] + command.split(),
-        capture_output=True, text=True)
-    return _check_case(path, expects, proc.stdout)
+    output = buffer.getvalue()
+    canonical = json.dumps(json.loads(output), sort_keys=True) \
+        if output.strip().startswith("{") else output
+    for fragment in expects:
+        if fragment not in canonical:
+            return path, False, f"missing fragment {fragment!r}"
+    return path, True, ""
 
 
 def _fmt_complex(z: complex) -> str:
@@ -362,6 +334,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except NumericFailure as err:
+        print(f"undecided: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except (ValueError, FinitudeError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_USAGE

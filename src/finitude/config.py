@@ -1,26 +1,28 @@
 """Runtime configuration: tolerances, budgets, and their defaults.
 
 A config file is plain ``key = value`` text (one per line, # comments); the
-effective values are echoed in every report so runs are reproducible.
+effective values are echoed in every report so runs are reproducible.  The
+default tolerances below are the single definition read both by
+``Settings`` and by the keyword defaults of the layers that use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
+CONTINUATION_TOL = 1e-10   # branch tracking (monodromy)
+ROOT_TOL = 1e-12           # certified root enclosures
+FUCHSIAN_TOL = 1e-10       # Dormand-Prince transport
+EIG_CLUSTER_TOL = 1e-8     # eigenvalue clustering (triangularization)
+
 
 @dataclass
 class Settings:
-    continuation_tol: float = 1e-10
-    root_tol: float = 1e-12
-    matching_margin: float = 1 / 3        # fraction of min root separation
-    group_degree_cap: int = 32
-    k_solvable_degree_cap: int = 16
+    continuation_tol: float = CONTINUATION_TOL
+    root_tol: float = ROOT_TOL
+    fuchsian_tol: float = FUCHSIAN_TOL
+    eig_cluster_tol: float = EIG_CLUSTER_TOL
     witness_degree_bound: int = 0          # 0 = automatic
-    fuchsian_tol: float = 1e-10
-    eig_cluster_tol: float = 1e-8
-    tower_match_tol: float = 1e-8
-    puiseux_order: int = 4
 
     def to_json(self):
         return asdict(self)

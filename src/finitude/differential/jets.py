@@ -68,20 +68,12 @@ class DifferentialPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def jet_order(self) -> int:
-        return max((len(k) - 1 for k in self.terms if k), default=-1)
-
     def total_degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
     def homogeneous_part(self, degree: int) -> "DifferentialPolynomial":
         return DifferentialPolynomial(
             {k: c for k, c in self.terms.items() if sum(k) == degree})
-
-    def xi_weight(self) -> int:
-        """Max over monomials of sum_i i * p_i."""
-        return max((sum(i * p for i, p in enumerate(k))
-                    for k in self.terms), default=0)
 
     # --- arithmetic ----------
 

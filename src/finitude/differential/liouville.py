@@ -24,6 +24,7 @@ from ..algebra.poly import (BivariatePolynomial, RationalFunction,
                             UnivariatePolynomial, interpolate, resultant_y,
                             squarefree_factorization)
 from ..algebra.roots import complex_roots, exact_gaussian_roots
+from ..config import ROOT_TOL
 from ..errors import ZeroPolynomial
 
 
@@ -171,7 +172,7 @@ class AlgebraicResidueBlock:
     def modulus(self) -> UnivariatePolynomial:
         return self.ring.modulus
 
-    def residue_enclosures(self, tol=1e-12):
+    def residue_enclosures(self, tol=ROOT_TOL):
         return [enc.center for enc, _ in complex_roots(self.ring.modulus, tol)]
 
     def derivative_contribution(self) -> RationalFunction:
@@ -211,7 +212,6 @@ class AlgebraicResidueBlock:
 
 
 def _rpoly_mul(a, b):
-    out = [a[0].ring.zero() if a else None] * (len(a) + len(b) - 1)
     ring = a[0].ring
     out = [ring.zero() for _ in range(len(a) + len(b) - 1)]
     for i, ca in enumerate(a):

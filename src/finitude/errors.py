@@ -10,6 +10,10 @@ class FinitudeError(Exception):
     """Base class for all package-specific errors."""
 
 
+class NumericFailure(FinitudeError):
+    """A numeric step failed on valid input; the answer is undecided."""
+
+
 # --- expression / algebra -------------------------------------------------
 
 class ExprSyntaxError(FinitudeError):
@@ -40,7 +44,7 @@ class DegreeTooLow(FinitudeError):
     pass
 
 
-class IterationLimitExceeded(FinitudeError):
+class IterationLimitExceeded(NumericFailure):
     """Root refinement ran out of iterations; best enclosures attached."""
 
     def __init__(self, message, enclosures=None):
@@ -58,7 +62,7 @@ class OrderTooSmall(FinitudeError):
     pass
 
 
-class NumericBreakdown(FinitudeError):
+class NumericBreakdown(NumericFailure):
     """Ill-conditioned coefficient solve; carries a condition estimate."""
 
     def __init__(self, message, condition=None):
@@ -72,15 +76,15 @@ class SquareFreeRequired(FinitudeError):
     pass
 
 
-class BasePointTooClose(FinitudeError):
+class BasePointTooClose(NumericFailure):
     pass
 
 
-class PathCollision(FinitudeError):
+class PathCollision(NumericFailure):
     pass
 
 
-class SingularOnPath(FinitudeError):
+class SingularOnPath(NumericFailure):
     pass
 
 
@@ -132,7 +136,7 @@ class BoundExceeded(FinitudeError):
 
 # --- fuchsian --------------------------------------------------------------
 
-class StepSizeUnderflow(FinitudeError):
+class StepSizeUnderflow(NumericFailure):
     """Adaptive integrator stalled; carries the offending loop index."""
 
     def __init__(self, message, loop_index=None):

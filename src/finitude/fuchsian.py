@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import EIG_CLUSTER_TOL, FUCHSIAN_TOL
 from .errors import StepSizeUnderflow
 from .monodromy import Loop, SingularSet, auto_base_point, big_circle_loop, generate_loops
 from .algebra.roots import ComplexInterval
 from .solvability.verdicts import Verdict, VerdictStatus
-
-DEFAULT_TOL = 1e-10
-EIG_CLUSTER_TOL = 1e-8
 
 
 class FuchsianSystem:
@@ -147,7 +145,7 @@ def _integrate_segment(system: FuchsianSystem, z0, z1, Y, tol, loop_index):
     return Y
 
 
-def integrate_along(system: FuchsianSystem, waypoints, tol=DEFAULT_TOL,
+def integrate_along(system: FuchsianSystem, waypoints, tol=FUCHSIAN_TOL,
                     loop_index=None) -> np.ndarray:
     Y = np.eye(system.dimension, dtype=complex)
     for a, b in zip(waypoints, waypoints[1:]):
@@ -155,7 +153,7 @@ def integrate_along(system: FuchsianSystem, waypoints, tol=DEFAULT_TOL,
     return Y
 
 
-def system_monodromy(system: FuchsianSystem, tol: float = DEFAULT_TOL,
+def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
                      base=None) -> MonodromyMatrices:
     """Monodromy matrices along the standard generator loops.
 
@@ -175,7 +173,7 @@ def system_monodromy(system: FuchsianSystem, tol: float = DEFAULT_TOL,
     return MonodromyMatrices(base, loops, mats)
 
 
-def monodromy_at_infinity(system: FuchsianSystem, tol: float = DEFAULT_TOL,
+def monodromy_at_infinity(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
                           base=None, clockwise=False) -> np.ndarray:
     singular = system.singular_set()
     loop = big_circle_loop(singular, base)

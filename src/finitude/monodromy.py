@@ -30,12 +30,12 @@ import numpy as np
 
 from .algebra.poly import BivariatePolynomial, singular_locator
 from .algebra.roots import complex_roots
+from .config import CONTINUATION_TOL, ROOT_TOL
 from .errors import (BasePointTooClose, IterationLimitExceeded,
                      PathCollision, SingularOnPath, SquareFreeRequired)
 from .permgroups import PermGroup, cycles_string
 
 CIRCLE_POINTS = 64
-DEFAULT_TOL = 1e-10
 
 
 class SingularSet:
@@ -125,7 +125,8 @@ class MonodromyAction:
 # --- singular points ---------------------------------------------------------
 
 
-def singular_points(P: BivariatePolynomial, tol: float = 1e-12) -> SingularSet:
+def singular_points(P: BivariatePolynomial,
+                    tol: float = ROOT_TOL) -> SingularSet:
     """Certified enclosures of all roots of lc_y(P) * disc_y(P).
 
     Ill-conditioned locator roots (nearly coincident singular points) relax
@@ -345,7 +346,7 @@ def big_circle_loop(singular: SingularSet, base=None) -> Loop:
 class _Tracker:
     """Vectorized predictor-corrector continuation of all n branches."""
 
-    def __init__(self, P: BivariatePolynomial, tol: float = DEFAULT_TOL):
+    def __init__(self, P: BivariatePolynomial, tol: float = CONTINUATION_TOL):
         self.rows = [np.array([complex(c) for c in row.coeffs], dtype=complex)
                      if not row.is_zero() else np.zeros(1, dtype=complex)
                      for row in P.rows]
@@ -492,7 +493,7 @@ def base_roots(P: BivariatePolynomial, base: complex):
 
 
 def continue_roots(P: BivariatePolynomial, loop: Loop, start_roots,
-                   tol: float = DEFAULT_TOL):
+                   tol: float = CONTINUATION_TOL):
     """Track all branches around the loop; return the permutation.
 
     The result sigma maps tracked-branch index i to the label sigma[i] of
@@ -523,7 +524,7 @@ def match_end_roots(end, start, margin):
 
 def track_to_point(P: BivariatePolynomial, singular: SingularSet,
                    base: complex, start_roots, target: complex,
-                   tol: float = DEFAULT_TOL):
+                   tol: float = CONTINUATION_TOL):
     """Continue the labeled roots from base to target.
 
     The path is the straight segment with short detour arcs around singular
@@ -540,7 +541,7 @@ def track_to_point(P: BivariatePolynomial, singular: SingularSet,
     return tracker.track(path, np.array(start_roots, dtype=complex))
 
 
-def monodromy_group(P: BivariatePolynomial, tol: float = DEFAULT_TOL,
+def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
                     base=None) -> MonodromyAction:
     """Monodromy action of the curve P(x, y) = 0.
 
@@ -560,7 +561,7 @@ def monodromy_group(P: BivariatePolynomial, tol: float = DEFAULT_TOL,
 
 
 def loop_at_infinity_permutation(P: BivariatePolynomial, singular, roots,
-                                 base=None, tol: float = DEFAULT_TOL,
+                                 base=None, tol: float = CONTINUATION_TOL,
                                  clockwise: bool = False):
     """Permutation along one large circle around all singular points."""
     loop = big_circle_loop(singular, base)

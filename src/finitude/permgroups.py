@@ -326,11 +326,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(compose(a, b) == compose(b, a)
-                   for i, a in enumerate(gens) for b in gens[:i])
-
     def stabilizer(self, point0: int) -> "PermGroup":
         """Stabilizer of a 0-based point, via Schreier generators."""
         n = self.degree
@@ -357,10 +352,6 @@ class PermGroup:
 
     def subgroup(self, generators) -> "PermGroup":
         return PermGroup(self.degree, generators)
-
-    def same_group(self, other: "PermGroup") -> bool:
-        return (self.order() == other.order()
-                and all(self.contains(g) for g in other.generators))
 
     def normal_closure(self, elements) -> "PermGroup":
         """Smallest subgroup containing ``elements`` normalized by self."""
@@ -398,9 +389,6 @@ class PermGroup:
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].is_trivial()
-
-    def is_perfect(self) -> bool:
-        return self.derived_subgroup().order() == self.order()
 
 
 def _reduce_generators(degree: int, gens):

@@ -25,6 +25,7 @@ import numpy as np
 from ..algebra.gaussian import rationalize_complex
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
                             UnivariatePolynomial)
+from ..config import ROOT_TOL
 from ..errors import UnsupportedGroup
 from ..monodromy import MonodromyAction, monodromy_group, track_to_point
 from ..permgroups import compose, cycle_type, inverse
@@ -265,7 +266,7 @@ def _sample_points(action, count):
 
 
 def _sample_roots(P, action, points):
-    sing = action.singular.recertify(1e-12)
+    sing = action.singular.recertify(ROOT_TOL)
     out = []
     for x in points:
         vals = track_to_point(P, sing, action.base_point, action.roots, x)

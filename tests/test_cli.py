@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON reports, corpus driver."""
 
+import dataclasses
 import io
 import json
 import os
@@ -8,9 +9,12 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from finitude import errors, monodromy
+from finitude import errors, fuchsian, monodromy
 from finitude.algebra import poly
 from finitude.cli import main
+from finitude.config import Settings
+from finitude.differential import kovacic
+from finitude.solvability import ritt_decompose
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,6 +41,20 @@ class TestExitCodes:
         code, _out, err = run(["algebraic", "y^"])
         assert code == 64
         assert "position 2" in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["puiseux", "--point", "0", "--order", "3", "--",
+          "2*x^2*y^2 + 2*x^2*y + 3*x^2 + 3*x*y^2 - x*y + y^3"],
+         "NumericBreakdown"),
+        (["integrate", "--", "(8 - 3*x)/(x^9 + 4*x^8 - x^7 + 2*x^6 + 9*x^5"
+          " - 4*x^4 + 7*x^3 - 5*x^2 + 8*x - 3)"], "IterationLimitExceeded"),
+        (["integrate", "--", "(6*x^6 + 3*x^5 + 6*x^3 + 8*x^2 - 5*x + 4)"
+          "/(x^2 + 8*x - 4)"], "IterationLimitExceeded"),
+    ], ids=["puiseux", "integrate-proper", "integrate-improper"])
+    def test_numeric_failure_is_2(self, argv, error):
+        code, _out, err = run(argv)
+        assert code == 2
+        assert f"undecided: {error}" in err
 
     def test_k_flag(self):
         code, _, _ = run(["algebraic", "y^5+y-x", "--k", "5"])
@@ -117,21 +135,29 @@ class TestReports:
                             "algebraic", "y^2-x"])
         assert code == 0
         assert json.loads(out)["settings"]["continuation_tol"] == 1e-9
+        # a key with no consumer is refused, not echoed
+        cfg.write_text("matching_margin = 0.3\n")
+        code, _, err = run(["--json", "--config", str(cfg),
+                            "algebraic", "y^2-x"])
+        assert code == 64
+        assert "unknown key 'matching_margin'" in err
 
 
-def count_calls(monkeypatch, name, original):
+def count_calls(monkeypatch, name, original, owner=None):
     """Record every call of ``original`` through any finitude module that
-    binds it as ``name``; returns the list of (args, kwargs)."""
+    binds it as ``name``, and through ``owner`` (a class, for a method);
+    returns the list of (args, kwargs)."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("finitude")
-                and getattr(module, name, None) is original):
-            monkeypatch.setattr(module, name, counted)
+    holders = [module for module in list(sys.modules.values())
+               if getattr(module, "__name__", "").startswith("finitude")
+               and getattr(module, name, None) is original]
+    for holder in holders + ([owner] if owner is not None else []):
+        monkeypatch.setattr(holder, name, counted)
     return calls
 
 
@@ -179,6 +205,13 @@ class TestWorkPerRequest:
         assert data["k_radicals"] == data["radicals"]
         assert "monodromy" not in data
 
+    def test_one_ritt_decomposition(self, monkeypatch):
+        chains = count_calls(monkeypatch, "ritt_decompose", ritt_decompose)
+        code, out, _ = run(["--json", "decompose", "--", "x^6"])
+        assert code == 0
+        assert json.loads(out)["chain"] == ["x^2", "x^3"]
+        assert len(chains) == 1
+
     def test_input_errors_stay_64(self):
         code, _, err = run(["algebraic", "(y-x)^2"])
         assert code == 64 and "SquareFreeRequired" in err
@@ -192,8 +225,35 @@ class TestCorpus:
         assert code == 0
         assert "8/8" in out
 
-    def test_corpus_parallel(self, monkeypatch):
-        monkeypatch.setenv("FINITUDE_THREADS", "4")
-        code, out, _ = run(["corpus", os.path.join(REPO, "corpus")])
-        assert code == 0
-        assert "8/8" in out
+
+FIXTURE = os.path.join(REPO, "corpus", "fixtures", "triangular_system.json")
+
+# key -> (non-default value, argv, owner and name of the consuming call);
+# a Settings key without an entry here fails the test below
+CONSUMERS = {
+    "continuation_tol": (1e-9, ["algebraic", "--", "y^3-x"],
+                         monodromy, "monodromy_group"),
+    "root_tol": (1e-11, ["algebraic", "--", "y^3-x"],
+                 monodromy.SingularSet, "recertify"),
+    "fuchsian_tol": (1e-9, ["fuchsian", FIXTURE],
+                     fuchsian, "system_monodromy"),
+    "eig_cluster_tol": (1e-7, ["fuchsian", FIXTURE],
+                        fuchsian, "small_norm_verdict"),
+    "witness_degree_bound": (3, ["ode", "2", "0", "-1"],
+                             kovacic, "rational_witness_search"),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(Settings)])
+def test_every_setting_reaches_its_consumer(monkeypatch, tmp_path, key):
+    value, argv, owner, name = CONSUMERS[key]
+    assert value != getattr(Settings(), key)
+    calls = count_calls(monkeypatch, name, getattr(owner, name), owner)
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, _ = run(["--json", "--config", str(cfg)] + argv)
+    assert code in (0, 1, 2)
+    assert json.loads(out)["settings"][key] == value
+    passed = [v for args, kwargs in calls
+              for v in (*args, *kwargs.values()) if type(v) is type(value)]
+    assert value in passed
