@@ -147,7 +147,7 @@ def cmd_integrate(args, settings) -> int:
     report = Report("integrate", {"expr": args.expr}, settings)
     f = parse_expression(args.expr, ["x"])
     form = integrate_rational(RationalFunction.coerce(f))
-    report.add("liouville_form", form.to_json())
+    report.add("liouville_form", form.to_json(settings.root_tol))
     check = (form.derivative() - RationalFunction.coerce(f)).is_zero()
     report.add("derivative_verified", check)
     _emit(report, args.json,
@@ -265,8 +265,20 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}i"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a single ``-`` as a positional
+    (an expression such as ``-x/(x^2+1)``): every option here is long,
+    except ``-h``."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-") and not arg_string.startswith("--") \
+                and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finitude",
         description="solvability of equations in finite terms")
     parser.add_argument("--config", help="key = value settings file")

@@ -280,11 +280,12 @@ class LiouvilleForm:
         parts.extend(block.format() for block in self.blocks)
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self):
+    def to_json(self, root_tol=ROOT_TOL):
+        """The report form; algebraic residues are certified to root_tol."""
         logs = [{"lambda": str(term.lam), "arg": term.argument.format()}
                 for term in self.logs]
         for block in self.blocks:
-            encl = block.residue_enclosures()
+            encl = block.residue_enclosures(root_tol)
             logs.append({
                 "lambda": f"RootOf({block.ring.modulus.format('t')})",
                 "lambda_enclosures": [[z.real, z.imag] for z in encl],

@@ -2,8 +2,11 @@
 
 Pipeline: certified singular points (roots of lc_y * disc_y), deterministic
 petal loops from a real base point, predictor-corrector tracking of all n
-branches along each loop, end matching to the nearest start root within the
-separation margin, and group closure through the permutation-group layer.
+branches along the tree of those loops, end matching to the nearest start
+root within the separation margin, and group closure through the
+permutation-group layer.  Every tracker step is checked (Newton
+contraction, a correction small against the branch separation) but not
+certified.
 
 Conventions (fixed so reruns are bit-identical):
 
@@ -12,9 +15,16 @@ Conventions (fixed so reruns are bit-identical):
   right-most root;
 * loops ordered by ascending spoke angle swept counterclockwise from the
   base direction, with the angle taken in (0, 2 pi] (a singular point lying
-  on the base direction closes the sweep), ties broken by descending
-  modulus; circles are traversed counterclockwise, >= 64 waypoints;
+  on the base direction closes the sweep, and its highway is the full
+  circle), ties broken by descending modulus; circles are traversed
+  counterclockwise;
 * detours around blocking disks always go counterclockwise;
+* branches are tracked along a tree: the highway circle once, in loop
+  order, then each spoke once, from the highway to its circle entry, then
+  each clearance circle from its entry.  Arcs and circles are stepped by
+  angle, with the step size left to the step controller; only the polyline
+  ``Loop.waypoints`` that the Fuchsian transport follows still has >= 64
+  waypoints per circle;
 * the ordered product of the generators (rightmost factor applied first,
   as in function composition) equals the permutation of one big
   counterclockwise circle around all singular points -- equivalently, the
@@ -36,6 +46,11 @@ from .errors import (BasePointTooClose, IterationLimitExceeded,
 from .permgroups import PermGroup, cycles_string
 
 CIRCLE_POINTS = 64
+# Largest tracker step on an arc, in radians.  A step is taken along the
+# chord; at pi/4 the chord keeps 0.92 of the radius from the centre, and
+# a square-root branch's Euler prediction errs by 0.04 of the branch
+# separation (the basin check allows 0.25).
+MAX_ARC_STEP = math.pi / 4
 
 
 class SingularSet:
@@ -63,26 +78,153 @@ class SingularSet:
         return f"SingularSet({[p.center for p in self.points]})"
 
 
-class Loop:
-    """Closed polyline from the base point encircling one singular point."""
+# --- paths ---------------------------------------------------------------------
 
-    def __init__(self, base_point: complex, waypoints, singular_index: int):
+
+class Segment:
+    """Straight piece of a path: ``at(u) = start + u (end - start)``."""
+
+    max_step = 1.0  # largest tracker step, in u
+
+    def __init__(self, start: complex, end: complex):
+        self.start = complex(start)
+        self.end = complex(end)
+        self.degenerate = self.start == self.end
+
+    def at(self, u: float) -> complex:
+        return self.start + u * (self.end - self.start)
+
+    def reversed(self) -> "Segment":
+        return Segment(self.end, self.start)
+
+    def waypoints(self):
+        return [self.start] if self.degenerate else [self.start, self.end]
+
+
+class Arc:
+    """Circular piece ``center + radius e^{i a}``, the angle a running from
+    a0 to a1 (clockwise when a1 < a0): ``at(u)`` has a = a0 + (a1 - a0) u,
+    so the tracker steps it by angle, at most MAX_ARC_STEP at a time.  Its
+    polyline has at least ``min_points`` chords, and one per
+    1/CIRCLE_POINTS of a turn."""
+
+    def __init__(self, center: complex, radius: float, a0: float, a1: float,
+                 min_points: int = 8):
+        self.center = complex(center)
+        self.radius = radius
+        self.a0, self.a1 = a0, a1
+        self.min_points = min_points
+        self.start = self.at(0.0)
+        self.end = self.at(1.0)
+        span = abs(a1 - a0)
+        self.degenerate = span == 0
+        self.max_step = min(1.0, MAX_ARC_STEP / span) if span else 1.0
+
+    def at(self, u: float) -> complex:
+        return self.center + self.radius * cmath.exp(
+            1j * (self.a0 + (self.a1 - self.a0) * u))
+
+    def reversed(self) -> "Arc":
+        return Arc(self.center, self.radius, self.a1, self.a0,
+                   self.min_points)
+
+    def waypoints(self):
+        a0, a1 = self.a0, self.a1
+        count = max(self.min_points,
+                    int(CIRCLE_POINTS * abs(a1 - a0) / (2 * math.pi)) + 1)
+        return [self.center + self.radius * cmath.exp(
+                    1j * (a0 + (a1 - a0) * t / count))
+                for t in range(count + 1)]
+
+
+def _arc(center, radius, a0, a1, ccw=True, min_points=8) -> Arc:
+    """The arc from angle a0 to a1 in the given sense (a1 moved by whole
+    turns as needed)."""
+    if ccw:
+        while a1 <= a0:
+            a1 += 2 * math.pi
+    else:
+        while a1 >= a0:
+            a1 -= 2 * math.pi
+    return Arc(center, radius, a0, a1, min_points)
+
+
+def _polyline(pieces):
+    """Waypoints through consecutive pieces.  Where two pieces meet within
+    1e-12 the arc's point is kept; a wider gap is bridged by a chord, as
+    the tracker bridges it."""
+    points = []
+    for piece in pieces:
+        w = piece.waypoints()
+        if points and abs(points[-1] - w[0]) <= 1e-12:
+            if isinstance(piece, Arc):
+                points.pop()
+            else:
+                w = w[1:]
+        points += w
+    return points
+
+
+class Loop:
+    """Closed path from the base point encircling one singular point.
+
+    The branches are tracked along ``pieces`` (segments and arcs; by
+    default the chords between the waypoints), and ``waypoints`` is the
+    polyline through them that the Fuchsian transport follows.
+    """
+
+    def __init__(self, base_point: complex, waypoints, singular_index: int,
+                 pieces=None):
         if abs(waypoints[0] - waypoints[-1]) > 1e-12:
             raise ValueError("loop waypoints must be closed")
         self.base_point = complex(base_point)
         self.waypoints = [complex(w) for w in waypoints]
         self.singular_index = singular_index
+        self.pieces = list(pieces) if pieces is not None else [
+            Segment(a, b) for a, b in zip(self.waypoints, self.waypoints[1:])]
+
+    def reversed(self) -> "Loop":
+        return Loop(self.base_point, self.waypoints[::-1],
+                    self.singular_index,
+                    [p.reversed() for p in reversed(self.pieces)])
 
     def __repr__(self):
         return (f"Loop(around #{self.singular_index}, "
                 f"{len(self.waypoints)} waypoints)")
 
 
+class PetalLoop(Loop):
+    """A loop of generate_loops: out along the ``highway`` arc and the
+    ``spoke`` pieces to its clearance ``circle``, once around the circle,
+    and back the same way."""
+
+    def __init__(self, base_point, waypoints, singular_index, highway: Arc,
+                 spoke, circle: Arc):
+        back = [p.reversed() for p in reversed(spoke)]
+        super().__init__(base_point, waypoints, singular_index,
+                         [highway, *spoke, circle, *back, highway.reversed()])
+        self.highway = highway
+        self.spoke = list(spoke)
+        self.circle = circle
+
+
+class StepCounts:
+    """Tracker steps accepted and rejected, summed over the paths tracked."""
+
+    def __init__(self):
+        self.accepted = 0
+        self.rejected = 0
+
+    def __repr__(self):
+        return f"StepCounts(accepted={self.accepted}, rejected={self.rejected})"
+
+
 class MonodromyAction:
     """Base point, labeled roots, generator permutations, and the group."""
 
     def __init__(self, polynomial, singular: SingularSet, base_point, roots,
-                 loops, generators, group: PermGroup):
+                 loops, generators, group: PermGroup,
+                 steps: StepCounts | None = None):
         self.polynomial = polynomial
         self.singular = singular  # the set the loops were built around
         self.base_point = complex(base_point)
@@ -91,6 +233,7 @@ class MonodromyAction:
         self.generators = [tuple(g) for g in generators]
         self.group = group
         self.transitive = group.is_transitive() if roots else True
+        self.steps = steps  # the tracker's work, not part of the report
 
     def orbits(self):
         return self.group.orbits()
@@ -170,22 +313,8 @@ def _clearance(centers, k, base):
     return r
 
 
-def _arc(center, radius, a0, a1, ccw=True, min_points=8):
-    """Waypoints along a circular arc (endpoints included)."""
-    if ccw:
-        while a1 <= a0:
-            a1 += 2 * math.pi
-    else:
-        while a1 >= a0:
-            a1 -= 2 * math.pi
-    span = abs(a1 - a0)
-    count = max(min_points, int(CIRCLE_POINTS * span / (2 * math.pi)) + 1)
-    return [center + radius * cmath.exp(1j * (a0 + (a1 - a0) * t / count))
-            for t in range(count + 1)]
-
-
 def _segment_with_detours(z0, z1, obstacles, depth=0, short_arcs=False):
-    """Polyline from z0 to z1 avoiding obstacle disks (center, radius).
+    """Pieces from z0 to z1 avoiding obstacle disks (center, radius).
 
     Blocking disks are skirted on a counterclockwise arc by default (the
     homotopy-pinned choice for loop spokes); with ``short_arcs`` the detour
@@ -193,11 +322,11 @@ def _segment_with_detours(z0, z1, obstacles, depth=0, short_arcs=False):
     homotopy class is irrelevant.
     """
     if depth > 8:
-        return [z0, z1]
+        return [Segment(z0, z1)]
     direction = z1 - z0
     length = abs(direction)
     if length == 0:
-        return [z0]
+        return [Segment(z0, z0)]
     unit = direction / length
     blocking = None
     for center, radius in obstacles:
@@ -210,9 +339,11 @@ def _segment_with_detours(z0, z1, obstacles, depth=0, short_arcs=False):
             if blocking is None or s < blocking[0]:
                 blocking = (s, center, radius)
     if blocking is None:
-        return [z0, z1]
+        return [Segment(z0, z1)]
     s, center, radius = blocking
-    # chord intersections of the segment with the safety circle
+    # chord intersections of the segment with the safety circle; when an
+    # endpoint lies inside the disk the chord clips, the arc's ends sit off
+    # the segment, and the path bridges them with chords
     half = math.sqrt(max(radius * radius
                          - abs(z0 + s * unit - center) ** 2, 0.0))
     t_in = max(s - half, 0.0)
@@ -224,15 +355,9 @@ def _segment_with_detours(z0, z1, obstacles, depth=0, short_arcs=False):
     if short_arcs:
         span_ccw = (a1 - a0) % (2 * math.pi)
         ccw = span_ccw <= math.pi
-    arc = _arc(center, radius, a0, a1, ccw=ccw)
-    head = _segment_with_detours(z0, a, obstacles, depth + 1, short_arcs)
-    tail = _segment_with_detours(b, z1, obstacles, depth + 1, short_arcs)
-    # when an endpoint lies inside the disk the chord clips and the arc
-    # endpoints sit off the segment; bridge explicitly
-    out = head[:-1] if abs(arc[0] - a) <= 1e-12 else head
-    out = out + arc
-    out = out + (tail[1:] if abs(arc[-1] - b) <= 1e-12 else tail)
-    return out
+    return (_segment_with_detours(z0, a, obstacles, depth + 1, short_arcs)
+            + [_arc(center, radius, a0, a1, ccw=ccw)]
+            + _segment_with_detours(b, z1, obstacles, depth + 1, short_arcs))
 
 
 def _dist_to_ray(z, theta, r_lo, r_hi):
@@ -251,10 +376,10 @@ def generate_loops(singular: SingularSet, base=None):
     blocked by another disk skirts it on a counterclockwise detour arc that
     stays inside a thin tube around the ray, so spokes never cross.  Loop
     order: ascending spoke angle in (0, 2 pi] swept counterclockwise from
-    the base direction (a point on the base direction closes the sweep),
-    ties broken by descending modulus; with this order the ordered product
-    of the generators (rightmost applied first) equals the counterclockwise
-    circle around everything.
+    the base direction (a point on the base direction closes the sweep, its
+    highway being the full circle), ties broken by descending modulus; with
+    this order the ordered product of the generators (rightmost applied
+    first) equals the counterclockwise circle around everything.
     """
     centers = singular.centers()
     if base is None:
@@ -283,20 +408,23 @@ def generate_loops(singular: SingularSet, base=None):
         radii.append(r)
     base_angle = cmath.phase(base)
 
-    def sort_key(k):
+    def sweep(k):
+        """(sort angle, highway angle) of spoke k from the base direction."""
         rel = (spoke[k] - base_angle) % (2 * math.pi)
         # snap to a coarse grid so float jitter in root phases cannot
         # scramble the tie-breaking of (near-)collinear points; a point on
         # the base direction itself closes the sweep (angle 2 pi, so it is
-        # listed last and traveled first)
-        rel = round(rel, 8)
-        if rel == 0.0 or rel >= round(2 * math.pi, 8):
-            rel = 2 * math.pi
-        # collinear points are passed on the counterclockwise side, which
-        # attaches the farther point's petal first
-        return (rel, -abs(centers[k]), k)
+        # listed last and traveled first), after the full highway circle
+        snapped = round(rel, 8)
+        if snapped == 0.0 or snapped >= round(2 * math.pi, 8):
+            return 2 * math.pi, (rel + 2 * math.pi if rel < math.pi else rel)
+        return snapped, rel
 
-    order = sorted(range(len(centers)), key=sort_key)
+    sweeps = {k: sweep(k) for k in range(len(centers))}
+    # collinear points are passed on the counterclockwise side, which
+    # attaches the farther point's petal first
+    order = sorted(range(len(centers)),
+                   key=lambda k: (sweeps[k][0], -abs(centers[k]), k))
     loops = []
     for k in order:
         c, r, phi = centers[k], radii[k], spoke[k]
@@ -304,22 +432,23 @@ def generate_loops(singular: SingularSet, base=None):
         inner = c + r * cmath.exp(1j * phi)
         obstacles = [(centers[j], radii[j])
                      for j in range(len(centers)) if j != k]
-        down = _segment_with_detours(outer, inner, obstacles)
+        down_pieces = _segment_with_detours(outer, inner, obstacles)
+        down = _polyline(down_pieces)
         entry = down[-1]
-        highway = _arc(0.0, R, base_angle,
-                       base_angle + (phi - base_angle) % (2 * math.pi),
-                       ccw=True)
+        highway_arc = _arc(0.0, R, base_angle, base_angle + sweeps[k][1],
+                           ccw=True)
+        highway = highway_arc.waypoints()
         a0 = cmath.phase(entry - c)
-        circle = _arc(c, r, a0, a0 + 2 * math.pi, ccw=True,
-                      min_points=CIRCLE_POINTS)
-        up = list(reversed(down))
-        back = list(reversed(highway))
-        waypoints = highway[:-1] + down[:-1] + circle + up[1:] + back[1:]
+        circle_arc = _arc(c, r, a0, a0 + 2 * math.pi, ccw=True,
+                          min_points=CIRCLE_POINTS)
+        waypoints = (highway[:-1] + down[:-1] + circle_arc.waypoints()
+                     + down[::-1][1:] + highway[::-1][1:])
         if abs(waypoints[0] - base) > 1e-12:
             waypoints = [base] + waypoints
         if abs(waypoints[-1] - base) > 1e-12:
             waypoints = waypoints + [base]
-        loops.append(Loop(base, waypoints, k))
+        loops.append(PetalLoop(base, waypoints, k, highway_arc, down_pieces,
+                               circle_arc))
     return loops
 
 
@@ -337,172 +466,195 @@ def big_circle_loop(singular: SingularSet, base=None) -> Loop:
                   min_points=4 * CIRCLE_POINTS)
     # walk out radially, circle, walk back
     start = radius * cmath.exp(1j * a0)
-    return Loop(base, [base, start] + circle[1:] + [start, base], -1)
+    return Loop(base, [base, start] + circle.waypoints()[1:] + [start, base],
+                -1, [Segment(base, start), circle, Segment(start, base)])
 
 
 # --- branch tracking -----------------------------------------------------------
 
 
+def _horner(coeffs, x):
+    """The polynomial with coefficients ``coeffs``, highest power first, at x."""
+    acc = 0j
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _value_and_slope(cs, y):
+    """p(y) and p'(y) for p with coefficients cs, highest power first."""
+    p = d = 0j
+    for c in cs:
+        d = d * y + p
+        p = p * y + c
+    return p, d
+
+
+def _min_separation(ys):
+    """Smallest distance between two of the values (inf for fewer than two)."""
+    best = math.inf
+    for i, a in enumerate(ys):
+        for b in ys[i + 1:]:
+            d = abs(a - b)
+            if d < best:
+                best = d
+    return best
+
+
+def _magnitude(ys):
+    return max(1.0, max((abs(y) for y in ys), default=0.0))
+
+
 class _Tracker:
-    """Vectorized predictor-corrector continuation of all n branches."""
+    """Predictor-corrector continuation of all n branches of P(x, y) = 0
+    along a path of segments and arcs, in plain complex arithmetic."""
 
-    def __init__(self, P: BivariatePolynomial, tol: float = CONTINUATION_TOL):
-        self.rows = [np.array([complex(c) for c in row.coeffs], dtype=complex)
-                     if not row.is_zero() else np.zeros(1, dtype=complex)
-                     for row in P.rows]
+    def __init__(self, P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
+                 counts: StepCounts | None = None):
+        # x-coefficients of each y-power, highest first in both
+        self.rows = [[complex(c) for c in reversed(row.coeffs)]
+                     for row in reversed(P.rows)]
         dPx = P.derivative_x()
-        self.rows_x = [np.array([complex(c) for c in row.coeffs], dtype=complex)
-                       if not row.is_zero() else np.zeros(1, dtype=complex)
-                       for row in (dPx.coefficient_y(j)
-                                   for j in range(P.degree_y() + 1))]
+        self.rows_x = [[complex(c) for c in reversed(dPx.coefficient_y(j).coeffs)]
+                       for j in range(P.degree_y(), -1, -1)]
         self.tol = tol
-        self.n = P.degree_y()
+        self.counts = StepCounts() if counts is None else counts
+        self._x = self._cs = None
 
-    @staticmethod
-    def _horner_scalar(coeffs, x):
-        acc = 0j
-        for c in coeffs[::-1]:
-            acc = acc * x + c
-        return acc
+    def coefficients(self, x):
+        """Coefficients of P(x, .), highest power of y first."""
+        if x != self._x:
+            self._x, self._cs = x, [_horner(row, x) for row in self.rows]
+        return self._cs
 
-    def coeffs_at(self, x):
-        return np.array([self._horner_scalar(row, x) for row in self.rows])
-
-    def coeffs_x_at(self, x):
-        return np.array([self._horner_scalar(row, x) for row in self.rows_x])
-
-    @staticmethod
-    def _eval_many(cs, ys):
-        acc = np.zeros_like(ys)
-        for c in cs[::-1]:
-            acc = acc * ys + c
-        return acc
-
-    @staticmethod
-    def _eval_deriv_many(cs, ys):
-        dcs = cs[1:] * np.arange(1, len(cs))
-        acc = np.zeros_like(ys)
-        for c in dcs[::-1]:
-            acc = acc * ys + c
-        return acc
-
-    def roots_at(self, x):
-        """All n roots of P(x, .) at a non-singular x (via numpy)."""
-        cs = self.coeffs_at(x)
-        if abs(cs[-1]) < 1e-300:
-            raise SingularOnPath(f"leading coefficient vanishes at {x:.6g}")
-        return np.roots(cs[::-1])
-
-    def _newton_step(self, x, ys, steps=3):
+    def _correct(self, x, ys, steps=3):
         """Newton-correct all branches at x; accepted when the corrector
         contracts by >= 4 within three iterations, then polished to tol."""
-        cs = self.coeffs_at(x)
+        cs = self.coefficients(x)
         first = None
         contracted = False
-        size = math.inf
         for k in range(steps + 8):
-            pv = self._eval_many(cs, ys)
-            dv = self._eval_deriv_many(cs, ys)
-            if np.any(np.abs(dv) < 1e-300):
-                return ys, False, np.inf
-            delta = pv / dv
-            ys = ys - delta
-            size = float(np.max(np.abs(delta)))
-            scale = max(1.0, float(np.max(np.abs(ys))))
+            size = 0.0
+            new = []
+            for y in ys:
+                p, d = _value_and_slope(cs, y)
+                if abs(d) < 1e-300:
+                    return ys, False
+                delta = p / d
+                new.append(y - delta)
+                a = abs(delta)
+                if a > size:
+                    size = a
+                elif a != a:  # NaN
+                    return ys, False
+            ys = new
+            scale = _magnitude(ys)
             if first is None:
                 first = size
             if k >= 1 and size <= first / 4.0:
                 contracted = True
             if k >= steps and not contracted and size > first / 4.0 \
                     and size > self.tol * scale:
-                return ys, False, size
+                return ys, False
             if size <= self.tol * scale:
-                return ys, True, size
-        final_scale = max(1.0, float(np.max(np.abs(ys))))
-        return ys, size <= 100 * self.tol * final_scale, size
+                return ys, True
+        return ys, size <= 100 * self.tol * _magnitude(ys)
 
-
-    def track(self, waypoints, start):
-        """Continue the root vector along the polyline; returns end values."""
-        ys = np.array(start, dtype=complex)
-        for a, b in zip(waypoints, waypoints[1:]):
-            if a == b:
-                continue
-            t = 0.0
-            h = 1.0
-            while t < 1.0 - 1e-15:
-                h = min(h, 1.0 - t)
-                x0 = a + t * (b - a)
-                x1 = a + (t + h) * (b - a)
-                trial, ok = self._attempt_step(x0, x1, ys)
-                if ok:
-                    ys = trial
-                    t += h
-                    h = min(1.0, h * 2.0)
-                else:
-                    h /= 2.0
-                    if h < 1e-12:
-                        sep = self._min_separation(ys)
-                        scale = max(1.0, float(np.max(np.abs(ys))))
-                        if sep < 1e-6 * scale:
-                            raise PathCollision(
-                                f"branches within {sep:.3g} near x={x0:.6g}")
-                        raise SingularOnPath(
-                            f"continuation stalled near x={x0:.6g}")
-        return ys
-
-    def _attempt_step(self, x0, x1, ys):
-        cs0 = self.coeffs_at(x0)
-        dv = self._eval_deriv_many(cs0, ys)
-        if np.any(np.abs(dv) < 1e-300):
-            return ys, False
-        px = self._eval_many(self.coeffs_x_at(x0), ys)
-        pred = ys + (x1 - x0) * (-px / dv)
-        out, ok, _size = self._newton_step(x1, pred)
+    def _step(self, x0, x1, ys):
+        """Euler prediction from x0 to x1 and Newton correction.  Returns
+        None when the step is rejected, else the new values and the load of
+        the basin check: the correction over its limit, a quarter of the
+        branch separation."""
+        cs = self.coefficients(x0)
+        cs_x = [_horner(row, x0) for row in self.rows_x]
+        dx = x1 - x0
+        pred = []
+        for y in ys:
+            _p, d = _value_and_slope(cs, y)
+            if abs(d) < 1e-300:
+                return None
+            pred.append(y + dx * (-_horner(cs_x, y) / d))
+        out, ok = self._correct(x1, pred)
         if not ok:
-            return ys, False
+            return None
         # stay safely within the local Newton basin: the correction must be
         # small against the separation of the predicted configuration
-        sep = self._min_separation(pred)
+        sep = _min_separation(pred)
         if not math.isfinite(sep):
-            return out, True
-        moved = float(np.max(np.abs(out - pred)))
+            return out, 0.0
+        moved = max(abs(a - b) for a, b in zip(out, pred))
         if moved > sep / 4.0:
-            return ys, False
-        if self._min_separation(out) < 1e-12 * max(1.0, float(np.max(np.abs(out)))):
-            return ys, False
-        return out, True
+            return None
+        if _min_separation(out) < 1e-12 * _magnitude(out):
+            return None
+        return out, moved / (sep / 4.0)
 
-    @staticmethod
-    def _min_separation(ys):
-        n = len(ys)
-        if n < 2:
-            return math.inf
-        diff = np.abs(ys[:, None] - ys[None, :])
-        np.fill_diagonal(diff, np.inf)
-        return float(np.min(diff))
+    def track(self, pieces, ys):
+        """Continue the branch values ys along the pieces; a gap between
+        consecutive pieces is bridged by a chord.  Returns the end values."""
+        ys = [complex(y) for y in ys]
+        x = None
+        for piece in pieces:
+            if x is not None and abs(piece.start - x) > 1e-12:
+                ys = self._follow(Segment(x, piece.start), ys)
+            ys = self._follow(piece, ys)
+            x = piece.end
+        return ys
+
+    def _follow(self, piece, ys):
+        """Step along one piece.  A rejected step halves h.  After an
+        accepted one, h is scaled so that the basin check's load, which
+        grows like h^2 (the Euler error), comes to about 0.64, and at most
+        doubled."""
+        if piece.degenerate:
+            return ys
+        counts = self.counts
+        t, h = 0.0, piece.max_step
+        x0 = piece.start
+        while t < 1.0 - 1e-15:
+            h = min(h, 1.0 - t)
+            x1 = piece.at(t + h)
+            out = self._step(x0, x1, ys)
+            if out is not None:
+                counts.accepted += 1
+                ys, load = out
+                x0 = x1
+                t += h
+                h = min(piece.max_step,
+                        h * (2.0 if load < 0.16 else 0.8 / math.sqrt(load)))
+                continue
+            counts.rejected += 1
+            h /= 2.0
+            if h < 1e-12:
+                sep = _min_separation(ys)
+                if sep < 1e-6 * _magnitude(ys):
+                    raise PathCollision(
+                        f"branches within {sep:.3g} near x={x0:.6g}")
+                raise SingularOnPath(f"continuation stalled near x={x0:.6g}")
+        return ys
 
 
 def base_roots(P: BivariatePolynomial, base: complex):
     """Labeled roots at the base point: sorted by (-Re, Im)."""
-    tracker = _Tracker(P)
-    roots = tracker.roots_at(base)
-    order = sorted(range(len(roots)),
-                   key=lambda k: (-roots[k].real, roots[k].imag))
-    return [roots[k] for k in order]
+    cs = _Tracker(P).coefficients(complex(base))
+    if abs(cs[0]) < 1e-300:
+        raise SingularOnPath(f"leading coefficient vanishes at {base:.6g}")
+    return sorted(np.roots(cs), key=lambda r: (-r.real, r.imag))
 
 
 def continue_roots(P: BivariatePolynomial, loop: Loop, start_roots,
-                   tol: float = CONTINUATION_TOL):
+                   tol: float = CONTINUATION_TOL,
+                   counts: StepCounts | None = None):
     """Track all branches around the loop; return the permutation.
 
     The result sigma maps tracked-branch index i to the label sigma[i] of
-    the start root where branch i lands.
+    the start root where branch i lands.  The tracker's steps are added to
+    ``counts`` when given.
     """
-    tracker = _Tracker(P, tol)
-    start = np.array(start_roots, dtype=complex)
-    end = tracker.track(loop.waypoints, start)
-    return match_end_roots(end, start, tracker._min_separation(start) / 3.0)
+    start = [complex(y) for y in start_roots]
+    end = _Tracker(P, tol, counts).track(loop.pieces, start)
+    return match_end_roots(np.array(end), np.array(start),
+                           _min_separation(start) / 3.0)
 
 
 def match_end_roots(end, start, margin):
@@ -537,8 +689,7 @@ def track_to_point(P: BivariatePolynomial, singular: SingularSet,
     obstacles = list(zip(centers, radii))
     path = _segment_with_detours(complex(base), complex(target), obstacles,
                                  short_arcs=True)
-    tracker = _Tracker(P, tol)
-    return tracker.track(path, np.array(start_roots, dtype=complex))
+    return _Tracker(P, tol).track(path, start_roots)
 
 
 def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
@@ -547,7 +698,11 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
 
     The group is generated by one permutation per singular point; for
     reducible curves the action is intransitive and orbit data is exposed
-    on the returned object rather than refused.
+    on the returned object rather than refused.  The branches are tracked
+    along the tree of the loops: the highway once, in loop order, with a
+    snapshot at each spoke; each spoke once, down to its circle entry; and
+    each circle from its entry, by continue_roots.  The entry values carry
+    the base labels, so a circle's end matching is its loop's generator.
     """
     P = P.primitive_y()
     singular = singular_points(P, min(tol, 1e-10))
@@ -555,9 +710,22 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
         base = auto_base_point(singular)
     loops = generate_loops(singular, base)
     roots = base_roots(P, base)
-    generators = [continue_roots(P, loop, roots, tol) for loop in loops]
+    steps = StepCounts()
+    tracker = _Tracker(P, tol, steps)
+    generators = []
+    values, angle = roots, cmath.phase(complex(base))
+    for loop in loops:
+        highway = loop.highway
+        values = tracker.track(
+            [Arc(highway.center, highway.radius, angle, highway.a1)], values)
+        angle = highway.a1
+        entry = tracker.track(loop.spoke, values)
+        circle = Loop(loop.circle.start, loop.circle.waypoints(),
+                      loop.singular_index, [loop.circle])
+        generators.append(continue_roots(P, circle, entry, tol, steps))
     group = PermGroup(max(P.degree_y(), 1), generators)
-    return MonodromyAction(P, singular, base, roots, loops, generators, group)
+    return MonodromyAction(P, singular, base, roots, loops, generators, group,
+                           steps)
 
 
 def loop_at_infinity_permutation(P: BivariatePolynomial, singular, roots,
@@ -565,8 +733,8 @@ def loop_at_infinity_permutation(P: BivariatePolynomial, singular, roots,
                                  clockwise: bool = False):
     """Permutation along one large circle around all singular points."""
     loop = big_circle_loop(singular, base)
-    waypoints = list(reversed(loop.waypoints)) if clockwise else loop.waypoints
-    loop = Loop(loop.base_point, waypoints, -1)
+    if clockwise:
+        loop = loop.reversed()
     return continue_roots(P, loop, roots, tol)
 
 

@@ -13,7 +13,7 @@ from finitude import errors, fuchsian, monodromy
 from finitude.algebra import poly
 from finitude.cli import main
 from finitude.config import Settings
-from finitude.differential import kovacic
+from finitude.differential import kovacic, liouville
 from finitude.solvability import ritt_decompose
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,6 +55,15 @@ class TestExitCodes:
         code, _out, err = run(argv)
         assert code == 2
         assert f"undecided: {error}" in err
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["integrate", "-x/(x^2+1)"], ["integral = -1/2*ln(x^2 + 1)"]),
+        (["ode", "2", "1/x", "-1/x^2"], ["  u = (-1)/(x)", "  u = (1)/(x)"]),
+    ], ids=["integrate", "ode"])
+    def test_expression_may_start_with_minus(self, argv, lines):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert all(line in out.splitlines() for line in lines)
 
     def test_k_flag(self):
         code, _, _ = run(["algebraic", "y^5+y-x", "--k", "5"])
@@ -228,32 +237,37 @@ class TestCorpus:
 
 FIXTURE = os.path.join(REPO, "corpus", "fixtures", "triangular_system.json")
 
-# key -> (non-default value, argv, owner and name of the consuming call);
+# key -> (non-default value, [(argv, owner and name of a consuming call)]);
 # a Settings key without an entry here fails the test below
 CONSUMERS = {
-    "continuation_tol": (1e-9, ["algebraic", "--", "y^3-x"],
-                         monodromy, "monodromy_group"),
-    "root_tol": (1e-11, ["algebraic", "--", "y^3-x"],
-                 monodromy.SingularSet, "recertify"),
-    "fuchsian_tol": (1e-9, ["fuchsian", FIXTURE],
-                     fuchsian, "system_monodromy"),
-    "eig_cluster_tol": (1e-7, ["fuchsian", FIXTURE],
-                        fuchsian, "small_norm_verdict"),
-    "witness_degree_bound": (3, ["ode", "2", "0", "-1"],
-                             kovacic, "rational_witness_search"),
+    "continuation_tol": (1e-9, [(["algebraic", "--", "y^3-x"],
+                                 monodromy, "monodromy_group")]),
+    "root_tol": (1e-11, [(["algebraic", "--", "y^3-x"],
+                          monodromy.SingularSet, "recertify"),
+                         (["integrate", "--", "1/(x^3-2)"],
+                          liouville.AlgebraicResidueBlock,
+                          "residue_enclosures")]),
+    "fuchsian_tol": (1e-9, [(["fuchsian", FIXTURE],
+                             fuchsian, "system_monodromy")]),
+    "eig_cluster_tol": (1e-7, [(["fuchsian", FIXTURE],
+                                fuchsian, "small_norm_verdict")]),
+    "witness_degree_bound": (3, [(["ode", "2", "0", "-1"],
+                                  kovacic, "rational_witness_search")]),
 }
 
 
 @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(Settings)])
 def test_every_setting_reaches_its_consumer(monkeypatch, tmp_path, key):
-    value, argv, owner, name = CONSUMERS[key]
+    value, consumers = CONSUMERS[key]
     assert value != getattr(Settings(), key)
-    calls = count_calls(monkeypatch, name, getattr(owner, name), owner)
     cfg = tmp_path / "settings.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    code, out, _ = run(["--json", "--config", str(cfg)] + argv)
-    assert code in (0, 1, 2)
-    assert json.loads(out)["settings"][key] == value
-    passed = [v for args, kwargs in calls
-              for v in (*args, *kwargs.values()) if type(v) is type(value)]
-    assert value in passed
+    for argv, owner, name in consumers:
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, name, getattr(owner, name), owner)
+            code, out, _ = run(["--json", "--config", str(cfg)] + argv)
+        assert code in (0, 1, 2)
+        assert json.loads(out)["settings"][key] == value
+        passed = [v for args, kwargs in calls
+                  for v in (*args, *kwargs.values()) if type(v) is type(value)]
+        assert value in passed, (argv, name)

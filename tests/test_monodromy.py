@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from finitude import monodromy
 from finitude.algebra import (BivariatePolynomial, UnivariatePolynomial,
                               parse_bivariate)
+from finitude.algebra.roots import ComplexInterval
 from finitude.errors import PathCollision, SquareFreeRequired
-from finitude.monodromy import (auto_base_point, continue_roots,
+from finitude.monodromy import (SingularSet, auto_base_point, continue_roots,
                                 generate_loops, loop_at_infinity_permutation,
                                 match_end_roots, monodromy_group,
                                 ordered_product, singular_points)
@@ -201,6 +203,57 @@ class TestProductRelation:
         big_cw = loop_at_infinity_permutation(P, s, act.roots,
                                               clockwise=True)
         assert ordered_product(act.generators) == inverse(big_cw)
+
+    def test_point_just_above_the_base_ray(self, monkeypatch):
+        # x = 2 moved to 2 + 1e-30 i: its sweep angle snaps to 2 pi, so its
+        # loop is listed last and must start with the full highway circle
+        P = parse_bivariate("y^3 - 3*y - x")
+        exact = singular_points(P)
+        moved = SingularSet(
+            [ComplexInterval(p.center + (1e-30j if p.center.real > 0 else 0),
+                             p.radius) for p in exact.points],
+            P, exact.locator)
+        assert sorted(c.imag for c in moved.centers()) == [0.0, 1e-30]
+        monkeypatch.setattr(monodromy, "singular_points",
+                            lambda *_args, **_kwargs: moved)
+        act = monodromy_group(P)
+        big_cw = loop_at_infinity_permutation(P, moved, act.roots,
+                                              clockwise=True)
+        assert ordered_product(act.generators) == inverse(big_cw)
+
+
+class TestTrackerWork:
+    """Branches are tracked along the loop tree with arcs stepped by angle,
+    so a deg-(5, 1) curve takes about a hundred accepted steps (about a
+    thousand when every loop retraced a polyline of 64-gons)."""
+
+    # deg-(5, 1) curves of bench/panel.json with no singular point on the
+    # base ray, and their generators as the polyline tracker found them
+    CURVES = {
+        "-3*x*y^2 - x + y^5 - 2*y^4 - 3*y^3 - 2*y^2 - y - 2":
+            ["(2 5)", "(1 5)", "(2 3)", "(1 2)", "(3 4)", "(1 3)"],
+        "-3*x*y^3 - 3*x*y + y^5 + 2*y^4 + 2*y^3 - 3*y - 1":
+            ["(1 2)", "(3 5)", "(2 4)", "(2 3)", "(3 4)", "(1 2)", "(3 5)"],
+        "3*x*y^4 - x*y^2 + x*y + y^5 - y^2 - 3*y - 1":
+            ["(2 3)", "(3 5)", "(3 4)", "(2 5)", "(1 5)", "(3 4)", "(3 5)",
+             "(1 3)"],
+        "x*y^4 + 3*x*y + x + y^5 + 3*y^4 + y^3 - 3*y^2 - 1":
+            ["(2 3)", "(2 5)", "(1 4)", "(3 4)", "(2 4)", "(1 5)", "(1 3)",
+             "(4 5)"],
+        "-3*x + y^5 - y^4 - 2*y^3 + 2*y - 2":
+            ["(2 4)", "(1 3)", "(1 4)", "(4 5)"],
+        "3*x*y^2 + y^5 + 2*y^3 - 3*y^2 + y - 3":
+            ["(2 4)", "(1 3)", "(1 4)", "(3 5)", "(2 3)"],
+    }
+
+    def test_steps_and_generators(self):
+        accepted = []
+        for expr, generators in self.CURVES.items():
+            act = monodromy_group(parse_bivariate(expr))
+            assert [cycles_string(g) for g in act.generators] == generators
+            assert act.steps.rejected < act.steps.accepted
+            accepted.append(act.steps.accepted)
+        assert sum(accepted) / len(accepted) <= 250
 
 
 class TestReport:
