@@ -180,8 +180,14 @@ class Loop:
         self.base_point = complex(base_point)
         self.waypoints = [complex(w) for w in waypoints]
         self.singular_index = singular_index
-        self.pieces = list(pieces) if pieces is not None else [
-            Segment(a, b) for a, b in zip(self.waypoints, self.waypoints[1:])]
+        self._pieces = None if pieces is None else list(pieces)
+
+    @property
+    def pieces(self):
+        if self._pieces is None:
+            return [Segment(a, b)
+                    for a, b in zip(self.waypoints, self.waypoints[1:])]
+        return self._pieces
 
     def reversed(self) -> "Loop":
         return Loop(self.base_point, self.waypoints[::-1],
@@ -196,13 +202,12 @@ class Loop:
 class PetalLoop(Loop):
     """A loop of generate_loops: out along the ``highway`` arc and the
     ``spoke`` pieces to its clearance ``circle``, once around the circle,
-    and back the same way."""
+    and back the same way.  monodromy_group tracks these three parts of
+    the tree; the loop's own ``pieces`` are the chords of its waypoints."""
 
     def __init__(self, base_point, waypoints, singular_index, highway: Arc,
                  spoke, circle: Arc):
-        back = [p.reversed() for p in reversed(spoke)]
-        super().__init__(base_point, waypoints, singular_index,
-                         [highway, *spoke, circle, *back, highway.reversed()])
+        super().__init__(base_point, waypoints, singular_index)
         self.highway = highway
         self.spoke = list(spoke)
         self.circle = circle
@@ -720,8 +725,10 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
             [Arc(highway.center, highway.radius, angle, highway.a1)], values)
         angle = highway.a1
         entry = tracker.track(loop.spoke, values)
-        circle = Loop(loop.circle.start, loop.circle.waypoints(),
-                      loop.singular_index, [loop.circle])
+        waypoints = loop.circle.waypoints()
+        waypoints[-1] = waypoints[0]  # e^{2 pi i} is 1 only up to rounding
+        circle = Loop(waypoints[0], waypoints, loop.singular_index,
+                      [loop.circle])
         generators.append(continue_roots(P, circle, entry, tol, steps))
     group = PermGroup(max(P.degree_y(), 1), generators)
     return MonodromyAction(P, singular, base, roots, loops, generators, group,

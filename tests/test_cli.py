@@ -65,6 +65,13 @@ class TestExitCodes:
         assert code == 0
         assert all(line in out.splitlines() for line in lines)
 
+    def test_far_singular_point(self):
+        # the clearance circle has radius 4500.5, so its angle-parametrised
+        # end misses its start by more than 1e-12 in floating point
+        code, out, _ = run(["--json", "algebraic", "--", "y^2 - x + 9000"])
+        assert code == 0
+        assert json.loads(out)["monodromy"]["generators"] == ["(1 2)"]
+
     def test_k_flag(self):
         code, _, _ = run(["algebraic", "y^5+y-x", "--k", "5"])
         assert code == 0

@@ -35,17 +35,16 @@ WORKLOADS = ("rational", "fuchsian", "short")
 PANEL_FLAGS = ([], ["--k", "4"], ["--tower"])
 
 
-def corpus_requests():
-    requests = []
+def corpus_requests(src):
+    """The command line of each corpus case, read by the case parser of the
+    finitude under ``src``."""
+    sys.path.insert(0, os.path.abspath(src))
+    from finitude.cli import _parse_case
     corpus = os.path.join(ROOT, "corpus")
-    for name in sorted(os.listdir(corpus)):
-        if not name.endswith(".case"):
-            continue
-        with open(os.path.join(corpus, name), encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip().startswith("cmd:"):
-                    requests.append(line.strip()[4:].split())
-    return requests
+    commands = [_parse_case(os.path.join(corpus, name))[0]
+                for name in sorted(os.listdir(corpus))
+                if name.endswith(".case")]
+    return [command.split() for command in commands if command is not None]
 
 
 def bench_requests(out_dir):
@@ -123,7 +122,7 @@ def main(argv=None):
     if args.base is None:
         parser.error("the base src/ directory is required")
     with tempfile.TemporaryDirectory() as tmp:
-        requests = corpus_requests() + bench_requests(tmp)
+        requests = corpus_requests(args.src) + bench_requests(tmp)
         requests = list({json.dumps(r): r for r in requests}.values())
         requests_path = os.path.join(tmp, "requests.json")
         with open(requests_path, "w", encoding="utf-8") as handle:
