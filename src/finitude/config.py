@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 CONTINUATION_TOL = 1e-10   # branch tracking (monodromy)
 ROOT_TOL = 1e-12           # certified root enclosures
-FUCHSIAN_TOL = 1e-10       # Dormand-Prince transport
+FUCHSIAN_TOL = 1e-10       # series truncation per piece of a Fuchsian loop
 EIG_CLUSTER_TOL = 1e-8     # eigenvalue clustering (triangularization)
 
 

@@ -45,7 +45,8 @@ class DegreeTooLow(FinitudeError):
 
 
 class IterationLimitExceeded(NumericFailure):
-    """Root refinement ran out of iterations; best enclosures attached."""
+    """An iteration ran out of its budget (root refinement attaches its
+    best enclosures)."""
 
     def __init__(self, message, enclosures=None):
         self.enclosures = enclosures or []
@@ -132,13 +133,3 @@ class NotHomogeneous(FinitudeError):
 
 class BoundExceeded(FinitudeError):
     pass
-
-
-# --- fuchsian --------------------------------------------------------------
-
-class StepSizeUnderflow(NumericFailure):
-    """Adaptive integrator stalled; carries the offending loop index."""
-
-    def __init__(self, message, loop_index=None):
-        self.loop_index = loop_index
-        super().__init__(message)

@@ -1,8 +1,11 @@
 """Numeric monodromy of Fuchsian systems and simultaneous triangularization.
 
-A Fuchsian system y' = (sum_i A_i/(x - a_i)) y is integrated along the same
-generator loops the scalar monodromy module uses, with an adaptive embedded
-Dormand-Prince step on the fundamental matrix (identity at the base point).
+A Fuchsian system Y' = (sum_k A_k/(x - p_k)) Y is transported along the
+loop tree of the scalar monodromy module by Taylor series in steps of half
+the distance to the nearest pole.  A scalar Cauchy majorant bounds each
+truncated tail, the steps of a piece sharing ``fuchsian_tol``; each loop's
+``truncation_bound`` propagates these bounds to the 2-norm of the error of
+its matrix, to first order (round-off is not in it).
 The simultaneous-triangularizability test runs the Lie-Kolchin recipe: build
 the Lie closure of the residue matrices, find a common eigenvector, deflate,
 recurse; failure returns a two-generator obstruction witness.  The
@@ -12,11 +15,14 @@ threshold is an existence statement with no formula to evaluate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import EIG_CLUSTER_TOL, FUCHSIAN_TOL
-from .errors import StepSizeUnderflow
-from .monodromy import Loop, SingularSet, auto_base_point, big_circle_loop, generate_loops
+from .errors import IterationLimitExceeded, SingularOnPath
+from .monodromy import (Segment, SingularSet, auto_base_point,
+                        big_circle_loop, generate_loops, highway_legs)
 from .algebra.roots import ComplexInterval
 from .solvability.verdicts import Verdict, VerdictStatus
 
@@ -36,12 +42,9 @@ class FuchsianSystem:
                                 for m in self.matrices):
             raise ValueError("residue matrices must be square, same size")
         self.dimension = self.matrices[0].shape[0] if self.matrices else 0
-
-    def coefficient(self, x: complex) -> np.ndarray:
-        total = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for pole, mat in zip(self.poles, self.matrices):
-            total += mat / (x - pole)
-        return total
+        # what the transport reads: [A_1 ... A_r] and the ||A_k||_2
+        self.stacked = np.hstack(self.matrices) if self.matrices else None
+        self.norms = [float(np.linalg.norm(m, 2)) for m in self.matrices]
 
     def singular_set(self) -> SingularSet:
         encl = [ComplexInterval(p, 1e-14) for p in self.poles]
@@ -64,15 +67,13 @@ class FuchsianSystem:
 class MonodromyMatrices:
     """One invertible matrix per generator loop, identity-normalized."""
 
-    def __init__(self, base_point, loops, matrices):
+    def __init__(self, base_point, loops, matrices, truncation_bounds):
         self.base_point = complex(base_point)
         self.loops = list(loops)
         self.matrices = [np.asarray(m) for m in matrices]
         self.condition_estimates = [float(np.linalg.cond(m))
                                     for m in self.matrices]
-
-    def __iter__(self):
-        return iter(self.matrices)
+        self.truncation_bounds = list(truncation_bounds)
 
     def report(self):
         return {
@@ -80,77 +81,125 @@ class MonodromyMatrices:
             "matrices": [[[[v.real, v.imag] for v in row] for row in m]
                          for m in self.matrices],
             "condition_estimates": self.condition_estimates,
+            "truncation_bound": self.truncation_bounds,
         }
 
 
-# --- adaptive integration ------------------------------------------------
+# --- Taylor transport ----------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40]
+# A step goes at most this fraction of the distance to the nearest pole, so
+# every series is summed at no more than half its radius.
+STEP_FRACTION = 0.5
+# A pole nearer to the path than this, relative to |c| plus the piece's
+# length, leaves the differences c - p_k with too few correct digits.
+POLE_FLOOR = 1e-9
+MAX_STEPS = 10_000  # per piece
+MAX_ORDER = 400
 
 
-def _integrate_segment(system: FuchsianSystem, z0, z1, Y, tol, loop_index):
-    """Advance Y along the straight segment z0 -> z1."""
-    direction = z1 - z0
-    if direction == 0:
-        return Y
-    t = 0.0
-    h = 1.0
-    min_h = 1e-13
-
-    def rhs(t_val, M):
-        x = z0 + t_val * direction
-        return direction * (system.coefficient(x) @ M)
-
-    while t < 1.0 - 1e-14:
-        h = min(h, 1.0 - t)
-        ks = []
-        for stage in range(7):
-            acc = Y
-            for j, coeff in enumerate(_DP_A[stage]):
-                if coeff:
-                    acc = acc + (h * coeff) * ks[j]
-            ks.append(rhs(t + h * sum(_DP_A[stage]), acc))
-        y5 = Y
-        y4 = Y
-        for k, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4)):
-            if b5:
-                y5 = y5 + (h * b5) * ks[k]
-            if b4:
-                y4 = y4 + (h * b4) * ks[k]
-        scale = max(1.0, float(np.max(np.abs(y5))))
-        err = float(np.max(np.abs(y5 - y4))) / scale
-        if err <= tol:
-            Y = y5
-            t += h
-            factor = 2.0 if err == 0 else min(2.0, 0.9 * (tol / err) ** 0.2)
-            h = min(1.0, h * max(0.2, factor))
-        else:
-            h *= max(0.2, 0.9 * (tol / err) ** 0.25)
-            if h < min_h:
-                raise StepSizeUnderflow(
-                    f"step underflow near x = {z0 + t * direction:.6g}",
-                    loop_index=loop_index)
-    return Y
+def _step_points(system: FuchsianSystem, piece):
+    """Points along the piece, each at most STEP_FRACTION of the distance
+    to the nearest pole from the one before."""
+    points, u = [piece.start], 0.0
+    while u < 1.0:
+        c = points[-1]
+        rho = min((abs(c - p) for p in system.poles), default=math.inf)
+        if rho <= POLE_FLOOR * (abs(c) + piece.length):
+            raise SingularOnPath(f"pole within {rho:.3g} of the path at "
+                                 f"x = {c:.6g}")
+        if len(points) > MAX_STEPS:
+            raise IterationLimitExceeded(
+                f"more than {MAX_STEPS} transport steps near x = {c:.6g}")
+        u = min(1.0, u + STEP_FRACTION * rho / piece.length)
+        points.append(piece.at(u))
+    return points
 
 
-def integrate_along(system: FuchsianSystem, waypoints, tol=FUCHSIAN_TOL,
-                    loop_index=None) -> np.ndarray:
-    Y = np.eye(system.dimension, dtype=complex)
-    for a, b in zip(waypoints, waypoints[1:]):
-        Y = _integrate_segment(system, a, b, Y, tol, loop_index)
-    return Y
+def _majorant_order(norms, ratios, tol):
+    """Order N and tail bound B <= tol of a truncated step series.
+
+    The matrix recurrence run on the norms a_k = ||A_k|| and the ratios
+    e_k >= |h/(c - p_k)| gives t_m >= ||T_m h^m||.  Once m + 1 > g =
+    sum a_k e_k/(r - e_k), for any r in (max e_k, 1), induction gives
+    t_j <= tau r^(j-m) for all j >= m, tau = max(t_m, sum a_k w_k/(m + 1 - g)),
+    so the terms from order N on sum to at most B = tau/(1 - r).
+    """
+    r = (1.0 + max(ratios)) / 2.0
+    g = sum(a * e / (r - e) for a, e in zip(norms, ratios))
+    t, w = 1.0, [0.0] * len(norms)
+    for m in range(MAX_ORDER):
+        if m + 1 > g:
+            bound = t * max(1.0, m / (m + 1 - g)) / (1.0 - r)  # sum a w = m t
+            if bound <= tol:
+                return m, bound
+        w = [e * (t + wk) for e, wk in zip(ratios, w)]
+        t = sum(a * wk for a, wk in zip(norms, w)) / (m + 1)
+    raise IterationLimitExceeded(
+        f"transport series needs more than {MAX_ORDER} terms")
+
+
+def integrate_along(system: FuchsianSystem, piece, tol: float = FUCHSIAN_TOL):
+    """Transfer matrix of Y' = A(x) Y along one path piece, and a bound on
+    the 2-norm of its truncation error.
+
+    A step from c to c + h sums Y(c + t) = sum T_m t^m, T_0 = I.  With
+    d_k = c - p_k, W_k <- (T_m - W_k)/d_k and T_{m+1} = sum A_k W_k/(m + 1)
+    give the next coefficient.  The recurrence runs on T_m h^m for all
+    steps of the piece at once, until each step's tail is within
+    tol/steps; those bounds are propagated through the steps' product.
+    """
+    n = system.dimension
+    if piece.length == 0 or not system.poles:
+        return np.eye(n, dtype=complex), 0.0
+    points = np.array(_step_points(system, piece))
+    centers = points[:-1, None]
+    ratios = (points[1:, None] - centers) / (centers - np.array(system.poles))
+    steps, count = len(centers), len(system.poles)
+    order, step_bound = _majorant_order(
+        system.norms, np.abs(ratios).max(axis=0).tolist(), tol / steps)
+    # T_m h^m of step s is T[:, s n:(s + 1) n] and its W_k is
+    # W[k n:(k + 1) n, s n:(s + 1) n]: one matmul by [A_1 ... A_r]/(m + 1)
+    # gives the next term of every step
+    stacked = system.stacked / np.arange(1, order)[:, None, None]
+    T = np.tile(np.eye(n, dtype=complex), steps)
+    total = T.copy()
+    W = np.zeros((count * n, steps * n), dtype=complex)
+    blocks = W.reshape(count, n, steps, n)
+    ratios = ratios.T[:, None, :, None]
+    for m in range(order - 1):
+        np.subtract(T.reshape(n, steps, n), blocks, out=blocks)
+        blocks *= ratios
+        np.matmul(stacked[m], W, out=T)
+        total += T
+    total = total.reshape(n, steps, n).transpose(1, 0, 2)
+    transfer = total[0]
+    for step in total[1:]:
+        transfer = step @ transfer
+    # prod(||F_j|| + b) - prod(||F_j||) bounds the error of the product
+    norms = np.linalg.svd(total, compute_uv=False)[:, 0]
+    bound = float(np.prod(norms)
+                  * np.expm1(np.sum(np.log1p(step_bound / norms))))
+    return transfer, bound
+
+
+def transport(system: FuchsianSystem, pieces, tol: float = FUCHSIAN_TOL,
+              start=None):
+    """Transfer matrix and its error bound along consecutive pieces, after
+    ``start`` (the identity by default); a gap between pieces is bridged by
+    a chord, as the branch tracker bridges it."""
+    M, bound = start or (np.eye(system.dimension, dtype=complex), 0.0)
+    x = None
+    for piece in pieces:
+        parts = [piece]
+        if x is not None and abs(piece.start - x) > 1e-12:
+            parts.insert(0, Segment(x, piece.start))
+        for part in parts:
+            F, e_F = integrate_along(system, part, tol)
+            bound = (np.linalg.norm(F, 2) * bound
+                     + e_F * (np.linalg.norm(M, 2) + bound))
+            M = F @ M
+        x = piece.end
+    return M, bound
 
 
 def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
@@ -163,23 +212,35 @@ def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
     matrices[0] @ matrices[1] @ ... equals the matrix of one big
     counterclockwise circle around all poles (same travel convention as the
     scalar ordered product: rightmost factor is traveled first).
+
+    The loop tree is walked as monodromy_group walks it, so
+    M_k = E_k^-1 C_k E_k with E_k from the base to the circle entry and C_k
+    once around the circle, and its truncation bound is, to first order,
+    ||E^-1|| (e_E (||M|| + ||C||) + e_C ||E||).
     """
     singular = system.singular_set()
     if base is None:
         base = auto_base_point(singular)
     loops = generate_loops(singular, base)
-    mats = [integrate_along(system, loop.waypoints, tol, loop.singular_index)
-            for loop in loops]
-    return MonodromyMatrices(base, loops, mats)
+    mats, bounds = [], []
+    highway = None
+    for loop, leg in highway_legs(loops, base):
+        highway = transport(system, [leg], tol, highway)
+        E, e_E = transport(system, loop.spoke, tol, highway)
+        C, e_C = integrate_along(system, loop.circle, tol)
+        M = np.linalg.solve(E, C @ E)
+        sigma = np.linalg.svd(E, compute_uv=False)
+        mats.append(M)
+        bounds.append(float((e_E * (np.linalg.norm(M, 2) + np.linalg.norm(C, 2))
+                             + e_C * sigma[0]) / sigma[-1]))
+    return MonodromyMatrices(base, loops, mats, bounds)
 
 
 def monodromy_at_infinity(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
-                          base=None, clockwise=False) -> np.ndarray:
-    singular = system.singular_set()
-    loop = big_circle_loop(singular, base)
-    waypoints = list(reversed(loop.waypoints)) if clockwise \
-        else loop.waypoints
-    return integrate_along(system, waypoints, tol)
+                          base=None) -> np.ndarray:
+    """The matrix of one big counterclockwise circle around all poles."""
+    loop = big_circle_loop(system.singular_set(), base)
+    return transport(system, loop.pieces, tol)[0]
 
 
 # --- simultaneous triangularization -----------------------------------------

@@ -21,10 +21,9 @@ Conventions (fixed so reruns are bit-identical):
 * detours around blocking disks always go counterclockwise;
 * branches are tracked along a tree: the highway circle once, in loop
   order, then each spoke once, from the highway to its circle entry, then
-  each clearance circle from its entry.  Arcs and circles are stepped by
-  angle, with the step size left to the step controller; only the polyline
-  ``Loop.waypoints`` that the Fuchsian transport follows still has >= 64
-  waypoints per circle;
+  each clearance circle from its entry.  A loop is its pieces, segments
+  and arcs; arcs and circles are stepped by angle, with the step size left
+  to the step controller.  The Fuchsian transport walks the same tree;
 * the ordered product of the generators (rightmost factor applied first,
   as in function composition) equals the permutation of one big
   counterclockwise circle around all singular points -- equivalently, the
@@ -45,7 +44,6 @@ from .errors import (BasePointTooClose, IterationLimitExceeded,
                      PathCollision, SingularOnPath, SquareFreeRequired)
 from .permgroups import PermGroup, cycles_string
 
-CIRCLE_POINTS = 64
 # Largest tracker step on an arc, in radians.  A step is taken along the
 # chord; at pi/4 the chord keeps 0.92 of the radius from the centre, and
 # a square-root branch's Euler prediction errs by 0.04 of the branch
@@ -89,7 +87,7 @@ class Segment:
     def __init__(self, start: complex, end: complex):
         self.start = complex(start)
         self.end = complex(end)
-        self.degenerate = self.start == self.end
+        self.length = abs(self.end - self.start)
 
     def at(self, u: float) -> complex:
         return self.start + u * (self.end - self.start)
@@ -97,27 +95,20 @@ class Segment:
     def reversed(self) -> "Segment":
         return Segment(self.end, self.start)
 
-    def waypoints(self):
-        return [self.start] if self.degenerate else [self.start, self.end]
-
 
 class Arc:
     """Circular piece ``center + radius e^{i a}``, the angle a running from
     a0 to a1 (clockwise when a1 < a0): ``at(u)`` has a = a0 + (a1 - a0) u,
-    so the tracker steps it by angle, at most MAX_ARC_STEP at a time.  Its
-    polyline has at least ``min_points`` chords, and one per
-    1/CIRCLE_POINTS of a turn."""
+    so the tracker steps it by angle, at most MAX_ARC_STEP at a time."""
 
-    def __init__(self, center: complex, radius: float, a0: float, a1: float,
-                 min_points: int = 8):
+    def __init__(self, center: complex, radius: float, a0: float, a1: float):
         self.center = complex(center)
         self.radius = radius
         self.a0, self.a1 = a0, a1
-        self.min_points = min_points
         self.start = self.at(0.0)
         self.end = self.at(1.0)
         span = abs(a1 - a0)
-        self.degenerate = span == 0
+        self.length = radius * span
         self.max_step = min(1.0, MAX_ARC_STEP / span) if span else 1.0
 
     def at(self, u: float) -> complex:
@@ -125,19 +116,10 @@ class Arc:
             1j * (self.a0 + (self.a1 - self.a0) * u))
 
     def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.a1, self.a0,
-                   self.min_points)
-
-    def waypoints(self):
-        a0, a1 = self.a0, self.a1
-        count = max(self.min_points,
-                    int(CIRCLE_POINTS * abs(a1 - a0) / (2 * math.pi)) + 1)
-        return [self.center + self.radius * cmath.exp(
-                    1j * (a0 + (a1 - a0) * t / count))
-                for t in range(count + 1)]
+        return Arc(self.center, self.radius, self.a1, self.a0)
 
 
-def _arc(center, radius, a0, a1, ccw=True, min_points=8) -> Arc:
+def _arc(center, radius, a0, a1, ccw=True) -> Arc:
     """The arc from angle a0 to a1 in the given sense (a1 moved by whole
     turns as needed)."""
     if ccw:
@@ -146,71 +128,44 @@ def _arc(center, radius, a0, a1, ccw=True, min_points=8) -> Arc:
     else:
         while a1 >= a0:
             a1 -= 2 * math.pi
-    return Arc(center, radius, a0, a1, min_points)
-
-
-def _polyline(pieces):
-    """Waypoints through consecutive pieces.  Where two pieces meet within
-    1e-12 the arc's point is kept; a wider gap is bridged by a chord, as
-    the tracker bridges it."""
-    points = []
-    for piece in pieces:
-        w = piece.waypoints()
-        if points and abs(points[-1] - w[0]) <= 1e-12:
-            if isinstance(piece, Arc):
-                points.pop()
-            else:
-                w = w[1:]
-        points += w
-    return points
+    return Arc(center, radius, a0, a1)
 
 
 class Loop:
-    """Closed path from the base point encircling one singular point.
+    """Closed path from the base point encircling one singular point, as
+    the ``pieces`` (segments and arcs) the branches are tracked along; a
+    gap between consecutive pieces is bridged by a chord."""
 
-    The branches are tracked along ``pieces`` (segments and arcs; by
-    default the chords between the waypoints), and ``waypoints`` is the
-    polyline through them that the Fuchsian transport follows.
-    """
-
-    def __init__(self, base_point: complex, waypoints, singular_index: int,
-                 pieces=None):
-        if abs(waypoints[0] - waypoints[-1]) > 1e-12:
-            raise ValueError("loop waypoints must be closed")
+    def __init__(self, base_point: complex, pieces, singular_index: int):
         self.base_point = complex(base_point)
-        self.waypoints = [complex(w) for w in waypoints]
+        self.pieces = list(pieces)
         self.singular_index = singular_index
-        self._pieces = None if pieces is None else list(pieces)
-
-    @property
-    def pieces(self):
-        if self._pieces is None:
-            return [Segment(a, b)
-                    for a, b in zip(self.waypoints, self.waypoints[1:])]
-        return self._pieces
 
     def reversed(self) -> "Loop":
-        return Loop(self.base_point, self.waypoints[::-1],
-                    self.singular_index,
-                    [p.reversed() for p in reversed(self.pieces)])
-
-    def __repr__(self):
-        return (f"Loop(around #{self.singular_index}, "
-                f"{len(self.waypoints)} waypoints)")
+        return Loop(self.base_point,
+                    [p.reversed() for p in reversed(self.pieces)],
+                    self.singular_index)
 
 
 class PetalLoop(Loop):
     """A loop of generate_loops: out along the ``highway`` arc and the
     ``spoke`` pieces to its clearance ``circle``, once around the circle,
-    and back the same way.  monodromy_group tracks these three parts of
-    the tree; the loop's own ``pieces`` are the chords of its waypoints."""
+    and back the same way.  monodromy_group and the Fuchsian transport
+    walk these three parts of the tree (highway_legs); the whole loop's
+    ``pieces`` are built only when read."""
 
-    def __init__(self, base_point, waypoints, singular_index, highway: Arc,
-                 spoke, circle: Arc):
-        super().__init__(base_point, waypoints, singular_index)
+    def __init__(self, base_point, singular_index, highway: Arc, spoke,
+                 circle: Arc):
+        self.base_point = complex(base_point)
+        self.singular_index = singular_index
         self.highway = highway
         self.spoke = list(spoke)
         self.circle = circle
+
+    @property
+    def pieces(self):
+        out = [self.highway, *self.spoke, self.circle]
+        return out + [p.reversed() for p in reversed(out[:-1])]
 
 
 class StepCounts:
@@ -437,24 +392,24 @@ def generate_loops(singular: SingularSet, base=None):
         inner = c + r * cmath.exp(1j * phi)
         obstacles = [(centers[j], radii[j])
                      for j in range(len(centers)) if j != k]
-        down_pieces = _segment_with_detours(outer, inner, obstacles)
-        down = _polyline(down_pieces)
-        entry = down[-1]
-        highway_arc = _arc(0.0, R, base_angle, base_angle + sweeps[k][1],
-                           ccw=True)
-        highway = highway_arc.waypoints()
-        a0 = cmath.phase(entry - c)
-        circle_arc = _arc(c, r, a0, a0 + 2 * math.pi, ccw=True,
-                          min_points=CIRCLE_POINTS)
-        waypoints = (highway[:-1] + down[:-1] + circle_arc.waypoints()
-                     + down[::-1][1:] + highway[::-1][1:])
-        if abs(waypoints[0] - base) > 1e-12:
-            waypoints = [base] + waypoints
-        if abs(waypoints[-1] - base) > 1e-12:
-            waypoints = waypoints + [base]
-        loops.append(PetalLoop(base, waypoints, k, highway_arc, down_pieces,
-                               circle_arc))
+        spoke_pieces = _segment_with_detours(outer, inner, obstacles)
+        highway = _arc(0.0, R, base_angle, base_angle + sweeps[k][1],
+                       ccw=True)
+        a0 = cmath.phase(spoke_pieces[-1].end - c)
+        circle = _arc(c, r, a0, a0 + 2 * math.pi, ccw=True)
+        loops.append(PetalLoop(base, k, highway, spoke_pieces, circle))
     return loops
+
+
+def highway_legs(loops, base):
+    """The highway of the loop tree cut at the spokes: each loop with the
+    arc from the previous loop's spoke (from the base, for the first) to
+    its own."""
+    angle = cmath.phase(complex(base))
+    for loop in loops:
+        highway = loop.highway
+        yield loop, Arc(highway.center, highway.radius, angle, highway.a1)
+        angle = highway.a1
 
 
 def big_circle_loop(singular: SingularSet, base=None) -> Loop:
@@ -467,12 +422,10 @@ def big_circle_loop(singular: SingularSet, base=None) -> Loop:
     if any(abs(c) >= radius * 0.999 for c in centers):
         radius = 2 * max(abs(c) for c in centers) + abs(base)
     a0 = cmath.phase(base)
-    circle = _arc(0.0, radius, a0, a0 + 2 * math.pi, ccw=True,
-                  min_points=4 * CIRCLE_POINTS)
+    circle = _arc(0.0, radius, a0, a0 + 2 * math.pi, ccw=True)
     # walk out radially, circle, walk back
-    start = radius * cmath.exp(1j * a0)
-    return Loop(base, [base, start] + circle.waypoints()[1:] + [start, base],
-                -1, [Segment(base, start), circle, Segment(start, base)])
+    return Loop(base, [Segment(base, circle.start), circle,
+                       Segment(circle.start, base)], -1)
 
 
 # --- branch tracking -----------------------------------------------------------
@@ -611,7 +564,7 @@ class _Tracker:
         accepted one, h is scaled so that the basin check's load, which
         grows like h^2 (the Euler error), comes to about 0.64, and at most
         doubled."""
-        if piece.degenerate:
+        if piece.length == 0:
             return ys
         counts = self.counts
         t, h = 0.0, piece.max_step
@@ -718,17 +671,11 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
     steps = StepCounts()
     tracker = _Tracker(P, tol, steps)
     generators = []
-    values, angle = roots, cmath.phase(complex(base))
-    for loop in loops:
-        highway = loop.highway
-        values = tracker.track(
-            [Arc(highway.center, highway.radius, angle, highway.a1)], values)
-        angle = highway.a1
+    values = roots
+    for loop, highway in highway_legs(loops, base):
+        values = tracker.track([highway], values)
         entry = tracker.track(loop.spoke, values)
-        waypoints = loop.circle.waypoints()
-        waypoints[-1] = waypoints[0]  # e^{2 pi i} is 1 only up to rounding
-        circle = Loop(waypoints[0], waypoints, loop.singular_index,
-                      [loop.circle])
+        circle = Loop(loop.circle.start, [loop.circle], loop.singular_index)
         generators.append(continue_roots(P, circle, entry, tol, steps))
     group = PermGroup(max(P.degree_y(), 1), generators)
     return MonodromyAction(P, singular, base, roots, loops, generators, group,

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from finitude.fuchsian import (FuchsianSystem, monodromy_at_infinity,
+from finitude.errors import (IterationLimitExceeded, NumericFailure,
+                             SingularOnPath)
+from finitude.fuchsian import (FuchsianSystem, integrate_along,
+                               monodromy_at_infinity,
                                simultaneous_triangularizable,
                                small_norm_verdict, system_monodromy,
                                triangularization_defect)
+from finitude.monodromy import Arc, Segment
 from finitude.solvability.verdicts import VerdictStatus
 
 E = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -78,6 +82,83 @@ class TestSystemMonodromy:
         mono = system_monodromy(system)
         assert len(mono.condition_estimates) == 1
         assert mono.condition_estimates[0] >= 1.0
+
+
+class TestTaylorTransport:
+    """The series transport at the default fuchsian_tol."""
+
+    POLES = [0.0, 1.5, -1.0 + 0.8j]
+
+    def three_pole_systems(self, scale):
+        """Six systems on POLES, dimensions 2, 3, 4, 2, 3, 4."""
+        rng = np.random.default_rng(7)
+        for k in range(6):
+            mats = [random_matrix(rng, 2 + k % 3, scale) for _ in self.POLES]
+            yield FuchsianSystem(self.POLES, mats)
+
+    def test_single_pole_matches_exponential(self):
+        """Residues of scale 0.3 keep cond(M) below 1e5; at 0.4 it reaches
+        1e6, where the round-off of expm itself is near 1e-10."""
+        rng = np.random.default_rng(1)
+        for n in (2, 3, 4):
+            for _ in range(3):
+                A = random_matrix(rng, n, 0.3)
+                M = system_monodromy(FuchsianSystem([0.0], [A])).matrices[0]
+                target = expm(2j * np.pi * A)
+                assert (np.linalg.norm(M - target, 2)
+                        <= 1e-10 * np.linalg.norm(target, 2))
+
+    def test_det_identity_relative_to_condition(self):
+        """Liouville: det M_k = exp(2 pi i tr A_k) on 18 loops."""
+        checked = 0
+        for system in self.three_pole_systems(0.3):
+            mono = system_monodromy(system)
+            for loop, M, cond in zip(mono.loops, mono.matrices,
+                                     mono.condition_estimates):
+                A = system.matrices[loop.singular_index]
+                want = np.exp(2j * np.pi * np.trace(A))
+                assert (abs(np.linalg.det(M) - want)
+                        <= 1e-11 * max(1.0, cond) * abs(want))
+                checked += 1
+        assert checked == 18
+
+    def test_truncation_bound_on_every_loop(self):
+        for system in self.three_pole_systems(0.02):
+            mono = system_monodromy(system)
+            report = mono.report()
+            assert len(report["truncation_bound"]) == len(mono.loops) == 3
+            assert all(0.0 < b <= 1e-8 for b in report["truncation_bound"])
+
+    def test_truncation_bound_holds(self):
+        """The bound covers the distance to a transport 1e4 times finer."""
+        for system in self.three_pole_systems(0.3):
+            mono = system_monodromy(system)
+            fine = system_monodromy(system, tol=1e-14)
+            for M, M_fine, bound in zip(mono.matrices, fine.matrices,
+                                        mono.truncation_bounds):
+                assert np.linalg.norm(M - M_fine, 2) <= bound
+
+    def test_product_is_the_loop_at_infinity(self):
+        rng = np.random.default_rng(9)
+        poles = [1.0, -0.5 + 1.0j, -0.5 - 1.0j]
+        system = FuchsianSystem(poles, [random_matrix(rng, 2, 0.2)
+                                        for _ in poles])
+        product = np.linalg.multi_dot(system_monodromy(system).matrices)
+        big = monodromy_at_infinity(system)
+        assert (np.linalg.norm(product - big, 2)
+                <= 1e-10 * np.linalg.norm(big, 2))
+
+    def test_segment_through_a_pole_fails(self):
+        system = FuchsianSystem([0.0], [0.3 * E])
+        with pytest.raises(SingularOnPath):
+            integrate_along(system, Segment(-1.0, 1.0))
+        assert issubclass(SingularOnPath, NumericFailure)
+
+    def test_huge_residue_fails(self):
+        system = FuchsianSystem([0.0], [1e6 * np.eye(2)])
+        with pytest.raises(IterationLimitExceeded):
+            integrate_along(system, Arc(0.0, 1.0, 0.0, 2 * np.pi))
+        assert issubclass(IterationLimitExceeded, NumericFailure)
 
 
 class TestTriangularization:

@@ -1,5 +1,6 @@
 """Singular points, loops, continuation, and monodromy groups."""
 
+import math
 import random
 
 import numpy as np
@@ -59,8 +60,9 @@ class TestLoops:
         loops = generate_loops(s, base=2.0)
         assert len(loops) == 1
         # circular part has radius 1 (half the distance to the base)
-        circle_pts = [w for w in loops[0].waypoints if abs(abs(w) - 1.0) < 1e-9]
-        assert len(circle_pts) >= 64
+        circle = loops[0].circle
+        assert circle.center == 0 and abs(circle.radius - 1.0) < 1e-9
+        assert abs(abs(circle.a1 - circle.a0) - 2 * math.pi) < 1e-12
 
     def test_empty_singular_set(self):
         s = singular_points(parse_bivariate("y^2 - (x^2 + 1) - x^4"))
@@ -92,11 +94,12 @@ class TestContinuation:
     def test_contractible_loop_identity(self):
         P = parse_bivariate("y^2 - x")
         s = singular_points(P)
-        from finitude.monodromy import Loop, base_roots
+        from finitude.monodromy import Loop, Segment, base_roots
         base = auto_base_point(s)
         roots = base_roots(P, base)
         square = [base, base + 0.5, base + 0.5 + 0.5j, base + 0.5j, base]
-        sigma = continue_roots(P, Loop(base, square, -1), roots)
+        sides = [Segment(a, b) for a, b in zip(square, square[1:])]
+        sigma = continue_roots(P, Loop(base, sides, -1), roots)
         assert sigma == tuple(range(2))
 
 
