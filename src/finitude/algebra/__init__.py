@@ -6,12 +6,12 @@ from .parse import (parse_bivariate, parse_expression, parse_rational,
 from .poly import (BivariatePolynomial, RationalFunction,
                    UnivariatePolynomial, discriminant_y, resultant_y,
                    squarefree_factorization)
-from .roots import ComplexInterval, complex_roots, complex_roots_flat, distinct_roots
+from .roots import ComplexInterval, complex_roots
 
 __all__ = [
     "GaussianRational", "exact_nth_root", "rationalize", "rationalize_complex",
     "parse_expression", "parse_bivariate", "parse_rational", "parse_univariate",
     "UnivariatePolynomial", "BivariatePolynomial", "RationalFunction",
     "resultant_y", "discriminant_y", "squarefree_factorization",
-    "ComplexInterval", "complex_roots", "complex_roots_flat", "distinct_roots",
+    "ComplexInterval", "complex_roots",
 ]

@@ -4,17 +4,27 @@ Strategy: exact square-free decomposition first, so every root that the
 iteration sees is simple; companion-matrix eigenvalues seed a simultaneous
 Aberth-Ehrlich iteration; a posteriori each approximation gets an inclusion
 disk from the classical bound |z - root| <= n |p(z)/p'(z)| for square-free p.
+
+``refine_root`` carries one root past double precision: Newton on the exact
+Q(i) coefficients, each iterate rounded to a fixed dyadic grid.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from ..config import ROOT_TOL
 from ..errors import IterationLimitExceeded, ZeroPolynomial
+from .gaussian import GaussianRational
 from .poly import UnivariatePolynomial, squarefree_factorization
+
+# refine_root rounds its iterates to multiples of 2^-REFINE_BITS; far below
+# double precision, and small enough that the exact iteration stays cheap
+REFINE_BITS = 128
+_REFINE_STEPS = 12
 
 
 class ComplexInterval:
@@ -153,17 +163,37 @@ def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL):
     return out
 
 
-def complex_roots_flat(p: UnivariatePolynomial, tol: float = ROOT_TOL):
-    """Roots repeated by multiplicity, as a flat list of ComplexInterval."""
-    flat = []
-    for enc, mult in complex_roots(p, tol):
-        flat.extend([enc] * mult)
-    return flat
+def _round_to_grid(c: GaussianRational) -> GaussianRational:
+    scale = 1 << REFINE_BITS
+    return GaussianRational(Fraction(round(c.re * scale), scale),
+                            Fraction(round(c.im * scale), scale))
 
 
-def distinct_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL):
-    """Centers of the distinct-root enclosures (no multiplicities)."""
-    return [enc.center for enc, _ in complex_roots(p, tol)]
+def refine_root(p: UnivariatePolynomial, z: complex):
+    """A Q(i) point on the grid of spacing 2^-REFINE_BITS next to the root
+    of ``p`` that ``z`` approximates, or None when ``z`` is not one.
+
+    Newton runs in exact arithmetic, each iterate rounded to the grid, until
+    it stops moving; for a simple root the result is within one spacing of
+    it.  When the first step exceeds 1e-6 * max(1, |z|), ``z`` is taken to be
+    no root of ``p`` and None is returned.
+    """
+    z = complex(z)
+    dp = p.derivative()
+    bound = Fraction(1e-6) * max(1, Fraction(abs(z)))
+    c = _round_to_grid(GaussianRational.coerce(z))
+    for k in range(_REFINE_STEPS):
+        slope = dp(c)
+        if slope.is_zero():
+            return None
+        step = p(c) / slope
+        if k == 0 and step.re ** 2 + step.im ** 2 > bound ** 2:
+            return None
+        nxt = _round_to_grid(c - step)
+        if nxt == c:
+            break
+        c = nxt
+    return c
 
 
 def exact_gaussian_roots(p: UnivariatePolynomial, tol: float = 1e-10):

@@ -130,9 +130,9 @@ def _pole_candidates(r: RationalFunction, pole: GaussianRational, order: int):
     gg = _series_mul(g[:k - 1] + [_ZERO] * 2, g[:k - 1] + [_ZERO] * 2, k + 1)
     b = (series[k - 1] if k - 1 < len(series) else _ZERO) - gg[k - 1]
     variants = []
-    for sign in (_ONE, -_ONE):
+    for sign, s_signed in ((_ONE, s_fn), (-_ONE, -s_fn)):
         alpha = (b / (sign * g[0]) + k) * _HALF
-        variants.append((s_fn.scale_by(sign), alpha))
+        variants.append((s_signed, alpha))
     return _LocalData(pole, variants)
 
 
@@ -156,22 +156,14 @@ def _infinity_candidates(r: RationalFunction):
     if g is None:
         return []
     # polynomial part sum_m g_m x^(d-m), coefficients low degree first
-    poly = UnivariatePolynomial(list(reversed(g[:d + 1])))
+    p_fn = RationalFunction(UnivariatePolynomial(list(reversed(g[:d + 1]))))
     gg = _series_mul(g[:d + 1], g[:d + 1], d + 1)
     b = series[d + 1] - gg[d + 1]
     out = []
-    for sign in (_ONE, -_ONE):
+    for sign, p_signed in ((_ONE, p_fn), (-_ONE, -p_fn)):
         alpha = (b / (sign * g[0]) - d) * _HALF
-        out.append((RationalFunction(poly).scale_by(sign), alpha))
+        out.append((p_signed, alpha))
     return out
-
-
-def _scale_by(self, c):
-    return RationalFunction(self.num.scale(GaussianRational.coerce(c)),
-                            self.den)
-
-
-RationalFunction.scale_by = _scale_by
 
 
 def _solve_linear(rows, rhs):

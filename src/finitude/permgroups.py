@@ -524,8 +524,8 @@ def _core_factors(core: PermGroup, factors):
         # factors(image on orbit) + factors(kernel of the restriction)
         orbit = moved[0]
         image, kernel = _orbit_restriction(core, orbit)
-        _mixed_factors(image, factors)
-        _mixed_factors(kernel, factors)
+        factors.extend(composition_factors(image))
+        factors.extend(composition_factors(kernel))
         return
     minimal = _minimal_normal_subgroup(core)
     if minimal.order() == core.order():
@@ -533,14 +533,6 @@ def _core_factors(core: PermGroup, factors):
         factors.append(("simple", name, core.order(), mu))
         return
     _split_core(core, minimal, factors)
-
-
-def _mixed_factors(group: PermGroup, factors):
-    """Composition factors of a possibly non-perfect group."""
-    series = group.derived_series()
-    for upper, lower in zip(series, series[1:]):
-        factors.extend(_abelian_factor_primes(upper.order() // lower.order()))
-    _core_factors(series[-1], factors)
 
 
 def _orbit_restriction(group: PermGroup, orbit):
@@ -557,23 +549,14 @@ def _orbit_restriction(group: PermGroup, orbit):
 
 
 def _split_core(core: PermGroup, normal: PermGroup, factors):
-    """Recurse into a proper normal subgroup and the quotient."""
-    _core_factors_of_quotient(core, normal, factors)
+    """Recurse into a proper normal subgroup and the quotient (the coset
+    action)."""
+    _core_factors(_coset_action(core, normal), factors)
     if normal.is_solvable():
         solvable_order = normal.order()
         factors.extend(_abelian_factor_primes(solvable_order))
     else:
-        series = normal.derived_series()
-        for upper, lower in zip(series, series[1:]):
-            factors.extend(_abelian_factor_primes(
-                upper.order() // lower.order()))
-        _core_factors(series[-1], factors)
-
-
-def _core_factors_of_quotient(core: PermGroup, normal: PermGroup, factors):
-    """Composition factors of core/normal via the coset action."""
-    cosets = _coset_action(core, normal)
-    _core_factors(cosets, factors)
+        factors.extend(composition_factors(normal))
 
 
 def _coset_action(group: PermGroup, subgroup: PermGroup) -> PermGroup:

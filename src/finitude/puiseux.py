@@ -8,6 +8,16 @@ by term in the ramified parameter s, x - x0 = s^p.  Exponent arithmetic is
 exact (fractions); coefficients are complex floats, certified a posteriori by
 the residual check.
 
+The local model has one source: the exact Taylor shift P(x0 + t, y) over
+Q(i) (or the exact reversal at infinity), rounded once to complex.  x0 is
+the point itself when it is rational.  A floating-point point is first
+made exact: when it lies next to a root of the singular locator
+lc_y * disc_y, ``refine_root`` carries it onto that root to far below
+double precision (a center error e splits an m-fold root by about e^(1/m));
+any other point is taken as the double it is.  Each series keeps that exact
+center, and ``residual_error`` rebuilds the same model from it.  No
+arithmetic runs beyond double precision apart from the exact one.
+
 Conventions:
 
 * at a finite point series run in ascending powers of (x - x0); at infinity
@@ -28,6 +38,7 @@ import numpy as np
 
 from .algebra.gaussian import GaussianRational
 from .algebra.poly import BivariatePolynomial, singular_locator
+from .algebra.roots import refine_root
 from .errors import (NonExactCenter, NumericBreakdown, OrderTooSmall,
                      SquareFreeRequired)
 
@@ -54,14 +65,18 @@ class NewtonPolygon:
 
 
 class PuiseuxSeries:
-    """One branch y = sum coeff * tau^exponent in the local parameter tau."""
+    """One branch y = sum coeff * tau^exponent in the local parameter tau.
 
-    def __init__(self, point, ramification, terms, order, exact_center=True):
+    ``center`` is the exact point (Q(i) or INFINITY) the local model was
+    built at; it defaults to ``point``.
+    """
+
+    def __init__(self, point, ramification, terms, order, center=None):
         self.point = point
         self.ramification = int(ramification)
         self.terms = [(Fraction(e), complex(c)) for e, c in terms]
         self.order = Fraction(order)
-        self.exact_center = exact_center
+        self.center = point if center is None else center
 
     @property
     def leading_exponent(self) -> Fraction:
@@ -129,15 +144,6 @@ class _LocalPoly:
         n = self.degree_y()
         return [self.coeff(0, j) for j in range(n + 1)]
 
-    def shift_y(self, c: complex) -> "_LocalPoly":
-        out = {}
-        for (i, j), a in self.terms.items():
-            b = a
-            for l in range(j, -1, -1):
-                out[(i, l)] = out.get((i, l), 0j) + b
-                b = b * c * (l) / (j - l + 1) if l > 0 else b
-        return _LocalPoly(out)
-
     def reverse_y(self) -> "_LocalPoly":
         n = self.degree_y()
         return _LocalPoly({(i, n - j): c for (i, j), c in self.terms.items()})
@@ -173,35 +179,24 @@ class _LocalPoly:
         return _LocalPoly({(i * p, j): c for (i, j), c in self.terms.items()})
 
     def eval_series(self, ys, order: int):
-        """P(s, y(s)) truncated at s^order; ys dense (len order+1)."""
-        n = self.degree_y()
-        powers = [None] * (n + 1)
-        powers[0] = _series_one(order)
-        for j in range(1, n + 1):
-            powers[j] = _series_mul(powers[j - 1], ys, order)
+        """P(s, y(s)) and P_y(s, y(s)) truncated at s^order; ys dense (len
+        order+1)."""
+        powers = [_series_one(order)]
+        for _ in range(self.degree_y()):
+            powers.append(_series_mul(powers[-1], ys, order))
         out = [0j] * (order + 1)
+        dy = [0j] * (order + 1)
         for (i, j), a in self.terms.items():
             if i > order:
                 continue
             pj = powers[j]
             for m in range(0, order + 1 - i):
                 out[i + m] += a * pj[m]
-        return out
-
-    def eval_dy_series(self, ys, order: int):
-        n = self.degree_y()
-        powers = [None] * max(n, 1)
-        powers[0] = _series_one(order)
-        for j in range(1, n):
-            powers[j] = _series_mul(powers[j - 1], ys, order)
-        out = [0j] * (order + 1)
-        for (i, j), a in self.terms.items():
-            if j == 0 or i > order:
-                continue
-            pj = powers[j - 1]
-            for m in range(0, order + 1 - i):
-                out[i + m] += a * j * pj[m]
-        return out
+            if j:
+                pj = powers[j - 1]
+                for m in range(0, order + 1 - i):
+                    dy[i + m] += a * j * pj[m]
+        return out, dy
 
 
 def _series_one(order):
@@ -225,58 +220,26 @@ def _series_mul(a, b, order):
 # --- recentering ------------------------------------------------------------
 
 
-_LONGC = np.complex256 if hasattr(np, "complex256") else complex
-_LONGR = np.longdouble if _LONGC is not complex else float
+def _center(P: BivariatePolynomial, point, exact: bool):
+    """The exact point the local model is built at: INFINITY, a rational
+    point itself, or a Q(i) value for a floating-point one (see the module
+    docstring); ``exact`` refuses floating-point points."""
+    if point == INFINITY:
+        return INFINITY
+    if isinstance(point, (GaussianRational, int, Fraction)):
+        return GaussianRational.coerce(point)
+    if exact:
+        raise NonExactCenter(
+            f"exact recentering requested at non-rational point {point!r}")
+    z = complex(point)
+    refined = _singular_center(P, z)
+    return refined if refined is not None else GaussianRational.coerce(z)
 
 
-def _exact_to_long(c: GaussianRational):
-    """c at extended precision, without rounding it to double first.
-
-    Each rational part is split into its double rounding plus the double
-    rounding of the remainder; their extended-precision sum is good to the
-    extended format (with plain ``complex`` it is the double rounding).
-    """
-    def part(q: Fraction):
-        head = float(q)
-        return _LONGR(head) + _LONGR(float(q - Fraction(head)))
-    return _LONGC(part(c.re)) + _LONGC(part(c.im)) * 1j
-
-
-def _taylor_shift_numeric(coeffs, z):
-    """Coefficients of p(x + z) by synthetic division, extended precision.
-
-    The shift is the precision bottleneck for expansions at irrational
-    singular points (a center error e splits an m-fold root by ~e^(1/m)),
-    so the arithmetic runs in extended precision and rounds at the end.
-    """
-    work = [_LONGC(c) for c in coeffs]
-    zl = _LONGC(z)
-    out = []
-    while work:
-        if len(work) == 1:
-            out.append(complex(work[0]))
-            break
-        quot = [_LONGC(0)] * (len(work) - 1)
-        acc = _LONGC(0)
-        for k in range(len(work) - 1, 0, -1):
-            acc = work[k] + acc * zl
-            quot[k - 1] = acc
-        rem = work[0] + acc * zl
-        out.append(complex(rem))
-        work = quot
-    return out
-
-
-def _polish_singular_center(P: BivariatePolynomial, z: complex):
-    """Refine a near-singular center against lc_y * disc_y at extended
-    precision; returns the polished value, or None when z is not within
-    Newton range of a singular point (ordinary points stay untouched).
-
-    The Newton iteration runs on the monic squarefree locator
-    squarefree_part(lc_y * disc_y), whose coefficients are converted from
-    their exact Q(i) values straight to extended precision: its 1/lc
-    coefficients are not dyadic, and rounding them to double first would
-    cap the center's accuracy at double precision."""
+def _singular_center(P: BivariatePolynomial, z: complex):
+    """The root of squarefree_part(lc_y * disc_y) next to z, refined onto
+    its Q(i) grid point, or None when z is not next to one (ordinary
+    points stay untouched)."""
     if P.degree_y() < 2:
         return None
     try:
@@ -285,69 +248,23 @@ def _polish_singular_center(P: BivariatePolynomial, z: complex):
         return None
     if locator.degree() < 1:
         return None
-    cs = [_exact_to_long(c) for c in locator.coeffs]
-    dcs = [cs[k] * k for k in range(1, len(cs))]
-
-    def horner(coeffs, w):
-        acc = _LONGC(0)
-        for c in reversed(coeffs):
-            acc = acc * w + c
-        return acc
-
-    w = _LONGC(z)
-    for _ in range(6):
-        pv = horner(cs, w)
-        dv = horner(dcs, w)
-        if dv == 0:
-            return None
-        step = pv / dv
-        if abs(complex(step)) > 1e-6 * max(1.0, abs(z)):
-            return None  # not actually adjacent to a singular point
-        w = w - step
-        if abs(complex(step)) < 1e-30:
-            break
-    return w
+    return refine_root(locator, z)
 
 
-def _recenter(P: BivariatePolynomial, point, want_exact: bool):
-    """Local model in (t, y); returns (model, exact_flag)."""
-    if point == INFINITY:
+def _local_model(P: BivariatePolynomial, center) -> _LocalPoly:
+    """P(center + t, y), or t^deg_x P(1/t, y) at INFINITY, computed exactly
+    and rounded once to complex."""
+    if center == INFINITY:
         dx = P.degree_x()
         rows = [row.reversed_coeffs(dx + 1) for row in P.rows]
-        return _LocalPoly.from_bivariate_rows(rows), True
-    if isinstance(point, (GaussianRational, int, Fraction)):
-        return _LocalPoly.from_bivariate_rows(
-            P.shift_x(GaussianRational.coerce(point)).rows), True
-    if want_exact:
-        raise NonExactCenter(
-            f"exact recentering requested at non-rational point {point!r}")
-    z = complex(point)
-    polished = _polish_singular_center(P, z)
-    if polished is not None:
-        z = polished  # keep the extended-precision value for the shift
-    terms = {}
-    for j, row in enumerate(P.rows):
-        if row.is_zero():
-            continue
-        coeffs = [_exact_to_long(c) for c in row.coeffs]
-        shifted = _taylor_shift_numeric(coeffs, z)
-        for i, c in enumerate(shifted):
-            if c != 0:
-                terms[(i, j)] = c
-    return _LocalPoly(terms), False
-
-
-def _rows_to_terms(rows):
+    else:
+        rows = P.shift_x(center).rows
     terms = {}
     for j, row in enumerate(rows):
         for i, c in enumerate(row.coeffs):
             if not c.is_zero():
                 terms[(i, j)] = complex(c)
-    return terms
-
-
-_LocalPoly.from_bivariate_rows = staticmethod(
-    lambda rows: _LocalPoly(_rows_to_terms(rows)))
+    return _LocalPoly(terms)
 
 
 # --- polygon ------------------------------------------------------------------
@@ -387,9 +304,8 @@ def newton_polygon(P: BivariatePolynomial, point=0) -> NewtonPolygon:
     The sum of edge lengths equals deg_y of the local model; at INFINITY
     slopes are reported as x-exponents (negated t-slopes).
     """
-    want_exact = isinstance(point, (GaussianRational, int, Fraction)) \
-        or point == INFINITY
-    model, _ = _recenter(P.primitive_y(), point, want_exact)
+    P = P.primitive_y()
+    model = _local_model(P, _center(P, point, False))
     hull, edges = _polygon_edges(model.support())
     sign = -1 if point == INFINITY else 1
     return NewtonPolygon(hull, [(sign * mu, L) for mu, L, _, _ in edges])
@@ -507,13 +423,12 @@ def _lift(model: _LocalPoly, p_total: int, seed: dict, target: int):
             ys[e] = c
     touched = {}
     for _round in range(8 * order + 32):
-        fy = F.eval_dy_series(ys, order)
+        res, fy = F.eval_series(ys, order)
         dscale = max(max(abs(v) for v in fy), 1e-300)
         d = next((k for k, vv in enumerate(fy) if abs(vv) > 1e-9 * dscale),
                  None)
         if d is None:
             raise NumericBreakdown("dP/dy vanishes along the branch seed")
-        res = F.eval_series(ys, order)
         rscale = max(max(abs(v) for v in res), 1e-300)
         floor = 2e-13 * max(F.scale, rscale)
         nu = next((k for k, vv in enumerate(res) if abs(vv) > floor), None)
@@ -555,21 +470,20 @@ def _series_invert(ys, target: int):
 
 
 def puiseux_expand(P: BivariatePolynomial, point=0, order=None,
-                   exact=None):
+                   exact=False):
     """All branch expansions of P at the point (or INFINITY).
 
     Returns deg_y P PuiseuxSeries counted with ramification (a cycle of
     length p appears as p conjugate series).  ``order`` bounds the included
     exponents (in x - x0, or in 1/x at infinity); it defaults to
     leading-exponent + 4.  Residuals of the truncations vanish beyond the
-    requested order, which ``residual_error`` quantifies.
+    requested order, which ``residual_error`` quantifies.  With ``exact``
+    a floating-point point raises NonExactCenter.
     """
     P = P.primitive_y()
     n = P.degree_y()
-    if exact is None:
-        exact = isinstance(point, (GaussianRational, int, Fraction)) \
-            or point == INFINITY
-    model, exact_center = _recenter(P, point, exact)
+    center = _center(P, point, exact)
+    model = _local_model(P, center)
 
     # entries: (p_total, seed dict, kind, lift model, offset added to y)
     branch_data = []
@@ -594,7 +508,8 @@ def puiseux_expand(P: BivariatePolynomial, point=0, order=None,
             if m == 1 and not near_zero:
                 branch_data.append((1, {0: c}, "finite", stripped, 0j))
                 continue
-            shifted = stripped if near_zero else stripped.shift_y(c)
+            shifted = stripped if near_zero \
+                else stripped.ramify_center(1, 0, c)
             shifted = shifted.drop_terms([(0, j) for j in range(m)])
             offset = 0j if near_zero else c
             for p_tot, seed in _vanishing_seeds(shifted, 0):
@@ -630,7 +545,7 @@ def puiseux_expand(P: BivariatePolynomial, point=0, order=None,
     for p_tot, seed, kind, lift_model, offset in branch_data:
         if kind == "zero-component":
             out.append(PuiseuxSeries(point, 1, [(Fraction(0), 0j)], order,
-                                     exact_center))
+                                     center))
             continue
         # resolve at least one term past the branch's own leading exponent,
         # even when the requested order sits below it
@@ -658,7 +573,7 @@ def puiseux_expand(P: BivariatePolynomial, point=0, order=None,
             if point == INFINITY:
                 terms = [(-e, c) for e, c in terms]
             out.append(PuiseuxSeries(point, p_tot, terms, branch_order,
-                                     exact_center))
+                                     center))
     if len(out) != n:
         raise NumericBreakdown(
             f"found {len(out)} branches, expected {n}")
@@ -670,7 +585,7 @@ def puiseux_expand(P: BivariatePolynomial, point=0, order=None,
 
 def ramification_multiset(P: BivariatePolynomial, point):
     """Multiset of branch-cycle lengths at the point (local cycle type)."""
-    series = puiseux_expand(P, point, order=None, exact=False)
+    series = puiseux_expand(P, point)
     counts = {}
     for s in series:
         counts[s.ramification] = counts.get(s.ramification, 0) + 1
@@ -695,58 +610,39 @@ def residual_error(P: BivariatePolynomial, series: PuiseuxSeries) -> float:
     divides P and a genuine nonzero residual when it does not.
     """
     P = P.primitive_y()
-    model, _ = _recenter(P, series.point,
-                         isinstance(series.point,
-                                    (GaussianRational, int, Fraction))
-                         or series.point == INFINITY)
+    model = _local_model(P, _center(P, series.center, False))
     p = series.ramification
     if all(c == 0 for _, c in series.terms):
         F = model.stretch_t(p)
         order_s = int(series.order * p)
-        res = F.eval_series([0j] * (order_s + 1), order_s)
+        res, _ = F.eval_series([0j] * (order_s + 1), order_s)
         return max(abs(val) for val in res) / F.scale
     stripped, _v = model.strip_y_power()
     # dense s-coefficients of the branch, exponents e*p (negated at infinity)
     pairs = []
     for e, c in series.terms:
         exp = -e if series.point == INFINITY else e
-        s_exp = int(exp * p)
-        pairs.append((s_exp, c))
-    if not pairs:
-        return 0.0
+        pairs.append((int(exp * p), c))
     v = min(e for e, _ in pairs)
     target = int(series.order * p)
     if v < 0:
         # pole branch: check the reciprocal series against the reversed model
-        work = stripped.reverse_y().strip_y_power()[0]
-        shifted = {e - v: c for e, c in pairs}  # now a power series
-        depth = max(shifted) + 2 * (-v) + target + 2
-        dense = [0j] * (depth + 1)
-        for e, c in shifted.items():
-            if e <= depth:
-                dense[e] = c
-        inv = [0j] * (depth + 1)
-        inv[0] = 1.0 / dense[0]
-        for m2 in range(1, depth + 1):
-            acc = 0j
-            for k2 in range(1, m2 + 1):
-                acc += dense[k2] * inv[m2 - k2]
-            inv[m2] = -acc * inv[0]
+        stripped = stripped.reverse_y().strip_y_power()[0]
+        depth = max(e for e, _ in pairs) - 3 * v + target + 2
+        unit = [0j] * (depth + 1)  # s^-v y, a power series
+        for e, c in pairs:
+            if e - v <= depth:
+                unit[e - v] = c
         # z = 1/y = s^{-v} / (s^{-v} y): shift the inverted unit part
         ys = [0j] * (depth + 1)
-        for m2 in range(depth + 1 - (-v)):
-            ys[m2 + (-v)] = inv[m2]
-        F = work.stretch_t(p)
-        order_s = target
-        res = F.eval_series(ys, order_s)
-        return max((abs(val) for val in res[:order_s + 1]),
-                   default=0.0) / F.scale
-    F = stripped.stretch_t(p)
-    order_s = target
-    ys = [0j] * (max(target, max(e for e, _ in pairs)) + 1)
-    for e, c in pairs:
-        if e < len(ys):
+        for m, c in _series_invert(unit, depth).items():
+            if m - v <= depth:
+                ys[m - v] = c
+    else:
+        ys = [0j] * (max(target, max(e for e, _ in pairs)) + 1)
+        for e, c in pairs:
             ys[e] = c
-    res = F.eval_series(ys, order_s)
-    return max((abs(val) for val in res[:order_s + 1]),
+    F = stripped.stretch_t(p)
+    res, _ = F.eval_series(ys, target)
+    return max((abs(val) for val in res[:target + 1]),
                default=0.0) / F.scale

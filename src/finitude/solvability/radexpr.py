@@ -19,42 +19,14 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-import numpy as np
-
 from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import RationalFunction, UnivariatePolynomial
-
-# Cardano/Ferrari trees cancel catastrophically in double precision near
-# branch collisions; extended precision recovers the certified digits.
-_LONG = np.complex256 if hasattr(np, "complex256") else complex
-
-
-def promote(x):
-    """Extended-precision complex for robust certificate evaluation."""
-    if _LONG is complex:
-        return complex(x)
-    return _LONG(x)
-
-
-def _cast_const(value, like):
-    if isinstance(like, np.complexfloating):
-        if isinstance(value, GaussianRational):
-            re = np.longdouble(value.re.numerator) / \
-                np.longdouble(value.re.denominator)
-            im = np.longdouble(value.im.numerator) / \
-                np.longdouble(value.im.denominator)
-            return type(like)(re) + type(like)(1j) * type(like)(im)
-        return type(like)(value)
-    return complex(value)
-
 
 class RadicalExpression:
     """Base node; use the subclass constructors or the helpers below.
 
-    Calling a node evaluates it at x with the principal branch convention;
-    the arithmetic stays in the complex type of x, so passing an extended
-    precision scalar (see ``promote``) evaluates the whole tree at that
-    precision.
+    Calling a node evaluates it at x in complex doubles with the principal
+    branch convention.
     """
 
     exact = True
@@ -79,7 +51,7 @@ class Const(RadicalExpression):
             self.exact = True
 
     def __call__(self, x):
-        return _cast_const(self.value, x)
+        return complex(self.value)
 
     def to_string(self):
         if not self.exact:
@@ -107,7 +79,7 @@ def _frac_str(q: Fraction) -> str:
 
 class Var(RadicalExpression):
     def __call__(self, x):
-        return x if isinstance(x, np.complexfloating) else complex(x)
+        return complex(x)
 
     def to_string(self):
         return "x"
@@ -183,8 +155,6 @@ class Root(RadicalExpression):
         z = self.child(x)
         if z == 0:
             return z
-        if isinstance(z, np.complexfloating):
-            return np.exp(np.log(z) / type(z)(self.index))
         return cmath.exp(cmath.log(z) / self.index)
 
     def to_string(self):

@@ -487,7 +487,7 @@ def tower_mismatch(P: BivariatePolynomial, expr, action,
         if abs(spec[-1]) < 1e-8:
             continue  # too close to a leading-coefficient zero
         roots = np.roots(spec[::-1])
-        val = complex(expr(rx.promote(x)))
+        val = expr(x)
         err = min(abs(val - r) for r in roots) / \
             max(1.0, max(abs(r) for r in roots))
         worst = max(worst, err)

@@ -31,7 +31,6 @@ from finitude.puiseux import puiseux_expand, ramification_multiset, residual_err
 from finitude.solvability import (classify_primitive, invertible_by_radicals,
                                   k_radicals_verdict, radical_tower,
                                   radicals_verdict, tower_mismatch)
-from finitude.solvability import radexpr as rx
 from finitude.solvability.ritt import chebyshev
 from finitude.solvability.verdicts import VerdictStatus, inverse_curve
 
@@ -87,7 +86,7 @@ def test_criterion_2_cyclic_covers():
             angle = 2 * math.pi * rng.random()
             x = base + radius * complex(math.cos(angle), math.sin(angle))
             tracked = track_to_point(P, sing, base, action.roots, x)[0]
-            got = complex(expr(rx.promote(x)))
+            got = expr(x)
             assert abs(got - tracked) <= 1e-8 * max(1.0, abs(tracked))
     report("2 cyclic covers", "(n = 2..12, 100 points each)")
 

@@ -4,13 +4,26 @@ from fractions import Fraction
 
 import pytest
 
+from finitude import puiseux
 from finitude.algebra import parse_bivariate
+from finitude.algebra.gaussian import GaussianRational
+from finitude.algebra.poly import singular_locator
+from finitude.algebra.roots import REFINE_BITS, refine_root
 from finitude.errors import NonExactCenter, OrderTooSmall
 from finitude.monodromy import monodromy_group, singular_points
 from finitude.permgroups import cycle_type
 from finitude.puiseux import (INFINITY, PuiseuxSeries, newton_polygon,
                               puiseux_expand, ramification_multiset,
                               residual_error)
+
+# two pairs of singular points ~0.02 apart near 1.52 +- 1.16i
+CLOSE_PAIR = "y^5 + (2*x-2)*y^4 - y^3 + 3*y^2 + (2*x^2-3*x+2)*y - 2"
+
+
+def close_pair_centers(P):
+    centers = [complex(enc.center) for enc in singular_points(P).points]
+    return [c for c in centers
+            if min(abs(c - d) for d in centers if d != c) < 0.1]
 
 
 class TestPolygon:
@@ -136,13 +149,9 @@ class TestResidualRegressions:
         assert residual_error(P, bogus) > 1e-3
 
     def test_close_singular_pair_ramified_residuals(self):
-        # two pairs of singular points ~0.02 apart near 1.52 +- 1.16i: the
-        # centers must be polished past double precision
-        P = parse_bivariate("y^5 + (2*x-2)*y^4 - y^3 + 3*y^2"
-                            " + (2*x^2-3*x+2)*y - 2")
-        centers = [complex(enc.center) for enc in singular_points(P).points]
-        close = [c for c in centers
-                 if min(abs(c - d) for d in centers if d != c) < 0.1]
+        # the centers must be refined past double precision
+        P = parse_bivariate(CLOSE_PAIR)
+        close = close_pair_centers(P)
         assert len(close) == 4
         for c in close:
             ramified = [s for s in puiseux_expand(P, c, order=3, exact=False)
@@ -150,3 +159,35 @@ class TestResidualRegressions:
             assert ramified
             for s in ramified:
                 assert residual_error(P, s) <= 1e-10, (c, s)
+
+
+class TestExactCenter:
+    def test_refined_center_is_on_the_locator_grid(self):
+        P = parse_bivariate(CLOSE_PAIR)
+        locator = singular_locator(P)
+        slope = locator.derivative()
+        spacing = Fraction(1, 2 ** REFINE_BITS)
+        for z in close_pair_centers(P):
+            c = refine_root(locator, z)
+            assert c is not None, z
+            step = locator(c) / slope(c)
+            assert step.re ** 2 + step.im ** 2 < spacing ** 2, z
+        assert refine_root(locator, 0.3 + 0.2j) is None
+
+    def test_one_locator_per_expansion(self, monkeypatch):
+        # the expansion and every residual share one exact center
+        P = parse_bivariate(CLOSE_PAIR)
+        center = close_pair_centers(P)[0]
+        locators = []
+
+        def counted(P):
+            locators.append(P)
+            return singular_locator(P)
+
+        monkeypatch.setattr(puiseux, "singular_locator", counted)
+        series = puiseux_expand(P, center, order=3)
+        assert len(series) == 5
+        for s in series:
+            assert isinstance(s.center, GaussianRational)
+            assert residual_error(P, s) <= 1e-10
+        assert len(locators) == 1

@@ -8,7 +8,9 @@ Run from the root of a source checkout.  The comparison set is
 * every curve of ``bench/panel.json``, plain, with ``--k 4`` and with
   ``--tower``;
 * the distinct requests of seed 301 of the ``rational``, ``fuchsian`` and
-  ``short`` workloads (``bench/workloads.py``, which needs sympy).
+  ``short`` workloads (``bench/workloads.py``, which needs sympy);
+* ``puiseux`` at two floating-point singular points of one curve, the only
+  requests that expand at an irrational center.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -33,6 +35,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 301
 WORKLOADS = ("rational", "fuchsian", "short")
 PANEL_FLAGS = ([], ["--k", "4"], ["--tower"])
+# two of its singular points lie about 0.02 from another one
+CLOSE_PAIR = "y^5 + (2*x-2)*y^4 - y^3 + 3*y^2 + (2*x^2-3*x+2)*y - 2"
+CLOSE_PAIR_POINTS = ("1.52150944558511+1.170391142416538j",
+                     "1.5276516382839795+1.1513179616704148j")
 
 
 def corpus_requests(src):
@@ -48,7 +54,8 @@ def corpus_requests(src):
 
 
 def bench_requests(out_dir):
-    """Panel curves with each flag set, then the seeded workloads."""
+    """Panel curves with each flag set, the seeded workloads, then the
+    close-pair Puiseux requests."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
@@ -60,7 +67,8 @@ def bench_requests(out_dir):
     for workload in WORKLOADS:
         for rounds in workloads.build(workload, SEED, out_dir):
             requests += [request["argv"] for request in rounds]
-    return requests
+    return requests + [["puiseux", "--point", point, "--", CLOSE_PAIR]
+                       for point in CLOSE_PAIR_POINTS]
 
 
 def serve(src, requests_path, out_path):
