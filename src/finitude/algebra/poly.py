@@ -245,11 +245,8 @@ class UnivariatePolynomial:
     # --- misc ----------
 
     def resultant(self, other) -> GaussianRational:
-        """res(self, other) via a subresultant-free Euclidean recursion.
-
-        Used internally (Rothstein-Trager, norms); the sign convention of
-        the public bivariate resultant is fixed separately in resultant_y.
-        """
+        """res(self, other), highest-first convention, by the Euclidean
+        recursion; the scalar step of resultant_y."""
         other = UnivariatePolynomial.coerce(other)
         a, b = self, other
         if a.is_zero() or b.is_zero():
@@ -600,17 +597,6 @@ class BivariatePolynomial:
     def shift_x(self, a) -> "BivariatePolynomial":
         return BivariatePolynomial([r.shift(a) for r in self.rows])
 
-    def shift_y(self, a) -> "BivariatePolynomial":
-        """P(x, y + a) with a in Q(i)."""
-        result = BivariatePolynomial()
-        shifted = BivariatePolynomial([UnivariatePolynomial.constant(a),
-                                       UnivariatePolynomial.constant(1)])
-        power = BivariatePolynomial.constant(1)
-        for r in self.rows:
-            result = result + power * BivariatePolynomial([r])
-            power = power * shifted
-        return result
-
     def primitive_y(self) -> "BivariatePolynomial":
         """Divide out the x-content so the curve is primitive in y."""
         if self.is_zero():
@@ -670,59 +656,18 @@ class BivariatePolynomial:
         return out
 
 
-def _sylvester_determinant(rows_p, rows_q, np_, nq):
-    """Exact determinant of the Sylvester matrix with P's rows first.
-
-    ``rows_p``/``rows_q`` are coefficient sequences (highest first) whose
-    entries live in any exact field element type supporting +,*,/.
-    """
-    n = np_ + nq
-    matrix = []
-    for k in range(nq):
-        row = [ZERO] * n
-        for idx, c in enumerate(rows_p):
-            row[k + idx] = c
-        matrix.append(row)
-    for k in range(np_):
-        row = [ZERO] * n
-        for idx, c in enumerate(rows_q):
-            row[k + idx] = c
-        matrix.append(row)
-    # fraction-based Gaussian elimination with partial pivoting by exactness
-    det = ONE
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not matrix[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            sign = -sign
-        pv = matrix[col][col]
-        det = det * pv
-        inv = pv.inverse()
-        for r in range(col + 1, n):
-            factor = matrix[r][col] * inv
-            if factor.is_zero():
-                continue
-            matrix[r] = [a - factor * b
-                         for a, b in zip(matrix[r], matrix[col])]
-    return det * sign
-
-
 def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePolynomial:
-    """Res_y(P, Q): Sylvester determinant in y, exact, P rows first.
+    """Res_y(P, Q), exact.
 
     Sign convention (documented and bit-stable): the Sylvester matrix puts
     P's coefficient rows first and writes coefficients lowest y-degree
-    first, so Res_y(y - a, y - b) = b - a for monic linear inputs.
+    first, so Res_y(y - a, y - b) = b - a for monic linear inputs.  In the
+    usual highest-first convention this is Res(Q, P).
 
-    Computed by evaluation at deg-bound + 1 rational points and exact
-    Newton interpolation, which keeps the determinant scalar-sized.
+    Computed by evaluation and exact Newton interpolation: at each node
+    x0 = 0, 1, 2, ... where neither lc_y(P) nor lc_y(Q) vanishes, the value
+    is the Euclidean resultant Q(x0, y).resultant(P(x0, y)); the other
+    nodes are skipped, so the y-degrees never drop.
     """
     P = BivariatePolynomial.coerce(P)
     Q = BivariatePolynomial.coerce(Q)
@@ -736,18 +681,17 @@ def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePol
     if nq == 0:
         return Q.rows[0] ** np_
     bound = P.degree_x() * nq + Q.degree_x() * np_
-    rows_p = [P.coefficient_y(k) for k in range(np_ + 1)]
-    rows_q = [Q.coefficient_y(k) for k in range(nq + 1)]
     xs = []
     vals = []
     t = 0
     while len(xs) <= bound:
         x0 = GaussianRational(t)
-        rp = [c(x0) for c in rows_p]
-        rq = [c(x0) for c in rows_q]
-        xs.append(x0)
-        vals.append(_sylvester_determinant(rp, rq, np_, nq))
         t += 1
+        p0 = UnivariatePolynomial([r(x0) for r in P.rows])
+        q0 = UnivariatePolynomial([r(x0) for r in Q.rows])
+        if p0.degree() == np_ and q0.degree() == nq:
+            xs.append(x0)
+            vals.append(q0.resultant(p0))
     return interpolate(xs, vals)
 
 

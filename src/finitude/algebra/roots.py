@@ -55,14 +55,14 @@ def _complex_coeffs(p: UnivariatePolynomial) -> np.ndarray:
     return np.array([complex(c) for c in p.coeffs], dtype=complex)
 
 
-def _eval_with_derivative(coeffs: np.ndarray, z: complex):
-    """Horner evaluation of p and p' at z (coeffs lowest-first)."""
-    pv = 0j
-    dv = 0j
-    for c in coeffs[::-1]:
-        dv = dv * z + pv
-        pv = pv * z + c
-    return pv, dv
+def value_and_slope(cs, z):
+    """p(z) and p'(z) by Horner, for p with coefficients cs, highest power
+    first."""
+    p = d = 0j
+    for c in cs:
+        d = d * z + p
+        p = p * z + c
+    return p, d
 
 
 def _companion_seeds(coeffs: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
         pv = np.empty(n, dtype=complex)
         dv = np.empty(n, dtype=complex)
         for k in range(n):
-            pv[k], dv[k] = _eval_with_derivative(coeffs, z[k])
+            pv[k], dv[k] = value_and_slope(coeffs[::-1], z[k])
         newton = np.where(dv != 0, pv / dv, 0.0)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
@@ -103,7 +103,7 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
 
 def _certify(coeffs: np.ndarray, z: complex) -> float:
     """Inclusion radius n |p(z)/p'(z)| (valid for square-free p)."""
-    pv, dv = _eval_with_derivative(coeffs, z)
+    pv, dv = value_and_slope(coeffs[::-1], z)
     if dv == 0:
         return math.inf
     n = len(coeffs) - 1
@@ -133,7 +133,7 @@ def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL):
             z = zs[k]
             best_z, best_rad = z, _certify(coeffs, z)
             for _ in range(60):
-                pv, dv = _eval_with_derivative(coeffs, z)
+                pv, dv = value_and_slope(coeffs[::-1], z)
                 if dv == 0:
                     break
                 step = pv / dv

@@ -3,25 +3,29 @@
 integrate_rational produces r0 + sum lambda_i ln r_i with r0 rational and
 square-free, monic, pairwise coprime log arguments: Hermite reduction via
 p-adic digits and extended gcds removes all higher-order poles exactly, and
-the Rothstein-Trager resultant delivers the residues.  Rational residues
-stay Gaussian-rational; irrational ones are carried exactly as roots of a
-square-free factor m(t) of the resultant, with the log argument a
-polynomial over the quotient ring Q(i)[t]/(m) (dynamic evaluation splits m
-whenever a zero divisor shows up).
+the Rothstein-Trager resultant R(t) = Res_x(den, num - t den') delivers the
+residues, from one ``resultant_y`` call.  Rational residues stay
+Gaussian-rational; irrational ones are carried exactly as roots of a
+square-free factor m(t) of R, with the log argument g(t, x) a polynomial in
+x whose coefficients are polynomials in t reduced mod m.  It is the monic
+gcd of den and num - t den' over Q(i)[t]/(m), by the Euclidean scheme;
+when a leading coefficient is no unit mod m, m splits and each factor is
+redone (dynamic evaluation).
 
-The whole form differentiates back exactly: conjugate log sums reduce to
-coefficient-wise traces over the quotient ring, so ``LiouvilleForm.derivative``
-returns a plain rational function and the identity d(form)/dx = f is
-checkable with no floating point at all.
+The whole form differentiates back exactly: a conjugate log sum has the
+derivative Tr(t g_x q) / Norm(g) with Norm(g) = Res_t(m, g), q = Norm / g
+mod m, and the trace a sum over the power sums of the roots of m.  So
+``LiouvilleForm.derivative`` returns a plain rational function and the
+identity d(form)/dx = f is checkable with no floating point at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..algebra.gaussian import GaussianRational
+from ..algebra.gaussian import ZERO, GaussianRational
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
-                            UnivariatePolynomial, interpolate, resultant_y,
+                            UnivariatePolynomial, resultant_y,
                             squarefree_factorization)
 from ..algebra.roots import complex_roots, exact_gaussian_roots
 from ..config import ROOT_TOL
@@ -29,214 +33,96 @@ from ..errors import ZeroPolynomial
 
 
 class _SplitNeeded(Exception):
-    """Raised when a quotient-ring inverse discovers a factor of m."""
+    """Raised when an inverse modulo m discovers a factor of m."""
 
     def __init__(self, factor):
         self.factor = factor
         super().__init__("modulus split")
 
 
-class QuotientRing:
-    """Q(i)[t] / (m(t)) with m square-free (not necessarily irreducible)."""
-
-    def __init__(self, modulus: UnivariatePolynomial):
-        self.modulus = modulus.monic()
-        self.degree = self.modulus.degree()
-
-    def element(self, poly) -> "RingElement":
-        return RingElement(self, UnivariatePolynomial.coerce(poly) % self.modulus)
-
-    def t(self) -> "RingElement":
-        return self.element(UnivariatePolynomial.variable())
-
-    def one(self) -> "RingElement":
-        return self.element(1)
-
-    def zero(self) -> "RingElement":
-        return self.element(0)
-
-
-class RingElement:
-    __slots__ = ("ring", "poly")
-
-    def __init__(self, ring: QuotientRing, poly: UnivariatePolynomial):
-        self.ring = ring
-        self.poly = poly
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other):
-        return RingElement(self.ring, (self.poly + other.poly)
-                           % self.ring.modulus)
-
-    def __sub__(self, other):
-        return RingElement(self.ring, (self.poly - other.poly)
-                           % self.ring.modulus)
-
-    def __neg__(self):
-        return RingElement(self.ring, -self.poly)
-
-    def __mul__(self, other):
-        if isinstance(other, RingElement):
-            return RingElement(self.ring, (self.poly * other.poly)
-                               % self.ring.modulus)
-        return RingElement(self.ring, self.poly.scale(other))
-
-    def inverse(self) -> "RingElement":
-        g, s, _t = self.poly.extended_gcd(self.ring.modulus)
-        if g.degree() != 0:
-            raise _SplitNeeded(g)
-        return RingElement(self.ring, s.scale(g.constant_value().inverse())
-                           % self.ring.modulus)
-
-    def trace(self) -> GaussianRational:
-        """Trace of the multiplication-by-self operator on the quotient."""
-        m = self.ring.modulus
-        d = self.ring.degree
-        total = GaussianRational(0)
-        basis = UnivariatePolynomial.constant(1)
-        for k in range(d):
-            prod = (self.poly * basis) % m
-            total = total + prod.coefficient(k)
-            basis = (basis * UnivariatePolynomial.variable()) % m
-        return total
-
-    def __eq__(self, other):
-        return isinstance(other, RingElement) and self.poly == other.poly
-
-    def __repr__(self):
-        return f"RingElement({self.poly.format('t')})"
-
-
-# polynomials in x with RingElement coefficients as plain lists (low first)
-
-def _rpoly_trim(coeffs):
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _rpoly_mod(a, b):
-    """Remainder of RingElement-coefficient polynomials, b monic."""
-    a = list(a)
-    while len(a) >= len(b) and a:
-        c = a[-1]
-        if not c.is_zero():
-            for k in range(len(b) - 1):
-                a[len(a) - len(b) + k] = a[len(a) - len(b) + k] - c * b[k]
-        a.pop()
-        _rpoly_trim(a)
-    return a
-
-
-def _rpoly_monic(a):
-    inv = a[-1].inverse()
-    return [c * inv for c in a[:-1]] + [a[0].ring.one()]
-
-
-def _rpoly_gcd(a, b):
-    """Monic gcd by the Euclidean scheme, normalizing every remainder to
-    curb coefficient growth (inverses may raise _SplitNeeded)."""
-    a, b = list(a), list(b)
-    while b:
-        b = _rpoly_monic(b)
-        a, b = b, _rpoly_mod(a, b)
-    return a
-
-
-def _rpoly_derivative(a):
-    return _rpoly_trim([a[k] * k for k in range(1, len(a))])
-
-
-def _rpoly_div_exact(num, den):
-    """Exact division of RingElement-coefficient polynomials."""
-    num = list(num)
-    out = [None] * (len(num) - len(den) + 1)
-    inv_lead = den[-1].inverse()
-    for pos in range(len(num) - len(den), -1, -1):
-        c = num[pos + len(den) - 1] * inv_lead
-        out[pos] = c
-        for k in range(len(den)):
-            num[pos + k] = num[pos + k] - c * den[k]
-    return _rpoly_trim(out)
-
-
 class AlgebraicResidueBlock:
-    """Conjugate family: sum over roots t of m(t) of t * ln g(t, x)."""
+    """Conjugate family: sum over roots t of m(t) of t * ln g(t, x).
 
-    def __init__(self, ring: QuotientRing, argument):
-        self.ring = ring            # modulus m(t), square-free
-        self.argument = list(argument)  # RingElement coeffs, monic in x
+    ``argument`` is g as a BivariatePolynomial in which x plays y: row k is
+    the coefficient of x^k, a polynomial in t reduced mod m; g is monic in x.
+    """
 
-    def modulus(self) -> UnivariatePolynomial:
-        return self.ring.modulus
+    def __init__(self, modulus: UnivariatePolynomial,
+                 argument: BivariatePolynomial):
+        self.modulus = modulus      # m(t), monic and square-free
+        self.argument = argument
 
     def residue_enclosures(self, tol=ROOT_TOL):
-        return [enc.center for enc, _ in complex_roots(self.ring.modulus, tol)]
+        return [enc.center for enc, _ in complex_roots(self.modulus, tol)]
 
     def derivative_contribution(self) -> RationalFunction:
         """d/dx of the conjugate log sum, exactly.
 
         Sum over conjugates of t g_x/g = Tr(t g_x q) / Norm(g), where
-        Norm(g) = Res_t(m, g) and q = Norm / g in the quotient ring.
+        Norm(g) = Res_t(m, g) and q = Norm / g modulo m.  Tr(t c) is
+        sum_k c_k p_{k+1} with p_j the power sums of the roots of m.
         """
-        ring = self.ring
-        m = ring.modulus
-        g = self.argument
-        # Norm via the bivariate resultant: encode m and g as polynomials in
-        # t over Q(i)[x] and eliminate t
-        m_rows = [UnivariatePolynomial.constant(c) for c in m.coeffs]
-        g_rows = []
-        max_tdeg = max(c.poly.degree() for c in g)
-        for td in range(max_tdeg + 1):
-            g_rows.append(UnivariatePolynomial(
-                [c.poly.coefficient(td) for c in g]))
-        norm = resultant_y(BivariatePolynomial([r for r in m_rows]),
-                           BivariatePolynomial(g_rows))
-        # q = Norm / g in the ring's polynomial arithmetic
-        norm_as_rpoly = [ring.element(UnivariatePolynomial.constant(c))
-                         for c in norm.coeffs]
-        q = _rpoly_div_exact(norm_as_rpoly, g)
-        gx = _rpoly_derivative(g)
-        prod = _rpoly_mul(gx, q)
-        t_el = ring.t()
-        numerator_coeffs = [(t_el * c).trace() for c in prod]
-        numerator = UnivariatePolynomial(numerator_coeffs)
+        m, g = self.modulus, self.argument
+        # eliminate t: Norm(g) = Res_t(m, g), with t as the y of both
+        t_rows = [UnivariatePolynomial([row.coefficient(j) for row in g.rows])
+                  for j in range(max(row.degree() for row in g.rows) + 1)]
+        norm = resultant_y(BivariatePolynomial(m.coeffs),
+                           BivariatePolynomial(t_rows))
+        prod = g.derivative_y() * _quotient_mod(norm, g, m)
+        sums = _power_sums(m, max(row.degree() for row in prod.rows) + 1)
+        numerator = UnivariatePolynomial(
+            [sum((c * p for c, p in zip(row.coeffs, sums)), ZERO)
+             for row in prod.rows])
         return RationalFunction(numerator, norm)
 
+    def format_argument(self) -> str:
+        parts = []
+        for k in range(self.argument.degree_y(), -1, -1):
+            c = self.argument.rows[k]
+            if c.is_zero():
+                continue
+            cs = str(c.constant_value()) if c.degree() == 0 \
+                else f"({c.format('t')})"
+            xk = "x" if k == 1 else f"x^{k}"
+            if k == 0:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(xk)
+            else:
+                parts.append(f"{cs}*{xk}")
+        return " + ".join(parts) if parts else "0"
+
     def format(self) -> str:
-        arg = _rpoly_format(self.argument)
-        return (f"RootSum(t | {self.ring.modulus.format('t')}, "
-                f"t*ln({arg}))")
+        return (f"RootSum(t | {self.modulus.format('t')}, "
+                f"t*ln({self.format_argument()}))")
 
 
-def _rpoly_mul(a, b):
-    ring = a[0].ring
-    out = [ring.zero() for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _rpoly_trim(out)
+def _quotient_mod(num: UnivariatePolynomial, g: BivariatePolynomial,
+                  m: UnivariatePolynomial) -> BivariatePolynomial:
+    """num / g modulo m, for g monic in x (x plays y); exact when g divides
+    num modulo m."""
+    rest = [UnivariatePolynomial.constant(c) for c in num.coeffs]
+    dg = g.degree_y()
+    quot = [None] * (len(rest) - dg)
+    for pos in range(len(quot) - 1, -1, -1):
+        c = rest[pos + dg] % m
+        quot[pos] = c
+        for k in range(dg):
+            rest[pos + k] = rest[pos + k] - c * g.rows[k]
+    return BivariatePolynomial(quot)
 
 
-def _rpoly_format(coeffs) -> str:
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k].poly
-        if c.is_zero():
-            continue
-        if c.degree() == 0:
-            cs = str(c.constant_value())
-        else:
-            cs = f"({c.format('t')})"
-        if k == 0:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("x" if k == 1 else f"x^{k}")
-        else:
-            parts.append(f"{cs}*" + ("x" if k == 1 else f"x^{k}"))
-    return " + ".join(parts) if parts else "0"
+def _power_sums(m: UnivariatePolynomial, count: int):
+    """[p_1, ..., p_count]: the power sums of the roots of the monic m, by
+    Newton's identities."""
+    a, d = m.coeffs, m.degree()
+    sums = [GaussianRational(d)]  # p_0
+    for j in range(1, count + 1):
+        s = a[d - j] * j if j <= d else ZERO
+        for i in range(1, min(j - 1, d) + 1):
+            s = s + a[d - i] * sums[j - i]
+        sums.append(-s)
+    return sums[1:]
 
 
 class LogTerm:
@@ -287,9 +173,9 @@ class LiouvilleForm:
         for block in self.blocks:
             encl = block.residue_enclosures(root_tol)
             logs.append({
-                "lambda": f"RootOf({block.ring.modulus.format('t')})",
+                "lambda": f"RootOf({block.modulus.format('t')})",
                 "lambda_enclosures": [[z.real, z.imag] for z in encl],
-                "arg": _rpoly_format(block.argument),
+                "arg": block.format_argument(),
             })
         return {"r0": self.r0.format(), "logs": logs}
 
@@ -380,7 +266,6 @@ def _split_squarefree(proper: RationalFunction):
     den = proper.den
     factors = squarefree_factorization(den)
     pieces = []
-    numerators = []
     remaining = proper.num
     remaining_den = den
     for base, power in factors:
@@ -402,22 +287,13 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
     """Log terms of num/den with den square-free, deg num < deg den."""
     den = den.monic()
     dden = den.derivative()
-    # R(t) = Res_x(num - t den', den), exact, by interpolation over integer
-    # t with a Euclidean resultant per sample (cheap at desk degrees)
-    bound = den.degree()
-    generic_deg = max(num.degree(), dden.degree())
-    ts, values = [], []
-    t = 0
-    while len(ts) <= bound:
-        tg = GaussianRational(t)
-        spec = num - dden.scale(tg)
-        t += 1
-        if spec.degree() != generic_deg:
-            continue  # leading coefficient vanished; node would shrink the
-            # Sylvester structure and break the interpolation
-        ts.append(tg)
-        values.append(spec.resultant(den))
-    resultant = interpolate(ts, values)
+    # A(t, x) = num - t den' and den, with x as the y; R(t) = Res_x(den, A)
+    length = max(num.degree(), dden.degree()) + 1
+    A = BivariatePolynomial(
+        [UnivariatePolynomial([num.coefficient(k), -dden.coefficient(k)])
+         for k in range(length)])
+    D = BivariatePolynomial(den.coeffs)
+    resultant = resultant_y(A, D)
     if resultant.is_zero():
         raise ZeroPolynomial("degenerate Rothstein-Trager resultant")
     squarefree = resultant.squarefree_part()
@@ -430,45 +306,56 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
         logs.append(LogTerm(lam, arg))
     blocks = []
     if residual.degree() > 0:
-        blocks.extend(_algebraic_blocks(residual, num, den))
+        blocks.extend(_algebraic_blocks(residual, A, D))
     return logs, blocks
 
 
-def _algebraic_blocks(modulus: UnivariatePolynomial,
-                      num: UnivariatePolynomial,
-                      den: UnivariatePolynomial):
-    """Conjugate residue families over Q(i)[t]/(m), splitting m on zero
-    divisors (dynamic evaluation)."""
+def _algebraic_blocks(modulus: UnivariatePolynomial, A: BivariatePolynomial,
+                      D: BivariatePolynomial):
+    """Conjugate residue families: the monic gcd_x(A, D) over Q(i)[t]/(m)
+    by the Euclidean scheme, splitting m on zero divisors (dynamic
+    evaluation).  D, the monic denominator, is constant in t."""
     queue = [modulus.monic()]
     blocks = []
     while queue:
         m = queue.pop()
         if m.degree() == 0:
             continue
-        ring = QuotientRing(m)
+        a, b = BivariatePolynomial([row % m for row in A.rows]), D
         try:
-            a_coeffs = _rpoly_trim(
-                [ring.element(UnivariatePolynomial.constant(c))
-                 - ring.t() * ring.element(UnivariatePolynomial.constant(d))
-                 for c, d in zip(_padded(num, den), _padded_d(num, den))])
-            g = _rpoly_gcd(a_coeffs,
-                           [ring.element(UnivariatePolynomial.constant(c))
-                            for c in den.coeffs])
+            while not b.is_zero():
+                b = _monic_mod(b, m)
+                a, b = b, _remainder_mod(a, b, m)
         except _SplitNeeded as split:
             factor = split.factor.monic()
             queue.append(factor)
             queue.append(m.exact_div(factor).monic())
             continue
-        blocks.append(AlgebraicResidueBlock(ring, g))
+        blocks.append(AlgebraicResidueBlock(m, a))
     return blocks
 
 
-def _padded(num: UnivariatePolynomial, den: UnivariatePolynomial):
-    length = max(num.degree(), den.derivative().degree()) + 1
-    return [num.coefficient(k) for k in range(length)]
+# polynomials in x (x plays y) whose coefficients are polynomials in t
+# reduced mod m
 
 
-def _padded_d(num: UnivariatePolynomial, den: UnivariatePolynomial):
-    length = max(num.degree(), den.derivative().degree()) + 1
-    dd = den.derivative()
-    return [dd.coefficient(k) for k in range(length)]
+def _monic_mod(a: BivariatePolynomial, m: UnivariatePolynomial):
+    """a divided by its leading coefficient; a leading coefficient that is
+    no unit mod m raises _SplitNeeded with its gcd with m."""
+    g, s, _t = a.leading_y().extended_gcd(m)
+    if g.degree() != 0:
+        raise _SplitNeeded(g)
+    inv = s % m
+    return BivariatePolynomial([(c * inv) % m for c in a.rows[:-1]] + [1])
+
+
+def _remainder_mod(a: BivariatePolynomial, b: BivariatePolynomial,
+                   m: UnivariatePolynomial):
+    """Remainder of a by the monic b."""
+    rows, db = list(a.rows), b.degree_y()
+    for top in range(len(rows) - 1, db - 1, -1):
+        c = rows[top]
+        if not c.is_zero():
+            for k in range(db):
+                rows[top - db + k] = (rows[top - db + k] - c * b.rows[k]) % m
+    return BivariatePolynomial(rows[:db])

@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import EIG_CLUSTER_TOL, FUCHSIAN_TOL
 from .errors import IterationLimitExceeded, SingularOnPath
-from .monodromy import (Segment, SingularSet, auto_base_point,
-                        big_circle_loop, generate_loops, highway_legs)
+from .monodromy import (SingularSet, auto_base_point, big_circle_loop,
+                        bridged, generate_loops, highway_legs)
 from .algebra.roots import ComplexInterval
 from .solvability.verdicts import Verdict, VerdictStatus
 
@@ -184,21 +184,14 @@ def integrate_along(system: FuchsianSystem, piece, tol: float = FUCHSIAN_TOL):
 
 def transport(system: FuchsianSystem, pieces, tol: float = FUCHSIAN_TOL,
               start=None):
-    """Transfer matrix and its error bound along consecutive pieces, after
-    ``start`` (the identity by default); a gap between pieces is bridged by
-    a chord, as the branch tracker bridges it."""
+    """Transfer matrix and its error bound along the bridged pieces, after
+    ``start`` (the identity by default), as the branch tracker walks them."""
     M, bound = start or (np.eye(system.dimension, dtype=complex), 0.0)
-    x = None
-    for piece in pieces:
-        parts = [piece]
-        if x is not None and abs(piece.start - x) > 1e-12:
-            parts.insert(0, Segment(x, piece.start))
-        for part in parts:
-            F, e_F = integrate_along(system, part, tol)
-            bound = (np.linalg.norm(F, 2) * bound
-                     + e_F * (np.linalg.norm(M, 2) + bound))
-            M = F @ M
-        x = piece.end
+    for piece in bridged(pieces):
+        F, e_F = integrate_along(system, piece, tol)
+        bound = (np.linalg.norm(F, 2) * bound
+                 + e_F * (np.linalg.norm(M, 2) + bound))
+        M = F @ M
     return M, bound
 
 

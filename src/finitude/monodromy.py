@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .algebra.poly import BivariatePolynomial, singular_locator
-from .algebra.roots import complex_roots
+from .algebra.roots import complex_roots, value_and_slope
 from .config import CONTINUATION_TOL, ROOT_TOL
 from .errors import (BasePointTooClose, IterationLimitExceeded,
                      PathCollision, SingularOnPath, SquareFreeRequired)
@@ -439,13 +439,16 @@ def _horner(coeffs, x):
     return acc
 
 
-def _value_and_slope(cs, y):
-    """p(y) and p'(y) for p with coefficients cs, highest power first."""
-    p = d = 0j
-    for c in cs:
-        d = d * y + p
-        p = p * y + c
-    return p, d
+def bridged(pieces):
+    """The pieces in order, with a chord bridging each gap of more than
+    1e-12 between the end of one piece and the start of the next; the
+    branch tracker and the Fuchsian transport walk this path."""
+    x = None
+    for piece in pieces:
+        if x is not None and abs(piece.start - x) > 1e-12:
+            yield Segment(x, piece.start)
+        yield piece
+        x = piece.end
 
 
 def _min_separation(ys):
@@ -495,7 +498,7 @@ class _Tracker:
             size = 0.0
             new = []
             for y in ys:
-                p, d = _value_and_slope(cs, y)
+                p, d = value_and_slope(cs, y)
                 if abs(d) < 1e-300:
                     return ys, False
                 delta = p / d
@@ -528,7 +531,7 @@ class _Tracker:
         dx = x1 - x0
         pred = []
         for y in ys:
-            _p, d = _value_and_slope(cs, y)
+            _p, d = value_and_slope(cs, y)
             if abs(d) < 1e-300:
                 return None
             pred.append(y + dx * (-_horner(cs_x, y) / d))
@@ -548,15 +551,11 @@ class _Tracker:
         return out, moved / (sep / 4.0)
 
     def track(self, pieces, ys):
-        """Continue the branch values ys along the pieces; a gap between
-        consecutive pieces is bridged by a chord.  Returns the end values."""
+        """Continue the branch values ys along the bridged pieces.  Returns
+        the end values."""
         ys = [complex(y) for y in ys]
-        x = None
-        for piece in pieces:
-            if x is not None and abs(piece.start - x) > 1e-12:
-                ys = self._follow(Segment(x, piece.start), ys)
+        for piece in bridged(pieces):
             ys = self._follow(piece, ys)
-            x = piece.end
         return ys
 
     def _follow(self, piece, ys):

@@ -791,6 +791,3 @@ def _intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     gens = [g for g in small.elements() if big.contains(g)]
     return PermGroup(a.degree, gens)
 
-
-def group_order(group: PermGroup) -> int:
-    return group.order()

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from finitude.algebra import (BivariatePolynomial, GaussianRational,
                               RationalFunction, UnivariatePolynomial,
@@ -116,6 +119,62 @@ class TestResultant:
             Q = rand_poly(1, 1) + BivariatePolynomial.var_y()
             R = rand_poly(1, 1) + BivariatePolynomial.var_y()
             assert resultant_y(P, Q * R) == resultant_y(P, Q) * resultant_y(P, R)
+
+
+def _oracle_pairs(count=60):
+    """Seeded pairs (P, Q) with small Gaussian-integer coefficients; in half
+    of them lc_y(P) = x(x - 1) and in a third lc_y(Q) = x - 2, so that some
+    interpolation nodes of resultant_y are skipped."""
+    rng = random.Random(2024)
+
+    def curve(degree, lead):
+        rows = [UnivariatePolynomial(
+            [GaussianRational(rng.randint(-4, 4),
+                              rng.choice([0, 0, rng.randint(-2, 2)]))
+             for _ in range(rng.randint(1, 3))]) for _ in range(degree)]
+        return BivariatePolynomial(rows + [lead])
+
+    for k in range(count):
+        lead_p = UnivariatePolynomial([0, -1, 1]) if k % 2 == 0 else \
+            UnivariatePolynomial([rng.randint(1, 4), rng.randint(-3, 3)])
+        lead_q = UnivariatePolynomial([-2, 1]) if k % 3 == 0 else \
+            UnivariatePolynomial([rng.randint(1, 4)])
+        yield curve(rng.randint(1, 4), lead_p), curve(rng.randint(1, 3), lead_q)
+
+
+X, Y = sympy.symbols("x y")
+
+
+def to_sympy(P):
+    rows = P.rows if isinstance(P, BivariatePolynomial) else [P]
+    return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+               * X ** i * Y ** j
+               for j, row in enumerate(rows) for i, c in enumerate(row.coeffs))
+
+
+class TestSympyOracle:
+    """The exact layer against sympy, an independent implementation."""
+
+    def test_resultant_against_sylvester_determinant(self):
+        for P, Q in _oracle_pairs():
+            # highest-first Sylvester matrix of (Q, P): Res_y(P, Q) = Res(Q, P)
+            matrix = DomainMatrix.from_Matrix(
+                sylvester(to_sympy(Q), to_sympy(P), Y))
+            oracle = matrix.domain.to_sympy(matrix.det())
+            assert sympy.expand(to_sympy(resultant_y(P, Q)) - oracle) == 0, \
+                (str(P), str(Q))
+
+    def test_discriminant_against_sympy(self):
+        checked = 0
+        for P in (P for pair in _oracle_pairs() for P in pair):
+            if P.degree_y() < 2:
+                continue
+            oracle = sympy.discriminant(to_sympy(P), Y)
+            assert sympy.expand(to_sympy(discriminant_y(P)) - oracle) == 0, \
+                str(P)
+            checked += 1
+        assert checked >= 60
 
 
 class TestDiscriminant:

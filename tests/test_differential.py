@@ -213,6 +213,18 @@ class TestIntegration:
         data = form.to_json()
         assert any("RootOf" in entry["lambda"] for entry in data["logs"])
 
+    def test_zero_divisor_splits_modulus(self):
+        # the irrational residues are the roots of (t^2 - 1/12)(t^2 - 1/8),
+        # one square-free factor; the gcd over Q(i)[t]/(m) meets a zero
+        # divisor and splits m once, into one block per quadratic
+        f = parse_rational("2*x/(x^4-2) + 1/(x^2-3)")
+        form = integrate_rational(f)
+        assert not form.logs
+        assert form.format() == (
+            "RootSum(t | t^2 - 1/12, t*ln(x + (-6*t))) + "
+            "RootSum(t | t^2 - 1/8, t*ln(x^2 + (-4*t)))")
+        assert (form.derivative() - f).is_zero()
+
     def test_invariants(self):
         # arguments square-free, monic, pairwise coprime; lambda nonzero
         f = parse_rational("(3*x^4 + 1)/(x^5 - x^3 + x - 1)")

@@ -10,7 +10,8 @@ Run from the root of a source checkout.  The comparison set is
 * the distinct requests of seed 301 of the ``rational``, ``fuchsian`` and
   ``short`` workloads (``bench/workloads.py``, which needs sympy);
 * ``puiseux`` at two floating-point singular points of one curve, the only
-  requests that expand at an irrational center.
+  requests that expand at an irrational center;
+* one ``integrate`` request whose residue modulus splits on a zero divisor.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -39,6 +40,8 @@ PANEL_FLAGS = ([], ["--k", "4"], ["--tower"])
 CLOSE_PAIR = "y^5 + (2*x-2)*y^4 - y^3 + 3*y^2 + (2*x^2-3*x+2)*y - 2"
 CLOSE_PAIR_POINTS = ("1.52150944558511+1.170391142416538j",
                      "1.5276516382839795+1.1513179616704148j")
+# the Rothstein-Trager gcd splits its modulus (t^2 - 1/12)(t^2 - 1/8)
+SPLIT_INTEGRAND = "2*x/(x^4-2) + 1/(x^2-3)"
 
 
 def corpus_requests(src):
@@ -54,8 +57,8 @@ def corpus_requests(src):
 
 
 def bench_requests(out_dir):
-    """Panel curves with each flag set, the seeded workloads, then the
-    close-pair Puiseux requests."""
+    """Panel curves with each flag set, the seeded workloads, the
+    close-pair Puiseux requests, then the splitting integrand."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
@@ -68,7 +71,8 @@ def bench_requests(out_dir):
         for rounds in workloads.build(workload, SEED, out_dir):
             requests += [request["argv"] for request in rounds]
     return requests + [["puiseux", "--point", point, "--", CLOSE_PAIR]
-                       for point in CLOSE_PAIR_POINTS]
+                       for point in CLOSE_PAIR_POINTS] \
+        + [["integrate", "--", SPLIT_INTEGRAND]]
 
 
 def serve(src, requests_path, out_path):
