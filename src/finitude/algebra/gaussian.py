@@ -1,16 +1,28 @@
 """Exact Gaussian-rational arithmetic.
 
 A :class:`GaussianRational` is a complex number ``re + im*i`` with both parts
-arbitrary-precision rationals (``fractions.Fraction``).  These are the scalars
-for every exact computation in the package: polynomial coefficients,
-resultants, tower coefficients, residues.  The field operations are closed and
-conjugation is an involution, so Q(i) behaves as an honest exact field.
+arbitrary-precision rationals.  These are the scalars for every exact
+computation in the package: polynomial coefficients, resultants, tower
+coefficients, residues.  The field operations are closed and conjugation is an
+involution, so Q(i) behaves as an honest exact field.
+
+Each value is stored as three integers ``(a, b, d)`` for ``(a + b*i)/d`` over
+one common denominator, normalised so that ``d > 0`` and
+``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``).  The representation is then
+unique, so ``==`` compares triples, and each ring operation does plain integer
+arithmetic followed by at most one ``math.gcd`` (Brown and Traub, JACM 1971;
+von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  Keeping the
+two parts as separate ``fractions.Fraction`` objects would cost one gcd per
+part per intermediate ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+_gcd = math.gcd
+_new = object.__new__
 
 
 def _to_fraction(value) -> Fraction:
@@ -23,17 +35,56 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"cannot build a Fraction from {value!r}")
 
 
-class GaussianRational:
-    """Element of Q(i), stored as exact real and imaginary parts."""
+def _triple(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """Element of Q(i), stored as the normalised integer triple (a, b, d)
+    for (a + b*i)/d.
+
+    ``re`` and ``im`` are read-only properties that return
+    ``fractions.Fraction``, so callers that compare, sort, format or round the
+    parts see the same types and values as with stored ``Fraction`` parts.
+    Values are immutable in the way ``Fraction`` is: no public attribute can
+    be assigned, and the slots are private.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re = _to_fraction(re)
+            im = _to_fraction(im)
+            dr, di = re.denominator, im.denominator
+            # lowest-terms parts over their lcm already have gcd(a, b, d) = 1
+            d = dr // _gcd(dr, di) * di
+            a = re.numerator * (d // dr)
+            b = im.numerator * (d // di)
+        self._a = a
+        self._b = b
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # --- constructors ----------
 
@@ -41,8 +92,10 @@ class GaussianRational:
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+        if isinstance(value, int):
+            return _triple(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _triple(value.numerator, 0, value.denominator)
         if isinstance(value, complex):
             return GaussianRational(Fraction(value.real), Fraction(value.imag))
         if isinstance(value, float):
@@ -52,54 +105,77 @@ class GaussianRational:
     # --- predicates ----------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self._a == 1 and not self._b and self._d == 1
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        return not self._b and self._d == 1
 
     # --- ring / field operations ----------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d = self._d
+        e = other._d
+        if d == e:
+            return _triple(self._a + other._a, self._b + other._b, d)
+        return _triple(self._a * e + other._a * d, self._b * e + other._b * d,
+                       d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d = self._d
+        e = other._d
+        if d == e:
+            return _triple(self._a - other._a, self._b - other._b, d)
+        return _triple(self._a * e - other._a * d, self._b * e - other._b * d,
+                       d * e)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b = self._a, self._b
+        c, e = other._a, other._b
+        return _triple(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b = self._a, self._b
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        d = self._d
+        return _triple(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        c, e = other._a, other._b
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("inverse of zero GaussianRational")
+        # (a + bi)/d * f/(c + ei) = (a + bi)(c - ei) f / (d n)
+        a, b, f = self._a, self._b, other._d
+        return _triple((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        return GaussianRational.coerce(other) / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -116,50 +192,59 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm re^2 + im^2 (an exact nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b,
+                        self._d * self._d)
 
     # --- comparisons / hashing ----------
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
-        if not self.im:
+        # equal to hash(re) for real values and hash((re, im)) otherwise, so
+        # that int and Fraction keys find equal values in dicts and sets
+        if self._d == 1:
+            return hash(self._a) if not self._b else hash((self._a, self._b))
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     # --- conversions ----------
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded even where either int overflows a float
+        return complex(self._a / self._d, self._b / self._d)
 
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        return math.hypot(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{imag})"
+        return f"({re}{sign}{imag})"
 
 
 ZERO = GaussianRational(0)

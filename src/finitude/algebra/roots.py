@@ -4,6 +4,9 @@ Strategy: exact square-free decomposition first, so every root that the
 iteration sees is simple; companion-matrix eigenvalues seed a simultaneous
 Aberth-Ehrlich iteration; a posteriori each approximation gets an inclusion
 disk from the classical bound |z - root| <= n |p(z)/p'(z)| for square-free p.
+Where double evaluation of that bound is too coarse (a cluster of close
+roots), callers may ask for it to be evaluated exactly at a ``refine_root``
+point instead.
 
 ``refine_root`` carries one root past double precision: Newton on the exact
 Q(i) coefficients, each iterate rounded to a fixed dyadic grid.
@@ -110,13 +113,15 @@ def _certify(coeffs: np.ndarray, z: complex) -> float:
     return n * abs(pv / dv)
 
 
-def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL):
+def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL,
+                  refine: bool = False):
     """All complex roots of ``p`` with multiplicity, as certified disks.
 
     Returns a list of (ComplexInterval, multiplicity) pairs.  Distinct roots
     of each square-free factor come in pairwise disjoint disks of radius
     <= tol; failure to reach that raises IterationLimitExceeded carrying the
-    best enclosures found.
+    best enclosures found.  With ``refine``, a root that double evaluation
+    cannot certify is first refined and certified exactly.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding on the zero polynomial")
@@ -149,6 +154,10 @@ def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL):
             radii.append(max(best_rad, 1e-300))
         enclosures = [ComplexInterval(z, r) for z, r in zip(zs, radii)]
         for k, enc in enumerate(enclosures):
+            if enc.radius > tol and refine:
+                # double evaluation is too coarse near a cluster of roots
+                enc = _exact_enclosure(factor, enc.center) or enc
+                enclosures[k] = enc
             if enc.radius > tol:
                 raise IterationLimitExceeded(
                     f"could not certify root near {enc.center:.6g} to tol={tol}",
@@ -167,6 +176,28 @@ def _round_to_grid(c: GaussianRational) -> GaussianRational:
     scale = 1 << REFINE_BITS
     return GaussianRational(Fraction(round(c.re * scale), scale),
                             Fraction(round(c.im * scale), scale))
+
+
+def _upper_abs(g: GaussianRational) -> float:
+    """A float no smaller than |g|."""
+    return abs(g) * (1 + 1e-15) + 1e-300
+
+
+def _exact_enclosure(p: UnivariatePolynomial, z: complex):
+    """An enclosure of the root of the square-free ``p`` near ``z``, centred
+    on the double nearest an exact refinement c of ``z``: the radius is
+    n |p(c)/p'(c)|, evaluated exactly, plus the distance from c to that
+    double.  None when ``z`` approximates no root."""
+    c = refine_root(p, z)
+    if c is None:
+        return None
+    slope = p.derivative()(c)
+    if slope.is_zero():
+        return None
+    center = complex(c)
+    radius = (p.degree() * _upper_abs(p(c) / slope)
+              + _upper_abs(c - GaussianRational.coerce(center)))
+    return ComplexInterval(center, radius)
 
 
 def refine_root(p: UnivariatePolynomial, z: complex):

@@ -1,5 +1,6 @@
 """Exact arithmetic, parser, resultants, and certified roots."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,9 +14,10 @@ from finitude.algebra import (BivariatePolynomial, GaussianRational,
                               complex_roots, discriminant_y, exact_nth_root,
                               parse_bivariate, parse_expression,
                               parse_rational, parse_univariate, resultant_y,
-                              squarefree_factorization)
+                              roots, squarefree_factorization)
 from finitude.errors import (DegreeTooLow, ExprSyntaxError,
-                             NonPolynomialExponent, UndeclaredVariable)
+                             IterationLimitExceeded, NonPolynomialExponent,
+                             UndeclaredVariable)
 
 
 def rand_gauss(rng, bound=20):
@@ -23,6 +25,75 @@ def rand_gauss(rng, bound=20):
                                      rng.randint(1, bound)),
                             Fraction(rng.randint(-bound, bound),
                                      rng.randint(1, bound)))
+
+
+def _reference_operands(count):
+    """Seeded operand pairs, each a pair of (re, im) Fractions."""
+    rng = random.Random(11)
+    huge = 10**60
+
+    def part(shared):
+        kind = rng.randrange(6)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9))
+        if kind == 2:
+            return Fraction(rng.randint(-huge, huge), rng.randint(1, huge))
+        if kind == 3:  # shares its denominator with the other operand
+            return Fraction(rng.randint(-40, 40), shared)
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+
+    zero = (Fraction(0), Fraction(0))
+    for k in range(count):
+        shared = rng.choice([6, 12, 35, huge + 1])
+        x = (part(shared), part(shared))
+        y = (part(shared), part(shared))
+        if k % 50 == 0:
+            x = zero
+        elif k % 50 == 1:
+            y = zero
+        yield x, y
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] ** 2 + x[1] ** 2
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_str(re, im):
+    """The format of a (Fraction, Fraction) pair, written out apart from
+    GaussianRational.__str__."""
+    if not im:
+        return str(re)
+    if not re:
+        return {1: "i", -1: "-i"}.get(im, f"{im}*i")
+    mag = abs(im)
+    return "({}{}{})".format(re, "+" if im > 0 else "-",
+                             "i" if mag == 1 else f"{mag}*i")
+
+
+def _check_scalar(g, ref):
+    re, im = Fraction(ref[0]), Fraction(ref[1])
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert (g.re, g.im) == (re, im)
+    # normalised triple (a + b i)/d: unique, so == may compare triples
+    a, b, d = g._a, g._b, g._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    if not re and not im:
+        assert (a, b, d) == (0, 0, 1)
+    assert Fraction(a, d) == re and Fraction(b, d) == im
+    assert hash(g) == (hash(re) if not im else hash((re, im)))
+    assert str(g) == _ref_str(re, im)
+    assert repr(g) == f"GaussianRational({re!r}, {im!r})"
+    assert g.is_zero() == (re == 0 and im == 0)
+    assert g.is_real() == (im == 0)
+    assert g.is_integer() == (im == 0 and re.denominator == 1)
+    assert g.is_one() == (re == 1 and im == 0)
 
 
 class TestGaussianRational:
@@ -40,6 +111,82 @@ class TestGaussianRational:
             a = rand_gauss(rng)
             assert a.conjugate().conjugate() == a
             assert (a * a.conjugate()).is_real()
+
+    def test_against_fraction_pairs(self):
+        """Every operation against a plain (Fraction, Fraction) reference,
+        on seeded operands that include zero, integers, shared
+        denominators and 60-digit numerators and denominators."""
+        for x, y in _reference_operands(2000):
+            g, h = GaussianRational(*x), GaussianRational(*y)
+            _check_scalar(g, x)
+            _check_scalar(g + h, (x[0] + y[0], x[1] + y[1]))
+            _check_scalar(g - h, (x[0] - y[0], x[1] - y[1]))
+            _check_scalar(-g, (-x[0], -x[1]))
+            _check_scalar(g * h, _ref_mul(x, y))
+            _check_scalar(g.conjugate(), (x[0], -x[1]))
+            assert g.norm() == x[0] ** 2 + x[1] ** 2
+            assert type(g.norm()) is Fraction
+            _check_scalar(g ** 3, _ref_mul(x, _ref_mul(x, x)))
+            if y == (0, 0):
+                for divide in (lambda: g / h, h.inverse, lambda: h ** -1):
+                    with pytest.raises(ZeroDivisionError):
+                        divide()
+                continue
+            _check_scalar(g / h, _ref_mul(x, _ref_inverse(y)))
+            _check_scalar(h.inverse(), _ref_inverse(y))
+            inv = _ref_inverse(y)
+            _check_scalar(h ** -2, _ref_mul(inv, inv))
+
+    def test_equality_with_numbers(self):
+        for x, _ in _reference_operands(300):
+            g = GaussianRational(*x)
+            assert g == GaussianRational(*x) and not g != GaussianRational(*x)
+            assert g != GaussianRational(x[0] + 1, x[1])
+            assert g != GaussianRational(x[0], x[1] + Fraction(1, 3))
+            if x[1] == 0:
+                assert g == x[0] and x[0] == g
+                assert {x[0]: "key"}[g] == "key"
+                if x[0].denominator == 1:
+                    assert g == int(x[0]) and int(x[0]) == g
+                    assert {int(x[0]): "key"}[g] == "key"
+            else:
+                assert g != x[0]
+        assert GaussianRational(Fraction(1, 2), Fraction(-3, 4)) == \
+            complex(0.5, -0.75)
+        assert GaussianRational(Fraction(1, 3)) != complex(1 / 3)
+        assert GaussianRational(3) == 3.0
+        assert GaussianRational(0, 1) != "i"
+
+    def test_formatting(self):
+        cases = [((0, 0), "0",
+                  "GaussianRational(Fraction(0, 1), Fraction(0, 1))"),
+                 ((3, 0), "3", None), ((0, 1), "i", None),
+                 ((0, -1), "-i", None),
+                 ((0, Fraction(-2, 3)), "-2/3*i", None),
+                 ((Fraction(1, 2), -1), "(1/2-i)", None),
+                 ((Fraction(-1, 6), Fraction(5, 4)),
+                  "(-1/6+5/4*i)",
+                  "GaussianRational(Fraction(-1, 6), Fraction(5, 4))")]
+        for parts, text, rep in cases:
+            g = GaussianRational(*parts)
+            assert str(g) == text
+            if rep is not None:
+                assert repr(g) == rep
+
+    def test_huge_parts_convert_to_finite_floats(self):
+        g = GaussianRational(Fraction(10**400 + 1, 10**399))
+        assert complex(g) == complex(10.0)
+        assert abs(g) == 10.0
+        h = GaussianRational(Fraction(1, 3 * 10**400), Fraction(10**400, 7))
+        assert complex(h / GaussianRational(0, 10**400)) == \
+            complex(1 / 7, 0.0)
+
+    def test_immutable(self):
+        g = GaussianRational(1, 2)
+        for name in ("re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 3)
+        assert g == GaussianRational(1, 2)
 
     def test_exact_nth_root(self):
         assert exact_nth_root(GaussianRational(8), 3) == GaussianRational(2)
@@ -145,6 +292,30 @@ def _oracle_pairs(count=60):
 X, Y = sympy.symbols("x y")
 
 
+def _planted_polynomials(count=60):
+    """Seeded triples (p, q, c): p and q share the planted factor c, and p
+    carries a repeated factor; coefficients are small Gaussian rationals."""
+    rng = random.Random(2031)
+
+    def poly(degree):
+        coeffs = [GaussianRational(Fraction(rng.randint(-5, 5),
+                                            rng.randint(1, 3)),
+                                   rng.choice([0, 0, rng.randint(-3, 3)]))
+                  for _ in range(degree)]
+        return UnivariatePolynomial(coeffs + [rng.randint(1, 3)])
+
+    for _ in range(count):
+        common = poly(rng.randint(1, 3))
+        repeated = poly(rng.randint(1, 2))
+        p = common * repeated ** rng.randint(2, 3) * poly(rng.randint(0, 2))
+        q = common * poly(rng.randint(0, 3))
+        yield p, q, common
+
+
+def _sympy_poly(p):
+    return sympy.Poly(to_sympy(p), X, domain="QQ_I")
+
+
 def to_sympy(P):
     rows = P.rows if isinstance(P, BivariatePolynomial) else [P]
     return sum((sympy.Rational(c.re.numerator, c.re.denominator)
@@ -175,6 +346,21 @@ class TestSympyOracle:
                 str(P)
             checked += 1
         assert checked >= 60
+
+    def test_gcd_against_sympy(self):
+        for p, q, common in _planted_polynomials():
+            got = p.gcd(q)
+            oracle = _sympy_poly(p).gcd(_sympy_poly(q)).monic()
+            assert _sympy_poly(got) == oracle, (str(p), str(q))
+            assert (got % common).is_zero()
+
+    def test_squarefree_against_sympy(self):
+        for p, q, _ in _planted_polynomials():
+            for f in (p, q * q * p):
+                got = {k: _sympy_poly(g) for g, k in squarefree_factorization(f)}
+                _, factors = _sympy_poly(f).sqf_list()
+                oracle = {k: g.monic() for g, k in factors}
+                assert got == oracle, str(f)
 
 
 class TestDiscriminant:
@@ -241,6 +427,24 @@ class TestComplexRoots:
                 z = enc.center
                 bound = p.degree() * tol * maxc * max(1.0, abs(z)) ** p.degree()
                 assert abs(p(z)) <= max(bound, 1e-9)
+
+    def test_cluster_certified_by_exact_refinement(self):
+        # three roots within 0.01 of -0.405: double evaluation gives radii
+        # up to 7e-12; with refine, complex_roots certifies them exactly
+        p = parse_univariate(
+            "41505466019*x^7 + 207527330095*x^6 + 198495887199*x^5"
+            " + 14236643445*x^4 - 72014109333*x^3 - 43903936204*x^2"
+            " - 10759535932*x - 1001979929")
+        with pytest.raises(IterationLimitExceeded):
+            complex_roots(p, 1e-12)
+        assert len(complex_roots(p, 1e-12, refine=True)) == 7
+        for root in sympy.Poly(to_sympy(p), X).nroots(n=30):
+            exact = complex(root)
+            enc = roots._exact_enclosure(p, exact + 1e-9)
+            assert enc.radius <= 1e-12
+            center = sympy.Rational(enc.center.real) \
+                + sympy.I * sympy.Rational(enc.center.imag)
+            assert abs(sympy.N(root - center, 30)) <= enc.radius
 
     def test_disjoint_enclosures(self):
         pairs = complex_roots(parse_univariate("x^5 - x"), 1e-12)

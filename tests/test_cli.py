@@ -11,7 +11,7 @@ import pytest
 
 from finitude import errors, fuchsian, monodromy
 from finitude.algebra import poly
-from finitude.cli import main
+from finitude.cli import build_parser, main
 from finitude.config import Settings
 from finitude.differential import kovacic, liouville
 from finitude.solvability import ritt_decompose
@@ -46,8 +46,9 @@ class TestExitCodes:
         (["puiseux", "--point", "0", "--order", "3", "--",
           "2*x^2*y^2 + 2*x^2*y + 3*x^2 + 3*x*y^2 - x*y + y^3"],
          "NumericBreakdown"),
-        (["integrate", "--", "(8 - 3*x)/(x^9 + 4*x^8 - x^7 + 2*x^6 + 9*x^5"
-          " - 4*x^4 + 7*x^3 - 5*x^2 + 8*x - 3)"], "IterationLimitExceeded"),
+        # residues near -1.2e5 and 1.0e5: a double cannot hold them to 1e-12
+        (["integrate", "--", "(110052 - 233085*x)/(x^2 + 8*x - 4)"],
+         "IterationLimitExceeded"),
         (["integrate", "--", "(6*x^6 + 3*x^5 + 6*x^3 + 8*x^2 - 5*x + 4)"
           "/(x^2 + 8*x - 4)"], "IterationLimitExceeded"),
     ], ids=["puiseux", "integrate-proper", "integrate-improper"])
@@ -55,6 +56,23 @@ class TestExitCodes:
         code, _out, err = run(argv)
         assert code == 2
         assert f"undecided: {error}" in err
+
+    @pytest.mark.parametrize("expr, degree", [
+        ("(8 - 3*x)/(x^9 + 4*x^8 - x^7 + 2*x^6 + 9*x^5 - 4*x^4 + 7*x^3"
+         " - 5*x^2 + 8*x - 3)", 9),
+        ("(-5*x^6 - 7*x^5 - 4*x^4 - 4*x^3 - 4*x^2 - 5*x + 2)/(x^7 + 6*x^6"
+         " - x^5 + 4*x^4 + 7*x^3 + 6*x^2 + 6*x + 1)", 7),
+    ], ids=["close-pair", "cluster-of-three"])
+    def test_clustered_residues_are_certified(self, expr, degree):
+        # double evaluation cannot certify these residues to 1e-12; exact
+        # evaluation at a refined root can
+        code, out, _ = run(["--json", "integrate", "--", expr])
+        assert code == 0
+        data = json.loads(out)
+        assert data["derivative_verified"] is True
+        (block,) = [log for log in data["liouville_form"]["logs"]
+                    if "lambda_enclosures" in log]
+        assert len(block["lambda_enclosures"]) == degree
 
     @pytest.mark.parametrize("argv, lines", [
         (["integrate", "-x/(x^2+1)"], ["integral = -1/2*ln(x^2 + 1)"]),
@@ -233,6 +251,23 @@ class TestWorkPerRequest:
         assert code == 64 and "SquareFreeRequired" in err
         code, _, err = run(["algebraic", "(y^2-x)*(y-x^2)"])
         assert code == 64 and "ReducibleInput" in err
+
+
+class TestParserReuse:
+    def test_request_after_usage_error_is_unchanged(self):
+        # one process serves many requests through one cached parser
+        argv = ["--json", "puiseux", "--point", "0", "--order", "3", "--",
+                "y^3 - x^2*y + x"]
+        code1, out1, err1 = run(argv)
+        with pytest.raises(SystemExit) as usage:
+            run(["--json", "puiseux", "--order", "three", "--", "y^2 - x"])
+        assert usage.value.code == 64
+        code2, out2, err2 = run(argv)
+        assert code1 == code2 == 0 and err1 == err2 == ""
+        d1, d2 = json.loads(out1), json.loads(out2)
+        d1.pop("elapsed_seconds"), d2.pop("elapsed_seconds")
+        assert d1 == d2
+        assert build_parser() is build_parser()
 
 
 class TestCorpus:
