@@ -10,10 +10,21 @@ Each value is stored as three integers ``(a, b, d)`` for ``(a + b*i)/d`` over
 one common denominator, normalised so that ``d > 0`` and
 ``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``).  The representation is then
 unique, so ``==`` compares triples, and each ring operation does plain integer
-arithmetic followed by at most one ``math.gcd`` (Brown and Traub, JACM 1971;
-von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  Keeping the
-two parts as separate ``fractions.Fraction`` objects would cost one gcd per
-part per intermediate ``Fraction``.
+arithmetic (Brown and Traub, JACM 1971; von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 6).  Keeping the two parts as separate
+``fractions.Fraction`` objects would cost one gcd per part per intermediate
+``Fraction``.
+
+A gcd costs time quadratic in the length of its arguments unless one of them
+is short, and the Euclidean schemes over Q(i)[t] (the residue blocks of
+``integrate``) reach numerators and denominators of 20,000 bits.  So every
+gcd starts from a denominator; ``+`` and ``-`` over unequal denominators
+take the gcd of the two denominators and then only a gcd with that (Knuth,
+TAOCP vol. 2, 4.5.1); and ``*`` of values whose denominators are not both
+below 2**62 cancels each numerator against the other operand's denominator
+before multiplying (Henrici, JACM 1956).  A product of two non-real values
+then still needs a gcd against its denominator, since Gaussian content is
+not multiplicative over Z: (2 + i)(2 - i) = 5.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from fractions import Fraction
 
 _gcd = math.gcd
 _new = object.__new__
+# products of values with denominators below this are normalised by one gcd
+_SMALL = 1 << 62
 
 
 def _to_fraction(value) -> Fraction:
@@ -36,9 +49,10 @@ def _to_fraction(value) -> Fraction:
 
 
 def _triple(a: int, b: int, d: int) -> "GaussianRational":
-    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    """(a + b*i)/d for d > 0, divided through by gcd(d, a, b); the gcd
+    starts from d, so a short denominator keeps it cheap."""
     if d != 1:
-        g = _gcd(a, b, d)
+        g = _gcd(d, a, b)
         if g != 1:
             a //= g
             b //= g
@@ -48,6 +62,32 @@ def _triple(a: int, b: int, d: int) -> "GaussianRational":
     z._b = b
     z._d = d
     return z
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for d > 0 and gcd(a, b, d) == 1 already."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int):
+    """(a + b*i)/d + (c + e*i)/f for normalised operands with d != f.  A
+    prime of the result's common factor divides gcd(d, f), so that gcd
+    bounds the second one."""
+    g = _gcd(d, f)
+    if g == 1:
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
+    s = d // g
+    f //= g
+    re = a * f + c * s
+    im = b * f + e * s
+    h = _gcd(g, re, im)
+    if h != 1:
+        return _reduced(re // h, im // h, s * f * (g // h))
+    return _reduced(re, im, s * f * g)
 
 
 class GaussianRational:
@@ -93,9 +133,9 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, int):
-            return _triple(int(value), 0, 1)
+            return _reduced(int(value), 0, 1)
         if isinstance(value, Fraction):
-            return _triple(value.numerator, 0, value.denominator)
+            return _reduced(value.numerator, 0, value.denominator)
         if isinstance(value, complex):
             return GaussianRational(Fraction(value.real), Fraction(value.imag))
         if isinstance(value, float):
@@ -122,26 +162,22 @@ class GaussianRational:
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
         d = self._d
-        e = other._d
-        if d == e:
+        if d == other._d:
             return _triple(self._a + other._a, self._b + other._b, d)
-        return _triple(self._a * e + other._a * d, self._b * e + other._b * d,
-                       d * e)
+        return _sum(self._a, self._b, d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _triple(-self._a, -self._b, self._d)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
         d = self._d
-        e = other._d
-        if d == e:
+        if d == other._d:
             return _triple(self._a - other._a, self._b - other._b, d)
-        return _triple(self._a * e - other._a * d, self._b * e - other._b * d,
-                       d * e)
+        return _sum(self._a, self._b, d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
@@ -149,9 +185,31 @@ class GaussianRational:
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
-        a, b = self._a, self._b
-        c, e = other._a, other._b
-        return _triple(a * c - b * e, a * e + b * c, self._d * other._d)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d < _SMALL and f < _SMALL:
+            return _triple(a * c - b * e, a * e + b * c, d * f)
+        # cancel each numerator against the other denominator first
+        if f != 1:
+            g = _gcd(f, a, b)
+            if g != 1:
+                a //= g
+                b //= g
+                f //= g
+        if d != 1:
+            g = _gcd(d, c, e)
+            if g != 1:
+                c //= g
+                e //= g
+                d //= g
+        re, im, d = a * c - b * e, a * e + b * c, d * f
+        if b and e and d != 1:
+            g = _gcd(d, re, im)
+            if g != 1:
+                return _reduced(re // g, im // g, d // g)
+        # with a real factor the content of the product is the product of
+        # the contents, which the cancellation left prime to d
+        return _reduced(re, im, d)
 
     __rmul__ = __mul__
 
@@ -192,7 +250,7 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return _triple(self._a, -self._b, self._d)
+        return _reduced(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm re^2 + im^2 (an exact nonnegative rational)."""

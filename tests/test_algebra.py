@@ -137,6 +137,40 @@ class TestGaussianRational:
             inv = _ref_inverse(y)
             _check_scalar(h ** -2, _ref_mul(inv, inv))
 
+    def test_cancellation_against_fraction_pairs(self):
+        """Operands built from the primes 2, 3, 5 and 13, so that sums and
+        products cancel partly against the denominators, including the
+        split primes 2 = -i(1 + i)^2, 5 = (2 + i)(2 - i) and 13 that divide
+        the product of two non-real values with coprime parts."""
+        rng = random.Random(12)
+
+        def smooth():
+            return math.prod(rng.choice([1, 1, 2, 3, 5, 13])
+                             for _ in range(rng.randrange(5)))
+
+        def part():
+            if rng.randrange(4) == 0:
+                return Fraction(0)
+            sign = rng.choice([1, -1])
+            return Fraction(sign * smooth() * rng.choice([1, 1, 7, 10**40 + 3]),
+                            smooth())
+
+        splits = [(1, 1), (2, 1), (2, -1), (3, 2), (1, 2), (5, 0), (0, 13)]
+        for k in range(1500):
+            x, y = (part(), part()), (part(), part())
+            if k % 3 == 0:  # numerators that are Gaussian primes over 5, 13
+                den = smooth()
+                x = tuple(Fraction(v, den) for v in rng.choice(splits))
+                y = tuple(Fraction(v, smooth()) for v in rng.choice(splits))
+            g, h = GaussianRational(*x), GaussianRational(*y)
+            _check_scalar(g + h, (x[0] + y[0], x[1] + y[1]))
+            _check_scalar(g - h, (x[0] - y[0], x[1] - y[1]))
+            _check_scalar(g - g, (0, 0))
+            _check_scalar(g * h, _ref_mul(x, y))
+            _check_scalar(g * g.conjugate(), (x[0] ** 2 + x[1] ** 2, 0))
+            if y != (0, 0):
+                _check_scalar(g / h, _ref_mul(x, _ref_inverse(y)))
+
     def test_equality_with_numbers(self):
         for x, _ in _reference_operands(300):
             g = GaussianRational(*x)
