@@ -695,6 +695,64 @@ def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePol
     return interpolate(xs, vals)
 
 
+def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
+    """[P, Q, R_1, R_2, ...], the subresultant remainder sequence in y over
+    Q(i)[x], the higher y-degree first (Collins; Brown-Traub, JACM 1971).
+
+    R_{k+1} = prem(R_{k-1}, R_k) / beta_k, where prem multiplies by
+    lc_y(R_k)^(deg R_{k-1} - deg R_k + 1), beta_k = -lc_y(R_{k-1}) psi_k^d
+    and psi_{k+1} = (-lc_y(R_k))^d / psi_k^(d-1) for d the degree step; the
+    divisions are exact.  Each R of y-degree i is similar over Q(i)(x) to
+    the i-th subresultant; the signs are Brown's (ACM TOMS 1978), as in
+    sympy's ``subresultants``.
+    """
+    seq = sorted((P, Q), key=BivariatePolynomial.degree_y, reverse=True)
+    lc = UnivariatePolynomial.constant(1)
+    psi = -lc
+    while True:
+        F, G = seq[-2], seq[-1]
+        dg, lc_g = G.degree_y(), G.leading_y()
+        d = F.degree_y() - dg
+        rows = list(F.rows)
+        while len(rows) > dg:  # rows = lc_g rows - c y^(top - dg) G
+            c = rows.pop()
+            rows = [r * lc_g for r in rows]
+            for k, g in enumerate(G.rows[:-1], len(rows) - dg):
+                rows[k] = rows[k] - c * g
+        if all(r.is_zero() for r in rows):
+            return seq
+        beta = -lc * psi ** d
+        seq.append(BivariatePolynomial([r.exact_div(beta) for r in rows]))
+        lc = lc_g
+        psi = ((-lc) ** d).exact_div(psi ** (d - 1)) if d else psi
+
+
+def series_mul(a, b, order, zero):
+    """a * b truncated at s^order, for coefficient lists lowest first of
+    ``complex`` or GaussianRational; zero terms are skipped and each sum
+    starts from ``zero``."""
+    out = [zero] * (order + 1)
+    for i, ai in enumerate(a[:order + 1]):
+        if ai == zero:
+            continue
+        for j, bj in enumerate(b[:order + 1 - i]):
+            if bj != zero:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def series_inverse(a, order, zero):
+    """1/a truncated at s^order, for a series with a[0] != 0."""
+    a0 = a[0]
+    inv = [1 / a0]
+    for m in range(1, order + 1):
+        acc = zero
+        for k in range(1, min(m, len(a) - 1) + 1):
+            acc = acc + a[k] * inv[m - k]
+        inv.append(-acc / a0)
+    return inv
+
+
 def interpolate(xs, vals) -> UnivariatePolynomial:
     """Exact interpolation through (xs[k], vals[k]) via Newton divided differences."""
     n = len(xs)

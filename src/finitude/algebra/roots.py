@@ -21,7 +21,7 @@ import numpy as np
 
 from ..config import ROOT_TOL
 from ..errors import IterationLimitExceeded, ZeroPolynomial
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, rationalize_complex
 from .poly import UnivariatePolynomial, squarefree_factorization
 
 # refine_root rounds its iterates to multiples of 2^-REFINE_BITS; far below
@@ -234,9 +234,6 @@ def exact_gaussian_roots(p: UnivariatePolynomial, tol: float = 1e-10):
     root, multiplicity) verified by exact division, and residual is the
     monic cofactor with no Gaussian-rational roots found.
     """
-    from .gaussian import rationalize_complex
-    from .poly import UnivariatePolynomial as U
-
     residual = p.monic()
     found = []
     try:
@@ -248,7 +245,7 @@ def exact_gaussian_roots(p: UnivariatePolynomial, tol: float = 1e-10):
         enclosures = [(enc, 1) for enc in err.enclosures]
     for enc, _mult in enclosures:
         cand = rationalize_complex(enc.center)
-        lin = U([-cand, 1])
+        lin = UnivariatePolynomial([-cand, 1])
         count = 0
         while residual.degree() >= 1:
             q, r = residual.divmod(lin)

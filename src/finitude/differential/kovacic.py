@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import product
 
 from ..algebra.gaussian import GaussianRational, exact_nth_root
-from ..algebra.poly import RationalFunction, UnivariatePolynomial
+from ..algebra.poly import (RationalFunction, UnivariatePolynomial,
+                            series_inverse, series_mul)
 from ..algebra.roots import exact_gaussian_roots
 from ..errors import BoundExceeded
 from .jets import LinearODE, verify_exp_integral_witness
@@ -25,30 +26,6 @@ from .jets import LinearODE, verify_exp_integral_witness
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 _HALF = GaussianRational(Fraction(1, 2))
-
-
-def _series_inverse(coeffs, order):
-    """1/f mod x^(order+1) for a series with f[0] != 0, exact."""
-    inv = [coeffs[0].inverse()]
-    for m in range(1, order + 1):
-        acc = _ZERO
-        for k in range(1, m + 1):
-            ck = coeffs[k] if k < len(coeffs) else _ZERO
-            acc = acc + ck * inv[m - k]
-        inv.append(-acc * inv[0])
-    return inv
-
-
-def _series_mul(a, b, order):
-    out = [_ZERO] * (order + 1)
-    for i, ai in enumerate(a[:order + 1]):
-        if ai.is_zero():
-            continue
-        for j in range(0, order + 1 - i):
-            bj = b[j] if j < len(b) else _ZERO
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
 
 
 def _series_sqrt(coeffs, order):
@@ -76,9 +53,9 @@ def _local_series(r: RationalFunction, pole: GaussianRational, order: int,
         v += 1
     b_unit = UnivariatePolynomial(b.coeffs[v:])
     a_list = [a.coefficient(k) for k in range(depth + 1)]
-    binv = _series_inverse([b_unit.coefficient(k) for k in range(depth + 1)],
-                           depth)
-    return _series_mul(a_list, binv, depth)
+    binv = series_inverse([b_unit.coefficient(k) for k in range(depth + 1)],
+                          depth, _ZERO)
+    return series_mul(a_list, binv, depth, _ZERO)
 
 
 def _series_at_infinity(r: RationalFunction, depth: int):
@@ -87,9 +64,9 @@ def _series_at_infinity(r: RationalFunction, depth: int):
     a = r.num.reversed_coeffs()
     b = r.den.reversed_coeffs()
     a_list = [a.coefficient(k) for k in range(depth + 1)]
-    binv = _series_inverse([b.coefficient(k) for k in range(depth + 1)],
-                           depth)
-    return nu, _series_mul(a_list, binv, depth)
+    binv = series_inverse([b.coefficient(k) for k in range(depth + 1)],
+                          depth, _ZERO)
+    return nu, series_mul(a_list, binv, depth, _ZERO)
 
 
 class _LocalData:
@@ -127,7 +104,7 @@ def _pole_candidates(r: RationalFunction, pole: GaussianRational, order: int):
     for i in range(0, k - 1):
         s_fn = s_fn + RationalFunction(
             UnivariatePolynomial.constant(g[i]), lin ** (k - i))
-    gg = _series_mul(g[:k - 1] + [_ZERO] * 2, g[:k - 1] + [_ZERO] * 2, k + 1)
+    gg = series_mul(g[:k - 1], g[:k - 1], k + 1, _ZERO)
     b = (series[k - 1] if k - 1 < len(series) else _ZERO) - gg[k - 1]
     variants = []
     for sign, s_signed in ((_ONE, s_fn), (-_ONE, -s_fn)):
@@ -157,7 +134,7 @@ def _infinity_candidates(r: RationalFunction):
         return []
     # polynomial part sum_m g_m x^(d-m), coefficients low degree first
     p_fn = RationalFunction(UnivariatePolynomial(list(reversed(g[:d + 1]))))
-    gg = _series_mul(g[:d + 1], g[:d + 1], d + 1)
+    gg = series_mul(g[:d + 1], g[:d + 1], d + 1, _ZERO)
     b = series[d + 1] - gg[d + 1]
     out = []
     for sign, p_signed in ((_ONE, p_fn), (-_ONE, -p_fn)):

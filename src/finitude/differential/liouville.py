@@ -4,13 +4,14 @@ integrate_rational produces r0 + sum lambda_i ln r_i with r0 rational and
 square-free, monic, pairwise coprime log arguments: Hermite reduction via
 p-adic digits and extended gcds removes all higher-order poles exactly, and
 the Rothstein-Trager resultant R(t) = Res_x(den, num - t den') delivers the
-residues, from one ``resultant_y`` call.  Rational residues stay
-Gaussian-rational; irrational ones are carried exactly as roots of a
-square-free factor m(t) of R, with the log argument g(t, x) a polynomial in
-x whose coefficients are polynomials in t reduced mod m.  It is the monic
-gcd of den and num - t den' over Q(i)[t]/(m), by the Euclidean scheme;
-when a leading coefficient is no unit mod m, m splits and each factor is
-redone (dynamic evaluation).
+residues, from one ``resultant_y`` call.  The log arguments come from one
+subresultant sequence of den and num - t den' (Lazard-Rioboo-Trager): the
+residues whose log argument has x-degree i are the roots of Q_i in
+R = prod Q_i^i, and the primitive part of the member of degree i serves
+them all.  Rational residues stay Gaussian-rational and take that member
+at the residue; irrational ones are carried exactly as roots of the rest
+m(t) of Q_i, with the log argument g(t, x) that member made monic in x,
+its coefficients polynomials in t reduced mod m.
 
 The whole form differentiates back exactly: a conjugate log sum has the
 derivative Tr(t g_x q) / Norm(g) with Norm(g) = Res_t(m, g), q = Norm / g
@@ -26,18 +27,10 @@ from fractions import Fraction
 from ..algebra.gaussian import ZERO, GaussianRational
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
                             UnivariatePolynomial, resultant_y,
-                            squarefree_factorization)
+                            squarefree_factorization, subresultant_prs)
 from ..algebra.roots import complex_roots, exact_gaussian_roots
 from ..config import ROOT_TOL
 from ..errors import ZeroPolynomial
-
-
-class _SplitNeeded(Exception):
-    """Raised when an inverse modulo m discovers a factor of m."""
-
-    def __init__(self, factor):
-        self.factor = factor
-        super().__init__("modulus split")
 
 
 class AlgebraicResidueBlock:
@@ -285,7 +278,18 @@ def _split_squarefree(proper: RationalFunction):
 
 
 def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
-    """Log terms of num/den with den square-free, deg num < deg den."""
+    """Log terms of num/den with den square-free, deg num < deg den.
+
+    Lazard-Rioboo-Trager: with R(t) = Res_x(den, A), A = num - t den', split
+    as R = prod Q_i^i, the log argument of the residues in Q_i is S_i, the
+    primitive part in x of the member of x-degree i of the subresultant
+    sequence of den and A (den itself for i = deg den).  At a root a of
+    Q_i, gcd(den, A(a, x)) has degree i, so the i-th principal subresultant
+    coefficient does not vanish at a; the member of degree i is similar to
+    that subresultant over Q(i)(t), so both have the same primitive part,
+    and its leading coefficient, which divides that coefficient, is a unit
+    mod Q_i.  So S_i(a, x) is that gcd, up to a constant.
+    """
     den = den.monic()
     dden = den.derivative()
     # A(t, x) = num - t den' and den, with x as the y; R(t) = Res_x(den, A)
@@ -297,66 +301,24 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
     resultant = resultant_y(A, D)
     if resultant.is_zero():
         raise ZeroPolynomial("degenerate Rothstein-Trager resultant")
-    squarefree = resultant.squarefree_part()
-    rational_roots, residual = exact_gaussian_roots(squarefree)
+    members = {S.degree_y(): S for S in subresultant_prs(D, A)}
+    classes = [(q, members[i].primitive_y())
+               for q, i in squarefree_factorization(resultant)]
+    rational_roots, residual = exact_gaussian_roots(
+        resultant.squarefree_part())
     logs = []
     for lam, _mult in rational_roots:
         if lam.is_zero():
             continue
-        arg = (num - dden.scale(lam)).gcd(den)
-        logs.append(LogTerm(lam, arg))
+        S = next(S for q, S in classes if q(lam).is_zero())
+        logs.append(LogTerm(lam, UnivariatePolynomial(
+            [row(lam) for row in S.rows])))
     blocks = []
-    if residual.degree() > 0:
-        blocks.extend(_algebraic_blocks(residual, A, D))
+    for q, S in classes:
+        m = q.gcd(residual)
+        if m.degree() > 0:
+            # g = S / lc_x(S) mod m, monic in x
+            inv = S.leading_y().extended_gcd(m)[1] % m
+            blocks.append(AlgebraicResidueBlock(m, BivariatePolynomial(
+                [(row * inv) % m for row in S.rows[:-1]] + [1])))
     return logs, blocks
-
-
-def _algebraic_blocks(modulus: UnivariatePolynomial, A: BivariatePolynomial,
-                      D: BivariatePolynomial):
-    """Conjugate residue families: the monic gcd_x(A, D) over Q(i)[t]/(m)
-    by the Euclidean scheme, splitting m on zero divisors (dynamic
-    evaluation).  D, the monic denominator, is constant in t."""
-    queue = [modulus.monic()]
-    blocks = []
-    while queue:
-        m = queue.pop()
-        if m.degree() == 0:
-            continue
-        a, b = BivariatePolynomial([row % m for row in A.rows]), D
-        try:
-            while not b.is_zero():
-                b = _monic_mod(b, m)
-                a, b = b, _remainder_mod(a, b, m)
-        except _SplitNeeded as split:
-            factor = split.factor.monic()
-            queue.append(factor)
-            queue.append(m.exact_div(factor).monic())
-            continue
-        blocks.append(AlgebraicResidueBlock(m, a))
-    return blocks
-
-
-# polynomials in x (x plays y) whose coefficients are polynomials in t
-# reduced mod m
-
-
-def _monic_mod(a: BivariatePolynomial, m: UnivariatePolynomial):
-    """a divided by its leading coefficient; a leading coefficient that is
-    no unit mod m raises _SplitNeeded with its gcd with m."""
-    g, s, _t = a.leading_y().extended_gcd(m)
-    if g.degree() != 0:
-        raise _SplitNeeded(g)
-    inv = s % m
-    return BivariatePolynomial([(c * inv) % m for c in a.rows[:-1]] + [1])
-
-
-def _remainder_mod(a: BivariatePolynomial, b: BivariatePolynomial,
-                   m: UnivariatePolynomial):
-    """Remainder of a by the monic b."""
-    rows, db = list(a.rows), b.degree_y()
-    for top in range(len(rows) - 1, db - 1, -1):
-        c = rows[top]
-        if not c.is_zero():
-            for k in range(db):
-                rows[top - db + k] = (rows[top - db + k] - c * b.rows[k]) % m
-    return BivariatePolynomial(rows[:db])

@@ -37,7 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra.gaussian import GaussianRational
-from .algebra.poly import BivariatePolynomial, singular_locator
+from .algebra.poly import (BivariatePolynomial, series_inverse, series_mul,
+                           singular_locator)
 from .algebra.roots import refine_root
 from .errors import (NonExactCenter, NumericBreakdown, OrderTooSmall,
                      SquareFreeRequired)
@@ -181,9 +182,9 @@ class _LocalPoly:
     def eval_series(self, ys, order: int):
         """P(s, y(s)) and P_y(s, y(s)) truncated at s^order; ys dense (len
         order+1)."""
-        powers = [_series_one(order)]
+        powers = [[1 + 0j] + [0j] * order]
         for _ in range(self.degree_y()):
-            powers.append(_series_mul(powers[-1], ys, order))
+            powers.append(series_mul(powers[-1], ys, order, 0j))
         out = [0j] * (order + 1)
         dy = [0j] * (order + 1)
         for (i, j), a in self.terms.items():
@@ -197,24 +198,6 @@ class _LocalPoly:
                 for m in range(0, order + 1 - i):
                     dy[i + m] += a * j * pj[m]
         return out, dy
-
-
-def _series_one(order):
-    s = [0j] * (order + 1)
-    s[0] = 1.0 + 0j
-    return s
-
-
-def _series_mul(a, b, order):
-    out = [0j] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j in range(0, order + 1 - i):
-            bj = b[j] if j < len(b) else 0j
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
 
 
 # --- recentering ------------------------------------------------------------
@@ -453,16 +436,7 @@ def _series_invert(ys, target: int):
     v = next((k for k, c in enumerate(ys) if c != 0), None)
     if v is None:
         raise NumericBreakdown("cannot invert the zero series")
-    core = ys[v:]
-    a0 = core[0]
-    need = target + v + 1
-    inv = [0j] * need
-    inv[0] = 1.0 / a0
-    for m in range(1, need):
-        acc = 0j
-        for k in range(1, min(m, len(core) - 1) + 1):
-            acc += core[k] * inv[m - k]
-        inv[m] = -acc / a0
+    inv = series_inverse(ys[v:], target + v, 0j)
     return {m - v: c for m, c in enumerate(inv) if c != 0}
 
 

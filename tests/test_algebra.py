@@ -18,6 +18,7 @@ from finitude.algebra import (BivariatePolynomial, GaussianRational,
 from finitude.errors import (DegreeTooLow, ExprSyntaxError,
                              IterationLimitExceeded, NonPolynomialExponent,
                              UndeclaredVariable)
+from finitude.algebra.poly import subresultant_prs
 
 
 def rand_gauss(rng, bound=20):
@@ -326,6 +327,42 @@ def _oracle_pairs(count=60):
 X, Y = sympy.symbols("x y")
 
 
+def _rothstein_trager_pair(integrand):
+    """(den, num - t den') with x as the y and t as the x, for a proper
+    integrand num/den with monic den."""
+    f = parse_rational(integrand)
+    dden = f.den.derivative()
+    return BivariatePolynomial(f.den.coeffs), BivariatePolynomial(
+        [UnivariatePolynomial([f.num.coefficient(k), -dden.coefficient(k)])
+         for k in range(f.den.degree())])
+
+
+# the sequences of the first two skip x-degrees
+DEFECTIVE_PAIRS = {"1/(x^4 + 2)": [4, 3, 1, 0],
+                   "(2*x^2 + 3)/(x^6 - 4)": [6, 5, 3, 2, 1, 0]}
+
+
+def _integrands(count=12):
+    """Seeded proper integrands with small integer coefficients; every
+    other denominator is x^n + a x^j + b with j <= n - 3 over a numerator
+    of degree at most n - 4, whose sequence then skips degrees."""
+    rng = random.Random(2042)
+    units = [-3, -2, -1, 1, 2, 3]
+    for k in range(count):
+        n = rng.randint(4, 6)
+        if k % 2:
+            den = [rng.randint(-4, 4) for _ in range(n)] + [1]
+            num = [rng.choice(units)] + [rng.randint(-4, 4)
+                                         for _ in range(rng.randint(0, n - 1))]
+        else:
+            den = [rng.choice(units)] + [0] * (n - 1) + [1]
+            den[rng.randint(1, n - 3)] = rng.randint(-4, 4)
+            num = [rng.choice(units)] + [rng.randint(-4, 4)
+                                         for _ in range(rng.randint(0, n - 4))]
+        yield (f"({UnivariatePolynomial(num).format()})/"
+               f"({UnivariatePolynomial(den).format()})")
+
+
 def _planted_polynomials(count=60):
     """Seeded triples (p, q, c): p and q share the planted factor c, and p
     carries a repeated factor; coefficients are small Gaussian rationals."""
@@ -380,6 +417,26 @@ class TestSympyOracle:
                 str(P)
             checked += 1
         assert checked >= 60
+
+    def test_subresultant_prs_against_sympy(self):
+        pairs = list(_oracle_pairs()) + [
+            _rothstein_trager_pair(f) for f in (*DEFECTIVE_PAIRS,
+                                                *_integrands())]
+        defective = 0
+        for P, Q in pairs:
+            got = subresultant_prs(P, Q)
+            oracle = sympy.subresultants(to_sympy(P), to_sympy(Q), Y)
+            assert len(got) == len(oracle), (str(P), str(Q))
+            for member, expected in zip(got, oracle):
+                assert sympy.expand(to_sympy(member) - expected) == 0, \
+                    (str(P), str(Q))
+            degrees = [member.degree_y() for member in got]
+            defective += any(a - b > 1 for a, b in zip(degrees[1:],
+                                                        degrees[2:]))
+        for integrand, degrees in DEFECTIVE_PAIRS.items():
+            assert [member.degree_y() for member in subresultant_prs(
+                *_rothstein_trager_pair(integrand))] == degrees
+        assert defective >= 8
 
     def test_gcd_against_sympy(self):
         for p, q, common in _planted_polynomials():

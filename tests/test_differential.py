@@ -213,10 +213,10 @@ class TestIntegration:
         data = form.to_json()
         assert any("RootOf" in entry["lambda"] for entry in data["logs"])
 
-    def test_zero_divisor_splits_modulus(self):
-        # the irrational residues are the roots of (t^2 - 1/12)(t^2 - 1/8),
-        # one square-free factor; the gcd over Q(i)[t]/(m) meets a zero
-        # divisor and splits m once, into one block per quadratic
+    def test_two_multiplicity_classes(self):
+        # R(t) = c (t^2 - 1/12)(t^2 - 1/8)^2: the residues of 1/(x^2-3) have
+        # log arguments of x-degree 1 and those of 2x/(x^4-2) of x-degree 2,
+        # so the subresultant sequence gives one block per class
         f = parse_rational("2*x/(x^4-2) + 1/(x^2-3)")
         form = integrate_rational(f)
         assert not form.logs

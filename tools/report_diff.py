@@ -11,7 +11,9 @@ Run from the root of a source checkout.  The comparison set is
   ``short`` workloads (``bench/workloads.py``, which needs sympy);
 * ``puiseux`` at two floating-point singular points of one curve, the only
   requests that expand at an irrational center;
-* one ``integrate`` request whose residue modulus splits on a zero divisor.
+* ``integrate`` requests whose residues fall in two multiplicity classes,
+  come in conjugate Gaussian pairs, or whose subresultant sequences are
+  defective (a degree is skipped).
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -40,8 +42,13 @@ PANEL_FLAGS = ([], ["--k", "4"], ["--tower"])
 CLOSE_PAIR = "y^5 + (2*x-2)*y^4 - y^3 + 3*y^2 + (2*x^2-3*x+2)*y - 2"
 CLOSE_PAIR_POINTS = ("1.52150944558511+1.170391142416538j",
                      "1.5276516382839795+1.1513179616704148j")
-# the Rothstein-Trager gcd splits its modulus (t^2 - 1/12)(t^2 - 1/8)
+# the residues t^2 = 1/12 and t^2 = 1/8 have log arguments of x-degree 1 and
+# 2: two multiplicity classes of R(t)
 SPLIT_INTEGRAND = "2*x/(x^4-2) + 1/(x^2-3)"
+# conjugate Gaussian residues, ordered as complex_roots returns them
+GAUSSIAN_INTEGRANDS = ("(3*x+1)/(x^2+1)", "x/(x^2+1) + 2/(x^2+9)")
+# subresultant sequences of x-degrees [4, 3, 1, 0] and [6, 5, 3, 2, 1, 0]
+DEFECTIVE_INTEGRANDS = ("1/(x^4 + 2)", "(2*x^2 + 3)/(x^6 - 4)")
 
 
 def corpus_requests(src):
@@ -58,7 +65,7 @@ def corpus_requests(src):
 
 def bench_requests(out_dir):
     """Panel curves with each flag set, the seeded workloads, the
-    close-pair Puiseux requests, then the splitting integrand."""
+    close-pair Puiseux requests, then the integrands above."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
@@ -72,7 +79,8 @@ def bench_requests(out_dir):
             requests += [request["argv"] for request in rounds]
     return requests + [["puiseux", "--point", point, "--", CLOSE_PAIR]
                        for point in CLOSE_PAIR_POINTS] \
-        + [["integrate", "--", SPLIT_INTEGRAND]]
+        + [["integrate", "--", integrand] for integrand in
+           (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS)]
 
 
 def serve(src, requests_path, out_path):
