@@ -7,9 +7,12 @@ Grammar (ASCII only)::
     factor := ('-')* base ('^' integer)?
     base   := number | name | '(' expr ')'
 
-Expressions are evaluated into an exact bivariate rational form and then
-classified: two declared variables give a :class:`BivariatePolynomial`
-(the denominator must be constant), one gives a :class:`RationalFunction`.
+``i`` is the imaginary unit and exponents are integers.  An expression is
+evaluated in its target ring with that ring's own arithmetic: one declared
+variable gives an element of Q(i)(x), a :class:`RationalFunction`; two give
+an element of Q(i)[x, y], a :class:`BivariatePolynomial`, whose divisors
+must be nonzero constants.  Every division, a negative power included, is
+checked by ``_Parser._divide``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.index = 0
@@ -61,61 +63,28 @@ class _Tokenizer:
         return tok
 
 
-class _BiRat:
-    """Internal quotient of bivariate polynomials used during evaluation."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BivariatePolynomial, den: BivariatePolynomial):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in expression")
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def from_poly(p: BivariatePolynomial) -> "_BiRat":
-        return _BiRat(p, BivariatePolynomial.constant(1))
-
-    def __add__(self, other):
-        return _BiRat(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    def __sub__(self, other):
-        return _BiRat(self.num * other.den - other.num * self.den,
-                      self.den * other.den)
-
-    def __mul__(self, other):
-        return _BiRat(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero in expression")
-        return _BiRat(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return _BiRat(-self.num, self.den)
-
-    def pow(self, k: int) -> "_BiRat":
-        if k >= 0:
-            return _BiRat(self.num ** k, self.den ** k)
-        return _BiRat(self.den ** (-k), self.num ** (-k))
-
-
 class _Parser:
     def __init__(self, text: str, variables):
         self.toks = _Tokenizer(text)
         self.variables = list(variables)
-        if len(self.variables) not in (1, 2):
+        if len(self.variables) == 1:
+            self.ring = RationalFunction
+            self.gens = [RationalFunction.variable()]
+        elif len(self.variables) == 2:
+            self.ring = BivariatePolynomial
+            self.gens = [BivariatePolynomial.var_x(),
+                         BivariatePolynomial.var_y()]
+        else:
             raise ValueError("parse_expression expects one or two variables")
 
-    def parse(self) -> _BiRat:
+    def parse(self):
         value = self.expr()
         kind, tok, pos = self.toks.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {tok!r}", pos)
         return value
 
-    def expr(self) -> _BiRat:
+    def expr(self):
         value = self.term()
         while True:
             kind, tok, _ = self.toks.peek()
@@ -126,34 +95,48 @@ class _Parser:
             else:
                 return value
 
-    def term(self) -> _BiRat:
+    def term(self):
         value = self.factor()
         while True:
-            kind, tok, _ = self.toks.peek()
+            kind, tok, pos = self.toks.peek()
             if kind == "op" and tok in "*/":
                 self.toks.next()
                 rhs = self.factor()
-                value = value * rhs if tok == "*" else value / rhs
+                value = value * rhs if tok == "*" \
+                    else self._divide(value, rhs, pos)
             else:
                 return value
 
-    def factor(self) -> _BiRat:
+    def factor(self):
         kind, tok, pos = self.toks.peek()
         if kind == "op" and tok == "-":
             self.toks.next()
             return -self.factor()
-        value, is_var = self.base()
+        value = self.base()
         kind, tok, pos = self.toks.peek()
         if kind == "op" and tok == "^":
             self.toks.next()
-            exp, exp_pos = self.integer()
-            if exp < 0 and is_var:
-                raise NonPolynomialExponent(
-                    f"negative power of a variable at position {exp_pos}")
-            value = value.pow(exp)
+            exp = self.integer()
+            if exp < 0:
+                return self._divide(self.ring.coerce(1), value ** -exp, pos)
+            value = value ** exp
         return value
 
-    def integer(self):
+    def _divide(self, num, den, pos):
+        """num / den, the one rule for divisors: nonzero, and in two
+        variables a constant."""
+        if den.is_zero():
+            raise ExprSyntaxError("division by zero", pos)
+        if self.ring is RationalFunction:
+            return num / den
+        if den.degree_y() > 0 or den.degree_x() > 0:
+            raise NonPolynomialExponent(
+                "variables in the denominator are not allowed for a "
+                "polynomial expression")
+        c = den.coefficient(0, 0).inverse()
+        return BivariatePolynomial([row.scale(c) for row in num.rows])
+
+    def integer(self) -> int:
         kind, tok, pos = self.toks.peek()
         negative = False
         if kind == "op" and tok == "-":
@@ -163,29 +146,26 @@ class _Parser:
         if kind != "int":
             raise ExprSyntaxError("malformed exponent", pos, expected="integer")
         self.toks.next()
-        return (-tok if negative else tok), pos
+        return -tok if negative else tok
 
     def base(self):
         kind, tok, pos = self.toks.next()
         if kind == "int":
-            return _BiRat.from_poly(BivariatePolynomial.constant(tok)), False
+            return self.ring.coerce(tok)
         if kind == "name":
             if tok == "i":
-                return _BiRat.from_poly(
-                    BivariatePolynomial.constant(GaussianRational(0, 1))), False
+                return self.ring.coerce(GaussianRational(0, 1))
             if tok not in self.variables:
                 raise UndeclaredVariable(
                     f"undeclared variable {tok!r} at position {pos}")
-            if self.variables.index(tok) == 0:
-                return _BiRat.from_poly(BivariatePolynomial.var_x()), True
-            return _BiRat.from_poly(BivariatePolynomial.var_y()), True
+            return self.gens[self.variables.index(tok)]
         if kind == "op" and tok == "(":
             value = self.expr()
             kind2, tok2, pos2 = self.toks.next()
             if kind2 != "op" or tok2 != ")":
                 raise ExprSyntaxError("unbalanced parenthesis", pos2,
                                       expected="')'")
-            return value, False
+            return value
         if kind == "end":
             raise ExprSyntaxError("unexpected end of input", pos,
                                   expected="number, name or '('")
@@ -200,25 +180,11 @@ def parse_expression(text: str, variables):
     the expression must be polynomial (no variable in any denominator).
     One variable -> RationalFunction.
     """
-    value = _Parser(text, variables).parse()
-    if len(variables) == 2:
-        num, den = value.num, value.den
-        if den.degree_y() > 0 or den.degree_x() > 0:
-            raise NonPolynomialExponent(
-                "variables in the denominator are not allowed for a "
-                "polynomial expression")
-        c = den.coefficient(0, 0)
-        return BivariatePolynomial(
-            [row.scale(c.inverse()) for row in num.rows])
-    num, den = value.num, value.den
-    if num.degree_y() > 0 or den.degree_y() > 0:
-        raise UndeclaredVariable("single-variable expression uses y")
-    return RationalFunction(num.coefficient_y(0), den.coefficient_y(0))
+    return _Parser(text, variables).parse()
 
 
 def parse_bivariate(text: str, xvar: str = "x", yvar: str = "y") -> BivariatePolynomial:
-    result = parse_expression(text, [xvar, yvar])
-    return result
+    return parse_expression(text, [xvar, yvar])
 
 
 def parse_rational(text: str, var: str = "x") -> RationalFunction:

@@ -342,13 +342,17 @@ class RationalFunction:
         if num.is_zero():
             den = UnivariatePolynomial.constant(1)
         else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading().inverse()
-            num = num.scale(lead)
-            den = den.scale(lead)
+            # skipping the gcd of a constant denominator and the scaling of
+            # a monic one leaves the normal form as it is
+            if den.degree() > 0:
+                g = num.gcd(den)
+                if g.degree() > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+            if not den.leading().is_one():
+                lead = den.leading().inverse()
+                num = num.scale(lead)
+                den = den.scale(lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

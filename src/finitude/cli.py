@@ -17,13 +17,14 @@ import os
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 from . import __version__
 from .algebra import parse_expression, parse_univariate
 from .algebra.poly import RationalFunction
 from .config import Settings, load_settings
-from .differential import (LinearODE, integrate_rational,
-                           rational_witness_search)
+from .differential import (LinearODE, generalized_riccati,
+                           integrate_rational, rational_witness_search)
 from .errors import ExprSyntaxError, FinitudeError, NumericFailure
 from .fuchsian import FuchsianSystem, small_norm_verdict, system_monodromy
 from .monodromy import monodromy_group, singular_points
@@ -135,7 +136,6 @@ def cmd_ode(args, settings) -> int:
                  "unsolvability by generalized quadratures)"]
         _emit(report, args.json, lines)
         return EXIT_UNDECIDED
-    from .differential import generalized_riccati
     riccati = generalized_riccati(ode)
     report.add("generalized_riccati", riccati.format())
     _emit(report, args.json,
@@ -195,11 +195,13 @@ def cmd_puiseux(args, settings) -> int:
     if args.point == "inf":
         point = INFINITY
     else:
-        from fractions import Fraction
         try:
             point = Fraction(args.point)
         except ValueError:
             point = complex(args.point)
+        except ZeroDivisionError:
+            raise ExprSyntaxError("division by zero in --point",
+                                  args.point.index("/")) from None
     series = puiseux_expand(P, point, order=args.order)
     report.add("series", [s.to_json() for s in series])
     lines = [f"{len(series)} branches at {args.point}:"]

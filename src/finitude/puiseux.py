@@ -41,7 +41,7 @@ from .algebra.poly import (BivariatePolynomial, series_inverse, series_mul,
                            singular_locator)
 from .algebra.roots import refine_root
 from .errors import (NonExactCenter, NumericBreakdown, OrderTooSmall,
-                     SquareFreeRequired)
+                     SquareFreeRequired, ZeroPolynomial)
 
 INFINITY = "infinity"
 
@@ -454,6 +454,8 @@ def puiseux_expand(P: BivariatePolynomial, point=0, order=None,
     requested order, which ``residual_error`` quantifies.  With ``exact``
     a floating-point point raises NonExactCenter.
     """
+    if P.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no branches")
     P = P.primitive_y()
     n = P.degree_y()
     center = _center(P, point, exact)

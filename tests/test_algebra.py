@@ -233,6 +233,69 @@ class TestGaussianRational:
         assert exact_nth_root(z, 2) ** 2 == z
 
 
+def _random_expression(rng, names, depth=4):
+    """A seeded random expression tree over ``names`` as (text, value): the
+    leaves are small integers, ``i`` and the names, the nodes + - * /, unary
+    minus and exponents in -3..4, with parentheses where the grammar needs
+    them and at random.  The value is the sympy value of the tree, or the
+    error class of the first bad divisor met leaf to root and left to right,
+    the parser's order: ExprSyntaxError for a zero divisor and, over two
+    names, NonPolynomialExponent for one that holds a variable.  Over two
+    names a divisor is built from constants alone half of the time."""
+    symbols = {"i": sympy.I, "x": X, "y": Y}
+
+    def divide(num, den):
+        for v in (num, den):
+            if isinstance(v, type):
+                return v
+        den = sympy.cancel(den)
+        if den == 0:
+            return ExprSyntaxError
+        if len(names) == 2 and den.free_symbols:
+            return NonPolynomialExponent
+        return num / den
+
+    def wrap(node, level):
+        # levels: 0 sum, 1 product, 2 signed or powered factor, 3 base
+        text, value, have = node
+        if have < level or rng.random() < 0.1:
+            return f"({text})", value, 3
+        return node
+
+    def tree(depth, leaves):
+        kind = rng.randrange(7) if depth else 0
+        if kind == 0:
+            leaf = rng.choice(["0", "1", "2", "3", "5", "i", *leaves, *leaves])
+            return leaf, symbols.get(leaf) or sympy.Integer(leaf), 3
+        if kind == 1:
+            text, value, _ = wrap(tree(depth - 1, leaves), 2)
+            return "-" + text, value if isinstance(value, type) else -value, 2
+        if kind == 2:
+            text, value, _ = wrap(tree(depth - 1, leaves), 3)
+            k = rng.randint(-3, 4)
+            if not isinstance(value, type):
+                value = value ** k if k >= 0 \
+                    else divide(sympy.Integer(1), value ** -k)
+            return f"{text}^{k}", value, 2
+        op = "+-*/"[kind - 3]
+        low = 0 if op in "+-" else 1
+        lhs = wrap(tree(depth - 1, leaves), low)
+        rhs_leaves = () if op == "/" and len(names) == 2 \
+            and rng.random() < 0.5 else leaves
+        rhs = wrap(tree(depth - 1, rhs_leaves), low + 1)
+        a, b = lhs[1], rhs[1]
+        if op == "/":
+            value = divide(a, b)
+        elif isinstance(a, type) or isinstance(b, type):
+            value = a if isinstance(a, type) else b
+        else:
+            value = {"+": a + b, "-": a - b, "*": a * b}[op]
+        return f"{lhs[0]}{op}{rhs[0]}", value, low
+
+    text, value, _ = tree(depth, tuple(names))
+    return text, value
+
+
 class TestParser:
     def test_bivariate_structure(self):
         P = parse_expression("y^5 + y - x", ["x", "y"])
@@ -259,6 +322,52 @@ class TestParser:
             parse_expression("x^-2 + y", ["x", "y"])
         with pytest.raises(NonPolynomialExponent):
             parse_expression("y/x", ["x", "y"])
+
+    def test_against_sympy(self):
+        rng = random.Random(14)
+        seen = {"rational": 0, "polynomial": 0,
+                ExprSyntaxError: 0, NonPolynomialExponent: 0}
+        for k in range(200):
+            names = ["x"] if k % 2 else ["x", "y"]
+            text, value = _random_expression(rng, names)
+            if isinstance(value, type):
+                with pytest.raises(value):
+                    parse_expression(text, names)
+                seen[value] += 1
+                continue
+            got = parse_expression(text, names)
+            expected = sympy.sympify(text, locals={"i": sympy.I, "x": X,
+                                                   "y": Y})
+            if names == ["x"]:
+                num, den = sympy.fraction(sympy.cancel(expected))
+                lead = sympy.Poly(den, X, domain="QQ_I").LC()
+                assert _sympy_poly(got.num) == \
+                    sympy.Poly(num / lead, X, domain="QQ_I"), text
+                assert _sympy_poly(got.den) == \
+                    sympy.Poly(den / lead, X, domain="QQ_I"), text
+                seen["rational"] += 1
+            else:
+                assert sympy.Poly(to_sympy(got), X, Y, domain="QQ_I") == \
+                    sympy.Poly(expected, X, Y, domain="QQ_I"), text
+                seen["polynomial"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_negative_power_of_the_variable(self):
+        # one variable: x^-2 is 1/x^2, as 1/x^2 is
+        assert parse_rational("x^-2") == parse_rational("1/x^2") == \
+            RationalFunction(1, parse_univariate("x^2"))
+
+    def test_variable_in_nested_divisor_is_rejected(self):
+        # two variables: every divisor must be constant, not only the
+        # quotient that the whole expression reduces to
+        with pytest.raises(NonPolynomialExponent):
+            parse_bivariate("y^3 - x/(1/x)")
+
+    def test_zero_divisor(self):
+        for text, names in [("1/0", ["x"]), ("(x-x)^-1", ["x"]),
+                            ("y^2 - x/(1-1)", ["x", "y"])]:
+            with pytest.raises(ExprSyntaxError, match="division by zero"):
+                parse_expression(text, names)
 
     def test_roundtrip(self):
         rng = random.Random(11)

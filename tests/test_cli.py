@@ -246,11 +246,22 @@ class TestWorkPerRequest:
         assert json.loads(out)["chain"] == ["x^2", "x^3"]
         assert len(chains) == 1
 
-    def test_input_errors_stay_64(self):
-        code, _, err = run(["algebraic", "(y-x)^2"])
-        assert code == 64 and "SquareFreeRequired" in err
-        code, _, err = run(["algebraic", "(y^2-x)*(y-x^2)"])
-        assert code == 64 and "ReducibleInput" in err
+    @pytest.mark.parametrize("argv, message", [
+        (["algebraic", "(y-x)^2"], "SquareFreeRequired"),
+        (["algebraic", "(y^2-x)*(y-x^2)"], "ReducibleInput"),
+        (["integrate", "1/0"], "division by zero"),
+        (["integrate", "(x-x)^-1"], "division by zero"),
+        (["algebraic", "y^2 - x/(1-1)"], "division by zero"),
+        (["decompose", "x/0"], "division by zero"),
+        (["ode", "2", "1/0", "x"], "division by zero"),
+        (["puiseux", "--point", "1/0", "--", "y^2-x"], "division by zero"),
+        (["puiseux", "--", "0"], "ZeroPolynomial"),
+    ], ids=["square-free", "reducible", "integrate-quotient",
+            "integrate-power", "algebraic", "decompose", "ode",
+            "puiseux-point", "puiseux-zero"])
+    def test_input_errors_stay_64(self, argv, message):
+        code, _, err = run(argv)
+        assert code == 64 and message in err
 
 
 class TestParserReuse:

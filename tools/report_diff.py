@@ -13,7 +13,10 @@ Run from the root of a source checkout.  The comparison set is
   requests that expand at an irrational center;
 * ``integrate`` requests whose residues fall in two multiplicity classes,
   come in conjugate Gaussian pairs, or whose subresultant sequences are
-  defective (a degree is skipped).
+  defective (a degree is skipped);
+* front-end requests: nested quotients, negative powers of subexpressions
+  and constant divisors in every subcommand that parses, and malformed
+  inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -49,6 +52,21 @@ SPLIT_INTEGRAND = "2*x/(x^4-2) + 1/(x^2-3)"
 GAUSSIAN_INTEGRANDS = ("(3*x+1)/(x^2+1)", "x/(x^2+1) + 2/(x^2+9)")
 # subresultant sequences of x-degrees [4, 3, 1, 0] and [6, 5, 3, 2, 1, 0]
 DEFECTIVE_INTEGRANDS = ("1/(x^4 + 2)", "(2*x^2 + 3)/(x^6 - 4)")
+FRONT_END = [
+    ["integrate", "--", "1/(x+1) - 2/(x-1)^2 + (x+1)^-3"],
+    ["integrate", "--", "(3/4)^-1*x + i/(x^2+1)"],
+    ["integrate", "--", "-(x^2+1)^-1/(2 - i)"],
+    ["ode", "2", "--", "1/x", "-(x+1)^-2"],
+    ["algebraic", "--", "y^3/2 - x/3"],
+    ["decompose", "--", "(x^2+1)^3/8"],
+    ["decompose", "--", "(x^2-1)/(x-1)"],
+    ["puiseux", "--", "(y^2 - x)/(2*i)"],
+    # rejected: exit 64
+    ["algebraic", "--", "y/x"],
+    ["algebraic", "--", "z + 1"],
+    ["integrate", "--", "x^"],
+    ["integrate", "--", "(x+1"],
+]
 
 
 def corpus_requests(src):
@@ -65,7 +83,8 @@ def corpus_requests(src):
 
 def bench_requests(out_dir):
     """Panel curves with each flag set, the seeded workloads, the
-    close-pair Puiseux requests, then the integrands above."""
+    close-pair Puiseux requests, the integrands above, then the front-end
+    requests."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
@@ -80,7 +99,8 @@ def bench_requests(out_dir):
     return requests + [["puiseux", "--point", point, "--", CLOSE_PAIR]
                        for point in CLOSE_PAIR_POINTS] \
         + [["integrate", "--", integrand] for integrand in
-           (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS)]
+           (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS)] \
+        + FRONT_END
 
 
 def serve(src, requests_path, out_path):
