@@ -7,7 +7,8 @@ Grammar (ASCII only)::
     factor := ('-')* base ('^' integer)?
     base   := number | name | '(' expr ')'
 
-``i`` is the imaginary unit and exponents are integers.  An expression is
+``i`` is the imaginary unit and exponents are integers; an exponent n on a
+base of degree d needs |n| d <= ``MAX_POWER_DEGREE``.  An expression is
 evaluated in its target ring with that ring's own arithmetic: one declared
 variable gives an element of Q(i)(x), a :class:`RationalFunction`; two give
 an element of Q(i)[x, y], a :class:`BivariatePolynomial`, whose divisors
@@ -24,6 +25,10 @@ from .gaussian import GaussianRational
 from .poly import BivariatePolynomial, RationalFunction, UnivariatePolynomial
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+# bound on |exponent| x degree of the base: dense powering costs about 4x
+# per doubling of the exponent, so a larger power is refused as an input
+# error instead of running for hours
+MAX_POWER_DEGREE = 1000
 
 
 class _Tokenizer:
@@ -117,10 +122,18 @@ class _Parser:
         if kind == "op" and tok == "^":
             self.toks.next()
             exp = self.integer()
+            if abs(exp) * self._degree(value) > MAX_POWER_DEGREE:
+                raise ExprSyntaxError("exponent too large", pos)
             if exp < 0:
                 return self._divide(self.ring.coerce(1), value ** -exp, pos)
             value = value ** exp
         return value
+
+    def _degree(self, value) -> int:
+        """max(deg num, deg den) in one variable, deg_x + deg_y in two."""
+        if self.ring is RationalFunction:
+            return max(value.num.degree(), value.den.degree())
+        return value.degree_x() + value.degree_y()
 
     def _divide(self, num, den, pos):
         """num / den, the one rule for divisors: nonzero, and in two

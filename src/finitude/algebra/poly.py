@@ -700,15 +700,18 @@ def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePol
 
 
 def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
-    """[P, Q, R_1, R_2, ...], the subresultant remainder sequence in y over
-    Q(i)[x], the higher y-degree first (Collins; Brown-Traub, JACM 1971).
+    """([P, Q, R_1, R_2, ...], psi): the subresultant remainder sequence in
+    y over Q(i)[x], the higher y-degree first (Collins; Brown-Traub, JACM
+    1971), and its last psi.
 
     R_{k+1} = prem(R_{k-1}, R_k) / beta_k, where prem multiplies by
     lc_y(R_k)^(deg R_{k-1} - deg R_k + 1), beta_k = -lc_y(R_{k-1}) psi_k^d
     and psi_{k+1} = (-lc_y(R_k))^d / psi_k^(d-1) for d the degree step; the
     divisions are exact.  Each R of y-degree i is similar over Q(i)(x) to
     the i-th subresultant; the signs are Brown's (ACM TOMS 1978), as in
-    sympy's ``subresultants``.
+    sympy's ``subresultants``.  The psi returned is, up to sign, the
+    leading coefficient of the regular subresultant whose y-degree is that
+    of the second-to-last member (+-1 when that member is P).
     """
     seq = sorted((P, Q), key=BivariatePolynomial.degree_y, reverse=True)
     lc = UnivariatePolynomial.constant(1)
@@ -724,7 +727,7 @@ def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
             for k, g in enumerate(G.rows[:-1], len(rows) - dg):
                 rows[k] = rows[k] - c * g
         if all(r.is_zero() for r in rows):
-            return seq
+            return seq, psi
         beta = -lc * psi ** d
         seq.append(BivariatePolynomial([r.exact_div(beta) for r in rows]))
         lc = lc_g

@@ -1,17 +1,19 @@
 """Rational-function integration in Liouville form.
 
 integrate_rational produces r0 + sum lambda_i ln r_i with r0 rational and
-square-free, monic, pairwise coprime log arguments: Hermite reduction via
-p-adic digits and extended gcds removes all higher-order poles exactly, and
-the Rothstein-Trager resultant R(t) = Res_x(den, num - t den') delivers the
-residues, from one ``resultant_y`` call.  The log arguments come from one
-subresultant sequence of den and num - t den' (Lazard-Rioboo-Trager): the
-residues whose log argument has x-degree i are the roots of Q_i in
-R = prod Q_i^i, and the primitive part of the member of degree i serves
-them all.  Rational residues stay Gaussian-rational and take that member
-at the residue; irrational ones are carried exactly as roots of the rest
-m(t) of Q_i, with the log argument g(t, x) that member made monic in x,
-its coefficients polynomials in t reduced mod m.
+square-free, monic, pairwise coprime log arguments.  Mack's linear Hermite
+reduction, one extended gcd per multiplicity level, removes all
+higher-order poles exactly and leaves the canonical r0: the antiderivative
+of the polynomial quotient, with constant term 0, plus a proper rational
+function.  One subresultant sequence of den and num - t den' then gives
+both the Rothstein-Trager resultant R(t) = Res_x(den, num - t den'), from
+its tail, and the log arguments (Lazard-Rioboo-Trager): the residues whose
+log argument has x-degree i are the roots of Q_i in R = prod Q_i^i, and the
+primitive part of the member of degree i serves them all.  Rational
+residues stay Gaussian-rational and take that member at the residue;
+irrational ones are carried exactly as roots of the rest m(t) of Q_i, with
+the log argument g(t, x) that member made monic in x, its coefficients
+polynomials in t reduced mod m.
 
 The whole form differentiates back exactly: a conjugate log sum has the
 derivative Tr(t g_x q) / Norm(g) with Norm(g) = Res_t(m, g), q = Norm / g
@@ -21,8 +23,6 @@ identity d(form)/dx = f is checkable with no floating point at all.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ..algebra.gaussian import ZERO, GaussianRational
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
@@ -180,128 +180,81 @@ class LiouvilleForm:
 # --- Hermite reduction -----------------------------------------------------
 
 
-def _padic_digits(num: UnivariatePolynomial, base: UnivariatePolynomial):
-    digits = []
-    rest = num
-    while not rest.is_zero():
-        rest, digit = rest.divmod(base)
-        digits.append(digit)
-    return digits
+def _hermite_reduce(num: UnivariatePolynomial, den: UnivariatePolynomial):
+    """(g, h) with num/den = g' + h, g proper and den(h) square-free, for
+    num/den proper: Mack's linear Hermite reduction (Bronstein, Symbolic
+    Integration I, 2.2).
 
-
-def _hermite_component(num: UnivariatePolynomial, base: UnivariatePolynomial,
-                       power: int):
-    """Reduce num / base^power (base square-free).
-
-    Returns (r0 contribution, residual numerator M) with the component equal
-    to d(r0)/dx-free terms plus M/base, deg M < deg base.  Uses the Bezout
-    identity 1 = sigma base + tau base' and integration by parts:
-    N/base^j = N sigma / base^(j-1) + d/dx(-N tau / ((j-1) base^(j-1)))
-               + (N tau)' / ((j-1) base^(j-1)).
+    With D- = gcd(D, D') and D* = D/D-, each multiplicity level solves
+    B (-D* D-'/D-) + C D-* = A with deg B < deg D-*, where D-* is the
+    square-free part of D-, and sets A <- C - B' D*/D-*, g <- g + B/D-.
     """
-    r0 = RationalFunction.coerce(0)
-    _g, sigma, tau = base.extended_gcd(base.derivative())
-    levels = {}
-    for k, digit in enumerate(_padic_digits(num, base)):
-        j = power - k
-        levels[j] = levels.get(j, UnivariatePolynomial()) + digit
-    for j in range(power, 1, -1):
-        n_cur = levels.get(j)
-        if n_cur is None or n_cur.is_zero():
-            continue
-        t_part = n_cur * tau
-        r0 = r0 + RationalFunction(t_part.scale(Fraction(-1, j - 1)),
-                                   base ** (j - 1))
-        bump = n_cur * sigma + t_part.derivative().scale(Fraction(1, j - 1))
-        levels[j - 1] = levels.get(j - 1, UnivariatePolynomial()) + bump
-    n1 = levels.get(1, UnivariatePolynomial())
-    if n1.is_zero():
-        return r0, n1
-    quotient, residual = n1.divmod(base)
-    if not quotient.is_zero():
-        r0 = r0 + RationalFunction(quotient.antiderivative())
-    return r0, residual
+    g = RationalFunction.coerce(0)
+    d_minus = den.gcd(den.derivative())
+    d_star = den.exact_div(d_minus)
+    while d_minus.degree() > 0:
+        d_minus2 = d_minus.gcd(d_minus.derivative())
+        d_minus_star = d_minus.exact_div(d_minus2)
+        a = -(d_star * d_minus.derivative()).exact_div(d_minus)
+        s = a.extended_gcd(d_minus_star)[1]
+        b = (num * s) % d_minus_star
+        c = (num - b * a).exact_div(d_minus_star)
+        num = c - b.derivative() * d_star.exact_div(d_minus_star)
+        g = g + RationalFunction(b, d_minus)
+        d_minus = d_minus2
+    return g, RationalFunction(num, d_star)
 
 
 def integrate_rational(f: RationalFunction) -> LiouvilleForm:
     """Liouville form of the indefinite integral of a rational function.
 
-    The algebraic part comes from the polynomial quotient and Hermite
-    reduction; the residues from the Rothstein-Trager resultant, kept exact
-    (Gaussian-rational when possible, else as conjugate root families).
-    The identity derivative() == f holds exactly.
+    r0 is the antiderivative of the polynomial quotient, with constant term
+    0, plus the proper rational part from Hermite reduction; the residues
+    come from Rothstein-Trager, kept exact (Gaussian-rational when
+    possible, else as conjugate root families).  The identity
+    derivative() == f holds exactly.
     """
     f = RationalFunction.coerce(f)
-    if f.is_zero():
-        return LiouvilleForm(RationalFunction.coerce(0), [])
     quotient, rest = f.num.divmod(f.den)
-    r0 = RationalFunction(quotient.antiderivative())
-    logs = []
-    blocks = []
-    if not rest.is_zero():
-        proper = RationalFunction(rest, f.den)
-        pieces = _split_squarefree(proper)
-        residue_num = UnivariatePolynomial()
-        residue_den = UnivariatePolynomial.constant(1)
-        for base, power, num in pieces:
-            part_r0, residual = _hermite_component(num, base, power)
-            r0 = r0 + part_r0
-            if not residual.is_zero():
-                # accumulate residual / base over pairwise coprime bases
-                residue_num = residue_num * base + residual * residue_den
-                residue_den = residue_den * base
-        if not residue_num.is_zero():
-            logs, blocks = _rothstein_trager(residue_num, residue_den)
-    return LiouvilleForm(r0, logs, blocks)
-
-
-def _split_squarefree(proper: RationalFunction):
-    """[(base, power, numerator)] over the square-free power factorization."""
-    den = proper.den
-    factors = squarefree_factorization(den)
-    pieces = []
-    remaining = proper.num
-    remaining_den = den
-    for base, power in factors:
-        block = base ** power
-        other = remaining_den.exact_div(block)
-        # split remaining / (block * other) = a/block + b/other:
-        # with 1 = s block + t other, a = remaining t mod block and then
-        # b = (remaining - a other) / block exactly
-        _g, s, t = block.extended_gcd(other)
-        a = (remaining * t) % block
-        b = (remaining - a * other).exact_div(block)
-        pieces.append((base, power, a))
-        remaining = b
-        remaining_den = other
-    return pieces
+    g, h = _hermite_reduce(rest, f.den)
+    logs, blocks = ([], []) if h.is_zero() \
+        else _rothstein_trager(h.num, h.den)
+    return LiouvilleForm(RationalFunction(quotient.antiderivative()) + g,
+                         logs, blocks)
 
 
 def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
-    """Log terms of num/den with den square-free, deg num < deg den.
+    """Log terms of num/den with den monic and square-free, deg num < deg den.
 
-    Lazard-Rioboo-Trager: with R(t) = Res_x(den, A), A = num - t den', split
-    as R = prod Q_i^i, the log argument of the residues in Q_i is S_i, the
-    primitive part in x of the member of x-degree i of the subresultant
-    sequence of den and A (den itself for i = deg den).  At a root a of
+    Lazard-Rioboo-Trager: one subresultant sequence of den and
+    A = num - t den' gives both R(t) = Res_x(den, A), from its tail, and the
+    log arguments.  Split as R = prod Q_i^i, the log argument of the
+    residues in Q_i is S_i, the primitive part in x of the member of
+    x-degree i (den itself for i = deg den).  At a root a of
     Q_i, gcd(den, A(a, x)) has degree i, so the i-th principal subresultant
     coefficient does not vanish at a; the member of degree i is similar to
     that subresultant over Q(i)(t), so both have the same primitive part,
     and its leading coefficient, which divides that coefficient, is a unit
     mod Q_i.  So S_i(a, x) is that gcd, up to a constant.
     """
-    den = den.monic()
     dden = den.derivative()
-    # A(t, x) = num - t den' and den, with x as the y; R(t) = Res_x(den, A)
+    # A(t, x) = num - t den' and den, with x as the y
     length = max(num.degree(), dden.degree()) + 1
     A = BivariatePolynomial(
         [UnivariatePolynomial([num.coefficient(k), -dden.coefficient(k)])
          for k in range(length)])
-    D = BivariatePolynomial(den.coeffs)
-    resultant = resultant_y(A, D)
-    if resultant.is_zero():
+    seq, psi = subresultant_prs(BivariatePolynomial(den.coeffs), A)
+    last = seq[-1]
+    if last.degree_y() > 0:
         raise ZeroPolynomial("degenerate Rothstein-Trager resultant")
-    members = {S.degree_y(): S for S in subresultant_prs(D, A)}
+    # the last member is the subresultant of x-degree e - 1, e the x-degree
+    # of the member before it, so R = S_0 = +-last^e / psi^(e-1) with psi
+    # the leading coefficient of the regular subresultant S_e (structure
+    # theorem; psi is lc_x of the member before only when that member
+    # follows a step of one degree); only R up to a constant is used
+    e = seq[-2].degree_y()
+    resultant = (last.rows[0] ** e).exact_div(psi ** (e - 1))
+    members = {S.degree_y(): S for S in seq}
     classes = [(q, members[i].primitive_y())
                for q, i in squarefree_factorization(resultant)]
     rational_roots, residual = exact_gaussian_roots(

@@ -42,7 +42,7 @@ from .algebra.roots import complex_roots, value_and_slope
 from .config import CONTINUATION_TOL, ROOT_TOL
 from .errors import (BasePointTooClose, IterationLimitExceeded,
                      PathCollision, SingularOnPath, SquareFreeRequired)
-from .permgroups import PermGroup, cycles_string
+from .permgroups import PermGroup, compose, cycles_string
 
 # Largest tracker step on an arc, in radians.  A step is taken along the
 # chord; at pi/4 the chord keeps 0.92 of the radius from the centre, and
@@ -695,7 +695,6 @@ def ordered_product(perms):
     """Product of permutations with the rightmost factor applied first."""
     if not perms:
         raise ValueError("empty product")
-    from .permgroups import compose
     acc = tuple(perms[-1])
     for p in reversed(list(perms)[:-1]):
         acc = compose(tuple(p), acc)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from ..algebra.gaussian import GaussianRational, exact_nth_root
 from ..algebra.poly import (BivariatePolynomial, UnivariatePolynomial,
                             discriminant_y)
+from ..algebra.roots import exact_gaussian_roots
+from ..errors import DegreeTooLow
 
 _GAUSSIAN_UNITS = [GaussianRational(1), GaussianRational(-1),
                    GaussianRational(0, 1), GaussianRational(0, -1)]
@@ -113,7 +115,7 @@ def ritt_decompose(f: UnivariatePolynomial) -> CompositionChain:
     degree in increasing order, so x^6 decomposes as [x^2, x^3].
     """
     if f.degree() < 1:
-        raise ValueError("degree must be at least 1")
+        raise DegreeTooLow("degree must be at least 1")
     lead = f.leading()
     monic = f.scale(lead.inverse())
     chain = _decompose_monic(monic)
@@ -214,12 +216,6 @@ def _critical_value_poly(f: UnivariatePolynomial) -> UnivariatePolynomial:
     return discriminant_y(curve)
 
 
-def _gaussian_roots_of(poly: UnivariatePolynomial):
-    from ..algebra.roots import exact_gaussian_roots
-    found, residual = exact_gaussian_roots(poly)
-    return found, residual
-
-
 def _chebyshev_detect(f: UnivariatePolynomial):
     """f = L1 o T_n o L2 with exact Gaussian data, or None."""
     n = f.degree()
@@ -231,7 +227,7 @@ def _chebyshev_detect(f: UnivariatePolynomial):
     squarefree = disc_t.squarefree_part()
     if squarefree.degree() != 2:
         return None
-    roots, residual = _gaussian_roots_of(squarefree)
+    roots, residual = exact_gaussian_roots(squarefree)
     if residual.degree() > 0 or len(roots) != 2:
         return None
     values = sorted((r for r, _ in roots),

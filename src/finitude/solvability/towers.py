@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -244,11 +245,10 @@ def _select_generator(sigma, n, sample_roots_list, zeta):
     The Lagrange resolvent r_1 can vanish identically for an unlucky orbit
     labeling (e.g. Chebyshev curves); relabeling by sigma^m fixes it.
     """
-    from math import gcd
     vals = sample_roots_list[0]
     scale = max(abs(v) for v in vals)
     for m in range(1, n):
-        if gcd(m, n) != 1:
+        if math.gcd(m, n) != 1:
             continue
         cand = _perm_power(sigma, m)
         orbit = _orbit_of(cand, n)
@@ -473,7 +473,6 @@ def tower_mismatch(P: BivariatePolynomial, expr, action,
     exactly the values of the continuation-tracked branches there, computed
     directly for robustness near branch collisions.
     """
-    import random
     rng = random.Random(seed)
     base = action.base_point
     worst = 0.0

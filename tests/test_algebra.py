@@ -323,6 +323,20 @@ class TestParser:
         with pytest.raises(NonPolynomialExponent):
             parse_expression("y/x", ["x", "y"])
 
+    def test_exponent_bound(self):
+        # |n| times the degree of the base may reach 1000, not more
+        assert parse_expression("(x+1)^1000", ["x"]).num.degree() == 1000
+        assert parse_expression("x^-1000", ["x"]).den.degree() == 1000
+        assert parse_expression("(x*y)^500", ["x", "y"]).degree_x() == 500
+        for text, variables, position in [("x^-1001", ["x"], 1),
+                                          ("(x/(x+1))^1001", ["x"], 9),
+                                          ("(1/(x^2+1))^501", ["x"], 11),
+                                          ("(x*y)^501", ["x", "y"], 5)]:
+            with pytest.raises(ExprSyntaxError, match="exponent too large") \
+                    as err:
+                parse_expression(text, variables)
+            assert err.value.position == position
+
     def test_against_sympy(self):
         rng = random.Random(14)
         seen = {"rational": 0, "polynomial": 0,
@@ -446,9 +460,15 @@ def _rothstein_trager_pair(integrand):
          for k in range(f.den.degree())])
 
 
-# the sequences of the first two skip x-degrees
+# sequences that skip x-degrees, the last three in their final step; the
+# last one also reaches its second-to-last member by a skip (6 -> 2), where
+# psi is not lc_x of that member
 DEFECTIVE_PAIRS = {"1/(x^4 + 2)": [4, 3, 1, 0],
-                   "(2*x^2 + 3)/(x^6 - 4)": [6, 5, 3, 2, 1, 0]}
+                   "(2*x^2 + 3)/(x^6 - 4)": [6, 5, 3, 2, 1, 0],
+                   "x^2/(x^6+1)": [6, 5, 3, 2, 0],
+                   "x^3/(x^8+3)": [8, 7, 4, 3, 0],
+                   "(9*x^8+18*x^5+9*x^2)/(x^9+3*x^6+3*x^3+2)":
+                       [9, 8, 6, 2, 0]}
 
 
 def _integrands(count=12):
@@ -531,9 +551,9 @@ class TestSympyOracle:
         pairs = list(_oracle_pairs()) + [
             _rothstein_trager_pair(f) for f in (*DEFECTIVE_PAIRS,
                                                 *_integrands())]
-        defective = 0
+        defective = skipped_into_tail = 0
         for P, Q in pairs:
-            got = subresultant_prs(P, Q)
+            got, psi = subresultant_prs(P, Q)
             oracle = sympy.subresultants(to_sympy(P), to_sympy(Q), Y)
             assert len(got) == len(oracle), (str(P), str(Q))
             for member, expected in zip(got, oracle):
@@ -542,10 +562,19 @@ class TestSympyOracle:
             degrees = [member.degree_y() for member in got]
             defective += any(a - b > 1 for a, b in zip(degrees[1:],
                                                         degrees[2:]))
+            if degrees[-1] == 0:
+                # the resultant from the tail: +-last^e / psi^(e-1)
+                e = degrees[-2]
+                tail = (got[-1].rows[0] ** e).exact_div(psi ** (e - 1))
+                resultant = sympy.resultant(to_sympy(P), to_sympy(Q), Y)
+                assert sympy.expand(to_sympy(tail) ** 2
+                                    - resultant ** 2) == 0, (str(P), str(Q))
+                skipped_into_tail += len(degrees) > 2 and \
+                    degrees[-3] - e > 1 and e > 1
         for integrand, degrees in DEFECTIVE_PAIRS.items():
-            assert [member.degree_y() for member in subresultant_prs(
-                *_rothstein_trager_pair(integrand))] == degrees
-        assert defective >= 8
+            seq, _ = subresultant_prs(*_rothstein_trager_pair(integrand))
+            assert [member.degree_y() for member in seq] == degrees
+        assert defective >= 8 and skipped_into_tail >= 1
 
     def test_gcd_against_sympy(self):
         for p, q, common in _planted_polynomials():

@@ -5,12 +5,13 @@ import io
 import json
 import os
 import sys
+import time
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
 from finitude import errors, fuchsian, monodromy
-from finitude.algebra import poly
+from finitude.algebra import parse_rational, poly
 from finitude.cli import build_parser, main
 from finitude.config import Settings
 from finitude.differential import kovacic, liouville
@@ -246,6 +247,18 @@ class TestWorkPerRequest:
         assert json.loads(out)["chain"] == ["x^2", "x^3"]
         assert len(chains) == 1
 
+    def test_one_subresultant_sequence_per_integrand(self, monkeypatch):
+        # R(t) comes from the tail of the sequence that gives the log
+        # arguments; the derivative check takes one Norm resultant per block
+        sequences = count_calls(monkeypatch, "subresultant_prs",
+                                poly.subresultant_prs)
+        resultants = count_calls(monkeypatch, "resultant_y", poly.resultant_y)
+        form = liouville.integrate_rational(parse_rational("1/(x^3 - 2)"))
+        assert len(form.blocks) == 1
+        assert (len(sequences), len(resultants)) == (1, 0)
+        form.derivative()
+        assert len(resultants) == 1
+
     @pytest.mark.parametrize("argv, message", [
         (["algebraic", "(y-x)^2"], "SquareFreeRequired"),
         (["algebraic", "(y^2-x)*(y-x^2)"], "ReducibleInput"),
@@ -256,12 +269,23 @@ class TestWorkPerRequest:
         (["ode", "2", "1/0", "x"], "division by zero"),
         (["puiseux", "--point", "1/0", "--", "y^2-x"], "division by zero"),
         (["puiseux", "--", "0"], "ZeroPolynomial"),
+        (["decompose", "--", "0"], "DegreeTooLow"),
+        (["decompose", "--", "1"], "DegreeTooLow"),
     ], ids=["square-free", "reducible", "integrate-quotient",
             "integrate-power", "algebraic", "decompose", "ode",
-            "puiseux-point", "puiseux-zero"])
+            "puiseux-point", "puiseux-zero", "decompose-zero",
+            "decompose-constant"])
     def test_input_errors_stay_64(self, argv, message):
         code, _, err = run(argv)
         assert code == 64 and message in err
+
+
+    def test_huge_exponent_is_refused_at_once(self):
+        # expanding (x+1)^100000 densely would take hours
+        start = time.perf_counter()
+        code, _, err = run(["integrate", "--", "(x+1)^100000"])
+        assert code == 64 and "exponent too large" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestParserReuse:

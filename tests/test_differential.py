@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.integrals.rationaltools import ratint_ratpart
 
 from finitude.algebra import (GaussianRational, RationalFunction,
-                              UnivariatePolynomial, parse_rational)
+                              UnivariatePolynomial, parse_rational,
+                              squarefree_factorization)
 from finitude.differential import (DifferentialPolynomial, LinearODE,
                                    d_sequence, generalized_riccati,
                                    generalized_riccati_homogeneous,
@@ -177,6 +180,19 @@ class TestWitnessSearch:
             rational_witness_search(LinearODE([0, 0, 1]))
 
 
+# integrands whose subresultant sequences end in a skipped degree, x-degrees
+# [6, 5, 3, 2, 0], [8, 7, 4, 3, 0] and [9, 8, 6, 2, 0], with their forms; the
+# last is D'/D for the square-free D = (x^3+2)(x^6+x^3+1), whose member of
+# degree 2 follows a skip, so R(t) divides by the psi of the sequence, not by
+# lc_x of that member (which would give R = (t-1)^12 where (t-1)^9 is right)
+SKIPPED_TAILS = {
+    "x^2/(x^6+1)": "-1/6*i*ln(x^3 - i) + 1/6*i*ln(x^3 + i)",
+    "x^3/(x^8+3)": "RootSum(t | t^2 + 1/192, t*ln(x^4 + (24*t)))",
+    "(9*x^8+18*x^5+9*x^2)/(x^9+3*x^6+3*x^3+2)":
+        "1*ln(x^9 + 3*x^6 + 3*x^3 + 2)",
+}
+
+
 class TestIntegration:
     def test_spec_examples(self):
         form = integrate_rational(parse_rational("1/x"))
@@ -186,6 +202,9 @@ class TestIntegration:
         form = integrate_rational(parse_rational("1/x^2"))
         assert form.r0 == parse_rational("-1/x")
         assert not form.logs and not form.blocks
+        form = integrate_rational(parse_rational("1/(x^2+1)^2"))
+        assert form.r0 == parse_rational("x/(2*x^2+2)")
+        assert sorted(str(t.lam) for t in form.logs) == ["-1/4*i", "1/4*i"]
         form = integrate_rational(parse_rational("1/(x^2-1)"))
         lams = sorted(str(t.lam) for t in form.logs)
         assert lams == ["-1/2", "1/2"]
@@ -237,3 +256,70 @@ class TestIntegration:
             for b in args[:i]:
                 assert a.gcd(b).degree() == 0
         assert (form.derivative() - f).is_zero()
+
+    def test_rational_part_against_ratint(self):
+        # r0 is the antiderivative of the polynomial quotient, constant term
+        # 0, plus the proper rational part that sympy's ratint_ratpart
+        # gives for the proper remainder: unique, with no additive constant
+        rng = random.Random(1515)
+        multiplicities = set()
+        for num, den in _repeated_factor_integrands(rng, 100):
+            f = RationalFunction(num, den)
+            form = integrate_rational(f)
+            assert (form.derivative() - f).is_zero()
+            quotient, rest = f.num.divmod(f.den)
+            got = form.r0 - RationalFunction(quotient.antiderivative())
+            expected, _ = ratint_ratpart(_to_sympy(rest), _to_sympy(f.den), X)
+            num, den = (sympy.Poly(part, X, domain="QQ_I")
+                        for part in sympy.fraction(expected))
+            assert (_to_sympy(got.num) * den
+                    - _to_sympy(got.den) * num).is_zero, str(f)
+            multiplicities.update(k for _, k in
+                                  squarefree_factorization(f.den))
+        assert {2, 3, 4} <= multiplicities
+
+    @pytest.mark.parametrize("integrand", SKIPPED_TAILS)
+    def test_sequence_ending_in_a_skipped_degree(self, integrand):
+        # R(t) is taken from the tail of the subresultant sequence, whose
+        # last step here skips degrees (3 -> 0, 4 -> 0 and 2 -> 0); a wrong
+        # exponent or divisor would give classes of the wrong degree
+        f = parse_rational(integrand)
+        form = integrate_rational(f)
+        assert (form.derivative() - f).is_zero()
+        assert form.format() == SKIPPED_TAILS[integrand]
+
+X = sympy.Symbol("x")
+
+
+def _to_sympy(p):
+    return sympy.Poly([sympy.Rational(c.re.numerator, c.re.denominator)
+                       + sympy.I * sympy.Rational(c.im.numerator,
+                                                  c.im.denominator)
+                       for c in reversed(p.coeffs)], X, domain="QQ_I")
+
+
+def _repeated_factor_integrands(rng, count):
+    """Seeded (num, den) with small Gaussian coefficients: den, of degree
+    at most 7, carries a factor of multiplicity 2-4 and sometimes a second
+    repeated one, and one numerator in three is improper."""
+    def poly(degree):
+        return UnivariatePolynomial(
+            [GaussianRational(rng.randint(-4, 4),
+                              rng.choice([0, 0, rng.randint(-2, 2)]))
+             for _ in range(degree)] + [1])
+
+    made = 0
+    while made < count:
+        den = poly(rng.randint(1, 2)) ** rng.randint(2, 4) \
+            * poly(rng.randint(0, 2))
+        if rng.random() < 0.3:
+            den = den * poly(1) ** 2
+        if den.degree() > 7:
+            continue
+        top = den.degree() + (2 if made % 3 == 0 else -1)
+        num = UnivariatePolynomial(
+            [GaussianRational(rng.randint(-5, 5), rng.randint(-2, 2))
+             for _ in range(rng.randint(1, top + 1))])
+        if not num.is_zero():
+            made += 1
+            yield num, den

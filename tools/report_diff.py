@@ -13,7 +13,8 @@ Run from the root of a source checkout.  The comparison set is
   requests that expand at an irrational center;
 * ``integrate`` requests whose residues fall in two multiplicity classes,
   come in conjugate Gaussian pairs, or whose subresultant sequences are
-  defective (a degree is skipped);
+  defective (a degree is skipped), and integrands with repeated
+  denominator factors, which exercise Hermite reduction;
 * front-end requests: nested quotients, negative powers of subexpressions
   and constant divisors in every subcommand that parses, and malformed
   inputs that exit 64.
@@ -50,8 +51,19 @@ CLOSE_PAIR_POINTS = ("1.52150944558511+1.170391142416538j",
 SPLIT_INTEGRAND = "2*x/(x^4-2) + 1/(x^2-3)"
 # conjugate Gaussian residues, ordered as complex_roots returns them
 GAUSSIAN_INTEGRANDS = ("(3*x+1)/(x^2+1)", "x/(x^2+1) + 2/(x^2+9)")
-# subresultant sequences of x-degrees [4, 3, 1, 0] and [6, 5, 3, 2, 1, 0]
-DEFECTIVE_INTEGRANDS = ("1/(x^4 + 2)", "(2*x^2 + 3)/(x^6 - 4)")
+# subresultant sequences of x-degrees [4, 3, 1, 0], [6, 5, 3, 2, 1, 0],
+# [6, 5, 3, 2, 0], [8, 7, 4, 3, 0] and [9, 8, 6, 2, 0]: the last three end
+# in a skipped degree, and the last one also reaches degree 2 by a skip
+DEFECTIVE_INTEGRANDS = ("1/(x^4 + 2)", "(2*x^2 + 3)/(x^6 - 4)",
+                        "x^2/(x^6+1)", "x^3/(x^8+3)",
+                        "(9*x^8+18*x^5+9*x^2)/(x^9+3*x^6+3*x^3+2)")
+# repeated denominator factors of multiplicity 2-4, integer and Gaussian,
+# with and without a polynomial part; the first is the derivative of
+# -1/(x^2-1), so nothing is left after Hermite reduction
+HERMITE_INTEGRANDS = (
+    "2*x/(x^2-1)^2", "(3*x+1)/((x^2+x+1)^2*x^3)", "(x^3-1)/(x^2+1)^3",
+    "1/(x^2+2)^4", "x^5/(x-1)^3", "(x^4+i)/((x-i)^2*(x+1)^3)",
+    "i*x^2/(x^2-2*i)^2", "(x^6+(2-i)*x)/((x+i)^4*(x-2))")
 FRONT_END = [
     ["integrate", "--", "1/(x+1) - 2/(x-1)^2 + (x+1)^-3"],
     ["integrate", "--", "(3/4)^-1*x + i/(x^2+1)"],
@@ -99,7 +111,8 @@ def bench_requests(out_dir):
     return requests + [["puiseux", "--point", point, "--", CLOSE_PAIR]
                        for point in CLOSE_PAIR_POINTS] \
         + [["integrate", "--", integrand] for integrand in
-           (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS)] \
+           (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS,
+            *HERMITE_INTEGRANDS)] \
         + FRONT_END
 
 
