@@ -8,7 +8,10 @@ Grammar (ASCII only)::
     base   := number | name | '(' expr ')'
 
 ``i`` is the imaginary unit and exponents are integers; an exponent n on a
-base of degree d needs |n| d <= ``MAX_POWER_DEGREE``.  An expression is
+base of degree d needs |n| d <= ``MAX_POWER_DEGREE``, and on a constant c
+|n| log2 s <= ``MAX_POWER_BITS``, where s is the larger of the modulus of
+c's numerator over Z[i] and its denominator (of 1/c's for n < 0), so that
+0, +-1 and +-i take any exponent.  An expression is
 evaluated in its target ring with that ring's own arithmetic: one declared
 variable gives an element of Q(i)(x), a :class:`RationalFunction`; two give
 an element of Q(i)[x, y], a :class:`BivariatePolynomial`, whose divisors
@@ -18,6 +21,7 @@ checked by ``_Parser._divide``.
 
 from __future__ import annotations
 
+import math
 import re
 
 from ..errors import ExprSyntaxError, NonPolynomialExponent, UndeclaredVariable
@@ -29,6 +33,9 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 # per doubling of the exponent, so a larger power is refused as an input
 # error instead of running for hours
 MAX_POWER_DEGREE = 1000
+# bound on the bits a constant power adds per part: 2^100000 would be
+# expanded at once and then exceed the digits a report can print
+MAX_POWER_BITS = 10000
 
 
 class _Tokenizer:
@@ -122,7 +129,10 @@ class _Parser:
         if kind == "op" and tok == "^":
             self.toks.next()
             exp = self.integer()
-            if abs(exp) * self._degree(value) > MAX_POWER_DEGREE:
+            degree = self._degree(value)
+            if abs(exp) * degree > MAX_POWER_DEGREE or (
+                    degree == 0 and
+                    abs(exp) * _growth(value, exp) > MAX_POWER_BITS):
                 raise ExprSyntaxError("exponent too large", pos)
             if exp < 0:
                 return self._divide(self.ring.coerce(1), value ** -exp, pos)
@@ -184,6 +194,21 @@ class _Parser:
                                   expected="number, name or '('")
         raise ExprSyntaxError(f"unexpected token {tok!r}", pos,
                               expected="number, name or '('")
+
+
+def _growth(value, exp: int) -> float:
+    """log2 of the larger of |a + bi| and d for the constant (a + bi)/d
+    (of its inverse for a negative ``exp``): the bits that each unit of
+    |exp| adds to the parts of its power.  0 for 0, +-1 and +-i."""
+    rows = value.num.coeffs if isinstance(value, RationalFunction) \
+        else value.rows[0].coeffs
+    if not rows or rows[0].is_zero():
+        return 0.0  # 0^n is 0, or a division by zero
+    c = rows[0] if exp >= 0 else rows[0].inverse()
+    d = math.lcm(c.re.denominator, c.im.denominator)
+    a, b = c.re.numerator * (d // c.re.denominator), \
+        c.im.numerator * (d // c.im.denominator)
+    return max(math.log2(a * a + b * b) / 2, math.log2(d))
 
 
 def parse_expression(text: str, variables):

@@ -1,12 +1,24 @@
 """Certified numeric root finding.
 
 Strategy: exact square-free decomposition first, so every root that the
-iteration sees is simple; companion-matrix eigenvalues seed a simultaneous
-Aberth-Ehrlich iteration; a posteriori each approximation gets an inclusion
-disk from the classical bound |z - root| <= n |p(z)/p'(z)| for square-free p.
-Where double evaluation of that bound is too coarse (a cluster of close
-roots), callers may ask for it to be evaluated exactly at a ``refine_root``
-point instead.
+iteration sees is simple.  A simultaneous Aberth-Ehrlich iteration in
+doubles, seeded on Bini's circles, approximates all roots of a factor.  Each
+approximation is then finished exactly on the factor's Gaussian-integer
+coefficients: it is rounded to the 53-bit grid of its own magnitude (the
+spacing of doubles at its larger part), p and p' are evaluated there by
+integer Horner, and exact Newton steps, each rounded back to that grid, run
+until the point stops moving (at most ``_EXACT_STEPS``).  A converged centre
+is the root rounded to its grid, whatever the seed.  Its radius
+n |p(c)/p'(c)|, computed from the exact values and rounded up, is a true
+inclusion radius for square-free p (Rump, JCAM 2003): p(c) is exact, so no
+rounding error hides in it.  Where doubles cannot resolve a cluster, so that
+the enclosures overlap or stay too wide, Aberth sweeps once more with p'/p
+taken from exact values before the centres are finished again.
+
+For a real factor, a centre whose disk reaches the real axis is moved onto
+it and finished again, and the roots below the axis are the conjugates of
+those above; pairwise disjoint disks then make each real centre enclose a
+real root, and conjugate pairs come out as exact conjugates.
 
 ``refine_root`` carries one root past double precision: Newton on the exact
 Q(i) coefficients, each iterate rounded to a fixed dyadic grid.
@@ -14,10 +26,9 @@ Q(i) coefficients, each iterate rounded to a fixed dyadic grid.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from ..config import ROOT_TOL
 from ..errors import IterationLimitExceeded, ZeroPolynomial
@@ -28,6 +39,16 @@ from .poly import UnivariatePolynomial, squarefree_factorization
 # double precision, and small enough that the exact iteration stays cheap
 REFINE_BITS = 128
 _REFINE_STEPS = 12
+# exact Newton steps after Aberth: from a double-precision approximation one
+# step reaches the rounded root and the next evaluation confirms it
+_EXACT_STEPS = 2
+# a cap only: converging sweeps stop as soon as every point has settled,
+# that is moved by at most _SETTLED relative to itself; exact Newton takes
+# a settled point to the rounded root in one step
+_ABERTH_SWEEPS = 100
+_SETTLED = 2.0 ** -40
+# Bini's rotation of the seed circles away from the real axis
+_SEED_ANGLE = 0.7
 
 
 class ComplexInterval:
@@ -54,10 +75,6 @@ class ComplexInterval:
         return f"ComplexInterval({self.center!r}, {self.radius:.3g})"
 
 
-def _complex_coeffs(p: UnivariatePolynomial) -> np.ndarray:
-    return np.array([complex(c) for c in p.coeffs], dtype=complex)
-
-
 def value_and_slope(cs, z):
     """p(z) and p'(z) by Horner, for p with coefficients cs, highest power
     first."""
@@ -68,106 +85,244 @@ def value_and_slope(cs, z):
     return p, d
 
 
-def _companion_seeds(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    if n == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    monic = coeffs / coeffs[-1]
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
+def _gaussian_integers(p: UnivariatePolynomial):
+    """The coefficients of p times the lcm of their denominators, as
+    (re, im) integer pairs, lowest power first."""
+    parts = [(c.re, c.im) for c in p.coeffs]
+    den = math.lcm(*(q.denominator for pair in parts for q in pair))
+    return [(int(re * den), int(im * den)) for re, im in parts]
 
-def _aberth(coeffs: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
-    """Simultaneous refinement of all simple roots of a square-free poly."""
-    z = _companion_seeds(coeffs).astype(complex)
-    n = len(z)
-    if n == 1:
-        return z
-    for _ in range(max_iter):
-        moved = 0.0
-        pv = np.empty(n, dtype=complex)
-        dv = np.empty(n, dtype=complex)
-        for k in range(n):
-            pv[k], dv[k] = value_and_slope(coeffs[::-1], z[k])
-        newton = np.where(dv != 0, pv / dv, 0.0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sums = np.sum(1.0 / diff, axis=1) - 1.0  # remove diagonal's 1/1
-        corr = newton / (1.0 - newton * sums)
-        corr = np.where(np.isfinite(corr), corr, newton)
-        z = z - corr
-        moved = float(np.max(np.abs(corr)))
-        if moved < tol * max(1.0, float(np.max(np.abs(z)))) * 1e-3:
+
+def _bini_seeds(cs):
+    """Starting points for Aberth, ``cs`` lowest power first (Bini, Numer.
+    Algorithms 13, 1996): one circle per edge of the upper convex hull of
+    (k, log|a_k|), its radius the geometric mean ratio along the edge and
+    as many points on it as the edge is long; a root at zero is seeded at
+    zero."""
+    n = len(cs) - 1
+    points = [(k, math.log(abs(c))) for k, c in enumerate(cs) if c != 0]
+    hull = []
+    for pt in points:
+        while len(hull) >= 2:
+            (k0, v0), (k1, v1) = hull[-2], hull[-1]
+            if (v1 - v0) * (pt[0] - k0) > (pt[1] - v0) * (k1 - k0):
+                break
+            hull.pop()
+        hull.append(pt)
+    seeds = [0j] * hull[0][0]
+    for (k0, v0), (k1, v1) in zip(hull, hull[1:]):
+        m = k1 - k0
+        radius = math.exp((v0 - v1) / m)
+        turn = 2 * math.pi * k0 / n + _SEED_ANGLE
+        seeds += [radius * cmath.exp(1j * (2 * math.pi * j / m + turn))
+                  for j in range(m)]
+    return seeds
+
+
+def _log_slope(desc, rev, z):
+    """p'(z)/p(z) in doubles, or None at an exact zero of p.  ``desc``
+    holds the coefficients highest power first and ``rev`` lowest first;
+    outside the unit disk p is evaluated through its reversal at 1/z, so
+    the values stay in range."""
+    if abs(z) <= 1.0:
+        p, d = value_and_slope(desc, z)
+        return None if p == 0 else d / p
+    w = 1.0 / z
+    q, d = value_and_slope(rev, w)
+    return None if q == 0 else (len(desc) - 1 - w * d / q) * w
+
+
+def _exact_log_slope(ints, z):
+    """p'(z)/p(z) from exact values, correctly rounded, or None at an exact
+    zero of p."""
+    pr, pi, dr, di, t, _wr, _wi = _exact_values(ints, z)
+    size = pr * pr + pi * pi
+    if size == 0:
+        return None
+    dr, di = dr * t, di * t  # p'/p = D T / P
+    try:
+        return complex((dr * pr + di * pi) / size, (di * pr - dr * pi) / size)
+    except OverflowError:  # z is a root to far below double precision
+        return None
+
+
+def _aberth(log_slope, z):
+    """Aberth-Ehrlich sweeps from the points ``z`` (Gauss-Seidel order)
+    with the logarithmic derivative ``log_slope`` until every correction
+    is below ``_SETTLED`` relative to its point."""
+    z = list(z)
+    done = [False] * len(z)
+    for _ in range(_ABERTH_SWEEPS):
+        for k, zk in enumerate(z):
+            if done[k]:
+                continue
+            g = log_slope(zk)
+            if g is not None:
+                g -= sum(1.0 / (zk - zj) for zj in z if zj != zk)
+            if g is None or g == 0 or not cmath.isfinite(g):
+                done[k] = True
+                continue
+            step = 1.0 / g
+            z[k] = zk - step
+            done[k] = abs(step) <= _SETTLED * abs(zk)
+        if all(done):
             break
     return z
 
 
-def _certify(coeffs: np.ndarray, z: complex) -> float:
-    """Inclusion radius n |p(z)/p'(z)| (valid for square-free p)."""
-    pv, dv = value_and_slope(coeffs[::-1], z)
-    if dv == 0:
+def _dyadic(z: complex):
+    """Integers X, Y and a power of two T with z = (X + iY)/T."""
+    a, da = z.real.as_integer_ratio()
+    b, db = z.imag.as_integer_ratio()
+    t = max(da, db)
+    return a * (t // da), b * (t // db), t
+
+
+def _round_div(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer, ties to even, for d > 0."""
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return q
+
+
+def _on_grid(a: int, b: int, den: int) -> complex:
+    """(a + bi)/den, den > 0, with both parts rounded to the spacing of
+    doubles at the larger part: that part is correctly rounded, and the
+    other one is kept only to the same absolute precision."""
+    m = max(abs(a), abs(b))
+    if m == 0:
+        return 0j
+    e = m.bit_length() - den.bit_length()  # 2^e <= m/den < 2^(e+1) ...
+    if (m << max(0, -e)) < (den << max(0, e)):
+        e -= 1                             # ... after this correction
+    shift = 52 - e
+    if shift >= 0:
+        x, y = _round_div(a << shift, den), _round_div(b << shift, den)
+    else:
+        x, y = _round_div(a, den << -shift), _round_div(b, den << -shift)
+    return complex(math.ldexp(x, -shift), math.ldexp(y, -shift))
+
+
+def _exact_values(ints, z: complex):
+    """Horner on the Gaussian integers ``ints`` at the double point z =
+    W/T, exactly: P = T^n p(z) and D = T^(n-1) p'(z) as (re, im) integer
+    pairs, and T."""
+    wr, wi, t = _dyadic(z)
+    pr, pi = ints[-1]
+    dr = di = 0
+    tk = 1
+    for a, b in reversed(ints[:-1]):
+        dr, di = dr * wr - di * wi + pr, dr * wi + di * wr + pi
+        tk *= t
+        pr, pi = pr * wr - pi * wi + a * tk, pr * wi + pi * wr + b * tk
+    return pr, pi, dr, di, t, wr, wi
+
+
+def _upper_sqrt(num: int, den: int) -> float:
+    """A float no smaller than sqrt(num/den)."""
+    try:
+        q = num / den  # correctly rounded
+    except OverflowError:
         return math.inf
-    n = len(coeffs) - 1
-    return n * abs(pv / dv)
+    return math.nextafter(math.sqrt(math.nextafter(q, math.inf)), math.inf)
+
+
+def _finish(ints, z: complex):
+    """The grid point that exact Newton reaches from z, and the radius
+    n |p/p'| there rounded up (inf where p' vanishes)."""
+    n = len(ints) - 1
+    w = _on_grid(*_dyadic(z))
+    for step in range(_EXACT_STEPS + 1):
+        pr, pi, dr, di, t, wr, wi = _exact_values(ints, w)
+        if pr == 0 and pi == 0:
+            return w, 0.0
+        slope = dr * dr + di * di
+        if slope == 0:
+            return w, math.inf
+        if step == _EXACT_STEPS:
+            break
+        # w - p/p' = (W D - P) / (D T)
+        nr, ni = wr * dr - wi * di - pr, wr * di + wi * dr - pi
+        nxt = _on_grid(nr * dr + ni * di, ni * dr - nr * di, slope * t)
+        if nxt == w:
+            break
+        w = nxt
+    return w, _upper_sqrt(n * n * (pr * pr + pi * pi), slope * t * t)
+
+
+def _enclose(ints, approx, tol: float):
+    """Certified enclosures from the approximations ``approx`` of all roots
+    of the square-free factor with Gaussian-integer coefficients ``ints``;
+    IterationLimitExceeded when they do not meet ``tol`` or overlap."""
+    real = all(b == 0 for _, b in ints)
+    if real:  # upper half first: the lower half are their conjugates
+        approx = sorted(approx, key=lambda z: -z.imag)
+    enclosures = []
+    for z in approx:
+        if real and z.imag < 0 and len(enclosures) == len(approx):
+            break
+        c, r = _finish(ints, z)
+        if real and c.imag != 0 and abs(c.imag) <= r:
+            c, r = _finish(ints, complex(c.real, 0.0))
+        if real and c.imag < 0:
+            continue
+        enclosures.append(ComplexInterval(c, r))
+        if real and c.imag > 0:
+            enclosures.append(ComplexInterval(c.conjugate(), r))
+    if len(enclosures) != len(approx):
+        raise IterationLimitExceeded(
+            "root enclosures of a real factor are not closed under "
+            "conjugation")
+    for k, enc in enumerate(enclosures):
+        if enc.radius > tol * max(1.0, abs(enc.center)):
+            raise IterationLimitExceeded(
+                f"could not certify root near {enc.center:.6g} to tol={tol}")
+        for other in enclosures[:k]:
+            if enc.overlaps(other):
+                raise IterationLimitExceeded(
+                    "root enclosures overlap; tolerance too coarse")
+    return enclosures
+
+
+def _factor_roots(factor: UnivariatePolynomial, tol: float, accept: float):
+    """Certified enclosures of the roots of one square-free factor.  Where
+    double evaluation cannot resolve a cluster to ``tol``, Aberth sweeps
+    again with exact evaluation, and those enclosures need only meet
+    ``accept``."""
+    ints = _gaussian_integers(factor)
+    shift = max(max(abs(a), abs(b)).bit_length() for a, b in ints) - 1
+    cs = [complex(a / (1 << shift), b / (1 << shift)) for a, b in ints]
+    desc = cs[::-1]
+    approx = _aberth(lambda z: _log_slope(desc, cs, z), _bini_seeds(cs))
+    try:
+        return _enclose(ints, approx, tol)
+    except IterationLimitExceeded:
+        approx = _aberth(lambda z: _exact_log_slope(ints, z), approx)
+        return _enclose(ints, approx, accept)
 
 
 def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL,
-                  refine: bool = False):
+                  accept: float | None = None):
     """All complex roots of ``p`` with multiplicity, as certified disks.
 
-    Returns a list of (ComplexInterval, multiplicity) pairs.  Distinct roots
-    of each square-free factor come in pairwise disjoint disks of radius
-    <= tol; failure to reach that raises IterationLimitExceeded carrying the
-    best enclosures found.  With ``refine``, a root that double evaluation
-    cannot certify is first refined and certified exactly.
+    Returns a list of (ComplexInterval, multiplicity) pairs sorted by the
+    centres' (real, imaginary) parts.  Distinct roots of each square-free
+    factor come in pairwise disjoint disks of radius at most
+    tol * max(1, |centre|), each centred on its root rounded to the double
+    grid of its larger part; failure to reach that raises
+    IterationLimitExceeded.  A caller that can use wider disks where a
+    cluster defeats ``tol`` passes that bound as ``accept`` (at least
+    ``tol``): it applies to the roots of a factor that needed the exact
+    sweeps.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding on the zero polynomial")
+    accept = tol if accept is None else accept
     out = []
     for factor, mult in squarefree_factorization(p):
-        coeffs = _complex_coeffs(factor)
-        scale = float(np.max(np.abs(coeffs)))
-        coeffs = coeffs / scale
-        zs = _aberth(coeffs, tol)
-        # polish with plain Newton to machine precision (centers should be
-        # as accurate as doubles allow; the radius then certifies <= tol)
-        radii = []
-        for k in range(len(zs)):
-            z = zs[k]
-            best_z, best_rad = z, _certify(coeffs, z)
-            for _ in range(60):
-                pv, dv = value_and_slope(coeffs[::-1], z)
-                if dv == 0:
-                    break
-                step = pv / dv
-                if abs(step) <= 1e-17 * max(1.0, abs(z)):
-                    break
-                z = z - step
-                rad = _certify(coeffs, z)
-                if rad < best_rad:
-                    best_z, best_rad = z, rad
-                elif best_rad <= tol * 0.5:
-                    break
-            zs[k] = best_z
-            radii.append(max(best_rad, 1e-300))
-        enclosures = [ComplexInterval(z, r) for z, r in zip(zs, radii)]
-        for k, enc in enumerate(enclosures):
-            if enc.radius > tol and refine:
-                # double evaluation is too coarse near a cluster of roots
-                enc = _exact_enclosure(factor, enc.center) or enc
-                enclosures[k] = enc
-            if enc.radius > tol:
-                raise IterationLimitExceeded(
-                    f"could not certify root near {enc.center:.6g} to tol={tol}",
-                    enclosures=enclosures)
-            for other in enclosures[:k]:
-                if enc.overlaps(other):
-                    raise IterationLimitExceeded(
-                        "root enclosures overlap; tolerance too coarse",
-                        enclosures=enclosures)
-        out.extend((enc, mult) for enc in enclosures)
+        out.extend((enc, mult)
+                   for enc in _factor_roots(factor, tol, accept))
     out.sort(key=lambda pair: (pair[0].center.real, pair[0].center.imag))
     return out
 
@@ -176,28 +331,6 @@ def _round_to_grid(c: GaussianRational) -> GaussianRational:
     scale = 1 << REFINE_BITS
     return GaussianRational(Fraction(round(c.re * scale), scale),
                             Fraction(round(c.im * scale), scale))
-
-
-def _upper_abs(g: GaussianRational) -> float:
-    """A float no smaller than |g|."""
-    return abs(g) * (1 + 1e-15) + 1e-300
-
-
-def _exact_enclosure(p: UnivariatePolynomial, z: complex):
-    """An enclosure of the root of the square-free ``p`` near ``z``, centred
-    on the double nearest an exact refinement c of ``z``: the radius is
-    n |p(c)/p'(c)|, evaluated exactly, plus the distance from c to that
-    double.  None when ``z`` approximates no root."""
-    c = refine_root(p, z)
-    if c is None:
-        return None
-    slope = p.derivative()(c)
-    if slope.is_zero():
-        return None
-    center = complex(c)
-    radius = (p.degree() * _upper_abs(p(c) / slope)
-              + _upper_abs(c - GaussianRational.coerce(center)))
-    return ComplexInterval(center, radius)
 
 
 def refine_root(p: UnivariatePolynomial, z: complex):
@@ -236,14 +369,7 @@ def exact_gaussian_roots(p: UnivariatePolynomial, tol: float = 1e-10):
     """
     residual = p.monic()
     found = []
-    try:
-        enclosures = complex_roots(p, tol)
-    except IterationLimitExceeded as err:
-        # huge roots cannot be certified to an absolute radius in doubles;
-        # best-effort centers are fine here because every candidate is
-        # verified by exact division below
-        enclosures = [(enc, 1) for enc in err.enclosures]
-    for enc, _mult in enclosures:
+    for enc, _mult in complex_roots(p, tol):
         cand = rationalize_complex(enc.center)
         lin = UnivariatePolynomial([-cand, 1])
         count = 0

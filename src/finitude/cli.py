@@ -26,7 +26,6 @@ from .config import Settings, load_settings
 from .differential import (LinearODE, generalized_riccati,
                            integrate_rational, rational_witness_search)
 from .errors import ExprSyntaxError, FinitudeError, NumericFailure
-from .fuchsian import FuchsianSystem, small_norm_verdict, system_monodromy
 from .monodromy import monodromy_group, singular_points
 from .puiseux import INFINITY, puiseux_expand
 from .solvability import (invertible_by_radicals, k_radicals_verdict,
@@ -171,6 +170,9 @@ def cmd_decompose(args, settings) -> int:
 
 
 def cmd_fuchsian(args, settings) -> int:
+    # imported here so that no other subcommand loads numpy
+    from .fuchsian import FuchsianSystem, small_norm_verdict, system_monodromy
+
     with open(args.file, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     report = Report("fuchsian", {"file": args.file}, settings)

@@ -46,8 +46,7 @@ class AlgebraicResidueBlock:
         self.argument = argument
 
     def residue_enclosures(self, tol=ROOT_TOL):
-        return [enc.center for enc, _ in
-                complex_roots(self.modulus, tol, refine=True)]
+        return [enc.center for enc, _ in complex_roots(self.modulus, tol)]
 
     def derivative_contribution(self) -> RationalFunction:
         """d/dx of the conjugate log sum, exactly.

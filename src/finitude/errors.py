@@ -45,12 +45,7 @@ class DegreeTooLow(FinitudeError):
 
 
 class IterationLimitExceeded(NumericFailure):
-    """An iteration ran out of its budget (root refinement attaches its
-    best enclosures)."""
-
-    def __init__(self, message, enclosures=None):
-        self.enclosures = enclosures or []
-        super().__init__(message)
+    """An iteration ran out of its budget."""
 
 
 # --- puiseux ---------------------------------------------------------------

@@ -35,13 +35,11 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .algebra.poly import BivariatePolynomial, singular_locator
 from .algebra.roots import complex_roots, value_and_slope
 from .config import CONTINUATION_TOL, ROOT_TOL
-from .errors import (BasePointTooClose, IterationLimitExceeded,
-                     PathCollision, SingularOnPath, SquareFreeRequired)
+from .errors import (BasePointTooClose, PathCollision, SingularOnPath,
+                     SquareFreeRequired)
 from .permgroups import PermGroup, compose, cycles_string
 
 # Largest tracker step on an arc, in radians.  A step is taken along the
@@ -49,6 +47,9 @@ from .permgroups import PermGroup, compose, cycles_string
 # a square-root branch's Euler prediction errs by 0.04 of the branch
 # separation (the basin check allows 0.25).
 MAX_ARC_STEP = math.pi / 4
+# Widest relative radius accepted for a singular point that root finding
+# cannot separate to the requested tolerance.
+LOCATOR_TOL = 1e-8
 
 
 class SingularSet:
@@ -232,9 +233,10 @@ def singular_points(P: BivariatePolynomial,
                     tol: float = ROOT_TOL) -> SingularSet:
     """Certified enclosures of all roots of lc_y(P) * disc_y(P).
 
-    Ill-conditioned locator roots (nearly coincident singular points) relax
-    the enclosure radius in decades up to 1e-8 rather than failing; the
-    returned radii are always genuine certificates.
+    Ill-conditioned locator roots (nearly coincident singular points) whose
+    enclosures stay wider than ``tol`` after the exact sweeps are accepted
+    up to ``LOCATOR_TOL`` relative rather than failing; the returned radii
+    are always genuine certificates.
     """
     if P.degree_y() < 2:
         raise SquareFreeRequired("need degree >= 2 in y")
@@ -245,16 +247,8 @@ def singular_points(P: BivariatePolynomial,
 def _locator_roots(locator, tol):
     if locator.degree() < 1:
         return []
-    attempt = tol
-    while True:
-        try:
-            enclosures = [enc for enc, _ in complex_roots(locator, attempt)]
-            break
-        except IterationLimitExceeded:
-            attempt *= 10
-            if attempt > 1e-8:
-                raise
-    return enclosures
+    pairs = complex_roots(locator, tol, accept=max(tol, LOCATOR_TOL))
+    return [enc for enc, _ in pairs]
 
 
 # --- loop construction --------------------------------------------------------
@@ -593,6 +587,8 @@ class _Tracker:
 
 def base_roots(P: BivariatePolynomial, base: complex):
     """Labeled roots at the base point: sorted by (-Re, Im)."""
+    import numpy as np  # only here: an algebraic request pays for numpy
+
     cs = _Tracker(P).coefficients(complex(base))
     if abs(cs[0]) < 1e-300:
         raise SingularOnPath(f"leading coefficient vanishes at {base:.6g}")
@@ -610,8 +606,7 @@ def continue_roots(P: BivariatePolynomial, loop: Loop, start_roots,
     """
     start = [complex(y) for y in start_roots]
     end = _Tracker(P, tol, counts).track(loop.pieces, start)
-    return match_end_roots(np.array(end), np.array(start),
-                           _min_separation(start) / 3.0)
+    return match_end_roots(end, start, _min_separation(start) / 3.0)
 
 
 def match_end_roots(end, start, margin):
@@ -620,15 +615,19 @@ def match_end_roots(end, start, margin):
     separation) and the matching a permutation.  Every other start root is
     then more than twice the margin away, so this is the unique minimal-cost
     perfect assignment."""
-    cost = np.abs(end[:, None] - start[None, :])
-    sigma = np.argmin(cost, axis=1)
-    worst = float(np.max(cost[np.arange(len(end)), sigma], initial=0.0))
-    if not np.all(np.isfinite(end)) or not worst < margin:
+    sigma = []
+    worst = 0.0
+    for e in end:
+        cost = [abs(e - s) for s in start]
+        j = min(range(len(cost)), key=cost.__getitem__)
+        sigma.append(j)
+        worst = max(worst, cost[j])
+    if not all(cmath.isfinite(e) for e in end) or not worst < margin:
         raise PathCollision(
             f"end matching distance {worst:.3g} exceeds margin {margin:.3g}")
-    if len(set(sigma.tolist())) != len(sigma):
+    if len(set(sigma)) != len(sigma):
         raise PathCollision("two branches end at the same start root")
-    return tuple(int(j) for j in sigma)
+    return tuple(sigma)
 
 
 def track_to_point(P: BivariatePolynomial, singular: SingularSet,

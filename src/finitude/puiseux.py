@@ -34,8 +34,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra.gaussian import GaussianRational
 from .algebra.poly import (BivariatePolynomial, series_inverse, series_mul,
                            singular_locator)
@@ -335,6 +333,15 @@ def _cluster_roots(values, tol=3e-6):
     return out
 
 
+def _numpy_roots(dense):
+    """All roots of the polynomial with coefficients ``dense``, lowest power
+    first, by numpy's companion eigenvalues: a multiple root comes out as a
+    symmetric cluster that ``_cluster_roots`` can merge."""
+    import numpy as np  # only here: a puiseux request pays for numpy
+
+    return list(np.roots(dense[::-1]))
+
+
 def _edge_roots(model: _LocalPoly, mu: Fraction, lo, hi):
     """Nonzero roots of the edge polynomial, in u = c^p, with multiplicity."""
     p = mu.denominator
@@ -355,7 +362,7 @@ def _edge_roots(model: _LocalPoly, mu: Fraction, lo, hi):
         dense.pop(0)  # u = 0 roots belong to steeper edges
     if len(dense) <= 1:
         return []
-    return _cluster_roots(list(np.roots(list(reversed(dense)))))
+    return _cluster_roots(_numpy_roots(dense))
 
 
 def _vanishing_seeds(model: _LocalPoly, depth: int):
@@ -478,8 +485,7 @@ def puiseux_expand(P: BivariatePolynomial, point=0, order=None,
     # cluster leaves residues there that would otherwise hide the edge
     # and stall the lift)
     if len(dense) > 1:
-        roots = list(np.roots(list(reversed(dense))))
-        for c, m in _cluster_roots(roots):
+        for c, m in _cluster_roots(_numpy_roots(dense)):
             near_zero = abs(c) <= 3e-6 * max(1.0, stripped.scale)
             if m == 1 and not near_zero:
                 branch_data.append((1, {0: c}, "finite", stripped, 0j))

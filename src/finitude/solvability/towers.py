@@ -21,8 +21,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from ..algebra.gaussian import rationalize_complex
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
                             UnivariatePolynomial)
@@ -266,6 +264,8 @@ def _sample_points(action, count):
 
 
 def _sample_roots(P, action, points):
+    import numpy as np
+
     sing = action.singular.recertify(ROOT_TOL)
     out = []
     for x in points:
@@ -280,6 +280,8 @@ def _fit_rational(xs, vals, max_degree=16, holdout=6):
     Returns (num complex coeffs low-first, den complex coeffs low-first) or
     None; the last ``holdout`` samples validate the fit.
     """
+    import numpy as np
+
     xs = np.asarray(xs)
     vals = np.asarray(vals)
     fit_x, fit_v = xs[:-holdout], vals[:-holdout]
@@ -395,6 +397,8 @@ def _cyclic_tower(P: BivariatePolynomial, action):
 
 
 def _dihedral_tower(P: BivariatePolynomial, action):
+    import numpy as np
+
     n = P.degree_y()
     group = action.group
     sigma = _find_full_cycle(group)
@@ -473,6 +477,8 @@ def tower_mismatch(P: BivariatePolynomial, expr, action,
     exactly the values of the continuation-tracked branches there, computed
     directly for robustness near branch collisions.
     """
+    import numpy as np
+
     rng = random.Random(seed)
     base = action.base_point
     worst = 0.0

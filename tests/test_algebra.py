@@ -19,6 +19,7 @@ from finitude.errors import (DegreeTooLow, ExprSyntaxError,
                              IterationLimitExceeded, NonPolynomialExponent,
                              UndeclaredVariable)
 from finitude.algebra.poly import subresultant_prs
+from finitude.differential import integrate_rational
 
 
 def rand_gauss(rng, bound=20):
@@ -324,14 +325,28 @@ class TestParser:
             parse_expression("y/x", ["x", "y"])
 
     def test_exponent_bound(self):
-        # |n| times the degree of the base may reach 1000, not more
+        # |n| times the degree of the base may reach 1000, not more; on a
+        # constant c, |n| log2 of c's numerator modulus or denominator
+        # (the bits the parts of c^n grow by) may reach 10000, not more
         assert parse_expression("(x+1)^1000", ["x"]).num.degree() == 1000
         assert parse_expression("x^-1000", ["x"]).den.degree() == 1000
         assert parse_expression("(x*y)^500", ["x", "y"]).degree_x() == 500
+        for text, value in [("(-1)^20000", 1), ("1^10001", 1),
+                            ("i^10001", GaussianRational(0, 1)),
+                            ("(1+i)^20000", 2 ** 10000),
+                            ("2^-10000", Fraction(1, 2 ** 10000))]:
+            assert parse_expression(text, ["x"]) == value
+        assert parse_expression("2^5001", ["x", "y"]) \
+            == parse_expression("2*2^5000", ["x", "y"])
         for text, variables, position in [("x^-1001", ["x"], 1),
                                           ("(x/(x+1))^1001", ["x"], 9),
                                           ("(1/(x^2+1))^501", ["x"], 11),
-                                          ("(x*y)^501", ["x", "y"], 5)]:
+                                          ("(x*y)^501", ["x", "y"], 5),
+                                          ("2^10001", ["x"], 1),
+                                          ("(1+i)^20002", ["x"], 5),
+                                          ("(1/2)^10001", ["x"], 5),
+                                          ("((1-i)/2)^-20002", ["x"], 9),
+                                          ("3^6310", ["x", "y"], 1)]:
             with pytest.raises(ExprSyntaxError, match="exponent too large") \
                     as err:
                 parse_expression(text, variables)
@@ -524,6 +539,40 @@ def to_sympy(P):
                for j, row in enumerate(rows) for i, c in enumerate(row.coeffs))
 
 
+def _assert_sympy_roots_enclosed(p, tol):
+    """Every root of p that sympy's nroots gives to 30 digits lies in an
+    enclosure of ``complex_roots(p, tol)`` as often as its multiplicity
+    says, and every radius is at most tol * max(1, |centre|); a radius of 0
+    claims an exact root, checked by exact evaluation.  The distance to
+    the centre may exceed the radius by the 1e-27 relative error that
+    nroots keeps (a linear factor's radius is its root's exact distance)."""
+    pairs = complex_roots(p, tol)
+    assert sum(m for _, m in pairs) == p.degree()
+    found = [0] * len(pairs)
+    _, factors = sympy.Poly(to_sympy(p), X).sqf_list()
+    for root, mult in [(root, mult) for factor, mult in factors
+                       for root in factor.nroots(n=30)]:
+        hits = []
+        for k, (enc, _m) in enumerate(pairs):
+            center = GaussianRational(Fraction(enc.center.real),
+                                      Fraction(enc.center.imag))
+            if enc.radius == 0:
+                if p(center).is_zero() and abs(complex(root) - enc.center) \
+                        <= 1e-20 * max(1.0, abs(enc.center)):
+                    hits.append(k)
+                continue
+            gap = sympy.N(sympy.Abs(root - to_sympy(
+                UnivariatePolynomial([center]))), 30)
+            if gap <= enc.radius + 1e-27 * max(1.0, abs(enc.center)):
+                hits.append(k)
+        assert len(hits) == 1, (p.format(), root, pairs)
+        found[hits[0]] += mult
+    for (enc, mult), count in zip(pairs, found):
+        assert count == mult
+        assert enc.radius <= tol * max(1.0, abs(enc.center))
+    return pairs
+
+
 class TestSympyOracle:
     """The exact layer against sympy, an independent implementation."""
 
@@ -659,21 +708,63 @@ class TestComplexRoots:
 
     def test_cluster_certified_by_exact_refinement(self):
         # three roots within 0.01 of -0.405: double evaluation gives radii
-        # up to 7e-12; with refine, complex_roots certifies them exactly
+        # up to 7e-12, exact evaluation at the centres certifies them
         p = parse_univariate(
             "41505466019*x^7 + 207527330095*x^6 + 198495887199*x^5"
             " + 14236643445*x^4 - 72014109333*x^3 - 43903936204*x^2"
             " - 10759535932*x - 1001979929")
+        assert len(complex_roots(p, 1e-12)) == 7
+        _assert_sympy_roots_enclosed(p, 1e-12)
+
+    def test_enclosures_contain_sympy_roots(self):
+        rng = random.Random(16)
+        for degree in list(range(1, 9)) * 3:
+            coeffs = [rand_gauss(rng) for _ in range(degree)]
+            if rng.random() < 0.3:  # a real polynomial
+                coeffs = [GaussianRational(c.re) for c in coeffs]
+            p = UnivariatePolynomial(coeffs + [rng.randint(1, 5)])
+            _assert_sympy_roots_enclosed(p, 1e-12)
+        # a repeated factor and a root at zero
+        _assert_sympy_roots_enclosed(
+            parse_univariate("x*(x^2 - 2*x + 5)^2*(3*x - 1)"), 1e-12)
+
+    def test_close_real_residues(self):
+        # all four roots of this residue modulus are real, two pairs about
+        # 0.088 apart at 3.5e7: +-35355339.0593274 and +-35355338.9709390
+        f = parse_rational("100000000/((x^2 - 2)*(100000000*x^2 - 200000001))")
+        (block,) = integrate_rational(f).blocks
+        pairs = _assert_sympy_roots_enclosed(block.modulus, 1e-12)
+        centers = [enc.center for enc, _ in pairs]
+        assert all(c.imag == 0 for c in centers)
+        assert [round(c.real, 3) for c in centers] == [
+            -35355339.059, -35355338.971, 35355338.971, 35355339.059]
+
+    def test_conjugate_pairs_are_exact(self):
+        p = parse_univariate("3*x^5 - x^2 + 7*x - 2")
+        centers = {enc.center for enc, _ in complex_roots(p)}
+        assert {c.conjugate() for c in centers} == centers
+        assert sum(c.imag == 0 for c in centers) == 1
+
+    def test_centres_do_not_depend_on_the_seeds(self):
+        # exact Newton from perturbed starting points reaches the same
+        # rounded root
+        p = parse_univariate("x^3 - 2*x + i")
+        ints = roots._gaussian_integers(p)
+        for enc, _ in complex_roots(p):
+            for nudge in (1e-9, -3e-10j, 2e-12 + 2e-12j):
+                assert roots._finish(ints, enc.center + nudge)[0] \
+                    == enc.center
+
+    def test_wider_bound_accepted_after_exact_sweeps(self):
+        # no double centre of sqrt(2) meets 1e-20; ``accept`` takes the
+        # exact sweeps' enclosures up to its own bound instead of raising
+        p = parse_univariate("x^2 - 2")
         with pytest.raises(IterationLimitExceeded):
-            complex_roots(p, 1e-12)
-        assert len(complex_roots(p, 1e-12, refine=True)) == 7
-        for root in sympy.Poly(to_sympy(p), X).nroots(n=30):
-            exact = complex(root)
-            enc = roots._exact_enclosure(p, exact + 1e-9)
-            assert enc.radius <= 1e-12
-            center = sympy.Rational(enc.center.real) \
-                + sympy.I * sympy.Rational(enc.center.imag)
-            assert abs(sympy.N(root - center, 30)) <= enc.radius
+            complex_roots(p, 1e-20)
+        pairs = complex_roots(p, 1e-20, accept=1e-8)
+        assert [round(e.center.real, 12) for e, _ in pairs] == [
+            -1.414213562373, 1.414213562373]
+        assert all(0 < e.radius <= 1e-8 * abs(e.center) for e, _ in pairs)
 
     def test_disjoint_enclosures(self):
         pairs = complex_roots(parse_univariate("x^5 - x"), 1e-12)
