@@ -252,6 +252,23 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _reduced(self._a, -self._b, self._d)
 
+    def mod_p(self, p: int, s: int):
+        """(a + b s)/d mod p, the image under i -> s in F_p for a prime p
+        with s*s = -1 (mod p); None when p divides d."""
+        d = self._d
+        if d == 1:
+            return (self._a + self._b * s) % p
+        if not d % p:
+            return None
+        return (self._a + self._b * s) * pow(d, -1, p) % p
+
+    def bits(self) -> float:
+        """log2 of the larger of |a + b i| and d: the size of the parts, 0
+        for 0, +-1 and +-i."""
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        return max(math.log2(n) / 2 if n else 0.0, math.log2(d))
+
     def norm(self) -> Fraction:
         """Field norm re^2 + im^2 (an exact nonnegative rational)."""
         return Fraction(self._a * self._a + self._b * self._b,

@@ -7,21 +7,26 @@ Grammar (ASCII only)::
     factor := ('-')* base ('^' integer)?
     base   := number | name | '(' expr ')'
 
-``i`` is the imaginary unit and exponents are integers; an exponent n on a
-base of degree d needs |n| d <= ``MAX_POWER_DEGREE``, and on a constant c
-|n| log2 s <= ``MAX_POWER_BITS``, where s is the larger of the modulus of
-c's numerator over Z[i] and its denominator (of 1/c's for n < 0), so that
-0, +-1 and +-i take any exponent.  An expression is
-evaluated in its target ring with that ring's own arithmetic: one declared
-variable gives an element of Q(i)(x), a :class:`RationalFunction`; two give
-an element of Q(i)[x, y], a :class:`BivariatePolynomial`, whose divisors
-must be nonzero constants.  Every division, a negative power included, is
-checked by ``_Parser._divide``.
+``i`` is the imaginary unit and exponents are integers.  Every product,
+quotient and power is bounded before it is expanded: its degree, the sum of
+the operands' degrees (|n| d for a base of degree d to the n), must stay
+within ``MAX_POWER_DEGREE``, and a power on the right of a product or
+quotient gets only the degree its left operand leaves.  Write bits(c) for
+log2 of the larger of the modulus of c's numerator over Z[i] and its
+denominator: a power to the n needs |n| bits(c) <= ``MAX_POWER_BITS`` for
+each coefficient c of its base (for 1/c if the base is a constant and
+n < 0), so that 0, +-1 and +-i take any exponent, and every coefficient of
+every product, quotient and power needs bits(c) <= ``MAX_POWER_BITS``.  An
+expression is evaluated in its target ring with that ring's own arithmetic:
+one declared variable gives an element of Q(i)(x), a
+:class:`RationalFunction`; two give an element of Q(i)[x, y], a
+:class:`BivariatePolynomial`, whose divisors must be nonzero constants.
+Every division, a negative power included, is checked by
+``_Parser._divide``.
 """
 
 from __future__ import annotations
 
-import math
 import re
 
 from ..errors import ExprSyntaxError, NonPolynomialExponent, UndeclaredVariable
@@ -29,12 +34,12 @@ from .gaussian import GaussianRational
 from .poly import BivariatePolynomial, RationalFunction, UnivariatePolynomial
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
-# bound on |exponent| x degree of the base: dense powering costs about 4x
-# per doubling of the exponent, so a larger power is refused as an input
-# error instead of running for hours
+# bound on the degree of a product, quotient or power: dense products cost
+# about 4x per doubling of the degree, so a larger one is refused as an
+# input error instead of running for hours
 MAX_POWER_DEGREE = 1000
-# bound on the bits a constant power adds per part: 2^100000 would be
-# expanded at once and then exceed the digits a report can print
+# bound on the bits of a coefficient: 2^100000 would be expanded at once
+# and then exceed the digits a report can print
 MAX_POWER_BITS = 10000
 
 
@@ -113,30 +118,38 @@ class _Parser:
             kind, tok, pos = self.toks.peek()
             if kind == "op" and tok in "*/":
                 self.toks.next()
-                rhs = self.factor()
+                # the degrees of the operands add up, so a power on the right
+                # is refused before it is expanded if it exceeds what is left
+                rhs = self.factor(MAX_POWER_DEGREE - self._degree(value))
+                if self._degree(value) + self._degree(rhs) > MAX_POWER_DEGREE:
+                    raise ExprSyntaxError("expression too large", pos)
                 value = value * rhs if tok == "*" \
                     else self._divide(value, rhs, pos)
+                _check_bits(value, "expression too large", pos)
             else:
                 return value
 
-    def factor(self):
+    def factor(self, budget=MAX_POWER_DEGREE):
+        """A factor; a power in it may have degree ``budget`` at most."""
         kind, tok, pos = self.toks.peek()
         if kind == "op" and tok == "-":
             self.toks.next()
-            return -self.factor()
+            return -self.factor(budget)
         value = self.base()
         kind, tok, pos = self.toks.peek()
         if kind == "op" and tok == "^":
             self.toks.next()
             exp = self.integer()
             degree = self._degree(value)
-            if abs(exp) * degree > MAX_POWER_DEGREE or (
-                    degree == 0 and
-                    abs(exp) * _growth(value, exp) > MAX_POWER_BITS):
-                raise ExprSyntaxError("exponent too large", pos)
-            if exp < 0:
-                return self._divide(self.ring.coerce(1), value ** -exp, pos)
-            value = value ** exp
+            growth = _growth(value, exp, degree == 0)
+            alone = abs(exp) * degree > MAX_POWER_DEGREE or \
+                abs(exp) * growth > MAX_POWER_BITS
+            if alone or abs(exp) * degree > budget:
+                raise ExprSyntaxError("exponent too large" if alone
+                                      else "expression too large", pos)
+            value = self._divide(self.ring.coerce(1), value ** -exp, pos) \
+                if exp < 0 else value ** exp
+            _check_bits(value, "exponent too large", pos)
         return value
 
     def _degree(self, value) -> int:
@@ -196,19 +209,29 @@ class _Parser:
                               expected="number, name or '('")
 
 
-def _growth(value, exp: int) -> float:
-    """log2 of the larger of |a + bi| and d for the constant (a + bi)/d
-    (of its inverse for a negative ``exp``): the bits that each unit of
-    |exp| adds to the parts of its power.  0 for 0, +-1 and +-i."""
-    rows = value.num.coeffs if isinstance(value, RationalFunction) \
-        else value.rows[0].coeffs
-    if not rows or rows[0].is_zero():
+def _coefficients(value):
+    if isinstance(value, RationalFunction):
+        return value.num.coeffs + value.den.coeffs
+    return [c for row in value.rows for c in row.coeffs]
+
+
+def _growth(value, exp: int, constant: bool) -> float:
+    """About the bits that each unit of |exp| adds to the coefficients of
+    the power: the largest ``bits`` of a coefficient, of the inverse for a
+    constant and a negative ``exp``; exact for a constant, so that 0, +-1
+    and +-i take any exponent."""
+    if value.is_zero():
         return 0.0  # 0^n is 0, or a division by zero
-    c = rows[0] if exp >= 0 else rows[0].inverse()
-    d = math.lcm(c.re.denominator, c.im.denominator)
-    a, b = c.re.numerator * (d // c.re.denominator), \
-        c.im.numerator * (d // c.im.denominator)
-    return max(math.log2(a * a + b * b) / 2, math.log2(d))
+    coeffs = _coefficients(value)
+    if constant and exp < 0:
+        coeffs = [coeffs[0].inverse()]
+    return max(c.bits() for c in coeffs)
+
+
+def _check_bits(value, message: str, pos: int):
+    """Refuse a value with a coefficient of more than MAX_POWER_BITS."""
+    if any(c.bits() > MAX_POWER_BITS for c in _coefficients(value)):
+        raise ExprSyntaxError(message, pos)
 
 
 def parse_expression(text: str, variables):

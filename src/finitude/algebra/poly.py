@@ -25,6 +25,21 @@ def _coerce_scalar(c) -> GaussianRational:
     return GaussianRational.coerce(c)
 
 
+def _coprime_mod_p(a, b) -> bool:
+    """True when the images of a and b under i -> s mod the first prime
+    keep their degrees and are coprime.  That proves a and b coprime over
+    Q(i): over the localisation of Z[i] at (p, i - s), a common factor of
+    positive degree can be taken primitive (Gauss's lemma), its leading
+    coefficient divides that of a, a unit there, so its image keeps its
+    degree and divides both images.  False says nothing."""
+    # only here: importing finitude.cli does not load the module
+    from .modular import PRIMES, coprime, image
+    p, s = PRIMES[0]
+    fa, fb = image(a.coeffs, p, s), image(b.coeffs, p, s)
+    return fa is not None and fb is not None and fa[-1] != 0 \
+        and fb[-1] != 0 and coprime(fa, fb, p)
+
+
 class UnivariatePolynomial:
     """Polynomial in one variable with GaussianRational coefficients."""
 
@@ -215,6 +230,8 @@ class UnivariatePolynomial:
 
     def gcd(self, other) -> "UnivariatePolynomial":
         a, b = self, UnivariatePolynomial.coerce(other)
+        if a.degree() > 0 and b.degree() > 0 and _coprime_mod_p(a, b):
+            return UnivariatePolynomial.constant(1)
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a

@@ -17,7 +17,9 @@ polynomials in t reduced mod m.
 
 The whole form differentiates back exactly: a conjugate log sum has the
 derivative Tr(t g_x q) / Norm(g) with Norm(g) = Res_t(m, g), q = Norm / g
-mod m, and the trace a sum over the power sums of the roots of m.  So
+mod m, and the trace a sum over the power sums of the roots of m.  The
+Norm is reconstructed from its images mod p and checked by that exact
+division, with the exact resultant as the fallback.  So
 ``LiouvilleForm.derivative`` returns a plain rational function and the
 identity d(form)/dx = f is checkable with no floating point at all.
 """
@@ -51,17 +53,21 @@ class AlgebraicResidueBlock:
     def derivative_contribution(self) -> RationalFunction:
         """d/dx of the conjugate log sum, exactly.
 
-        Sum over conjugates of t g_x/g = Tr(t g_x q) / Norm(g), where
-        Norm(g) = Res_t(m, g) and q = Norm / g modulo m.  Tr(t c) is
-        sum_k c_k p_{k+1} with p_j the power sums of the roots of m.
+        Sum over conjugates of t g_x/g = Tr(t g_x q) / N, where N is
+        Norm(g) = Res_t(m, g) up to a constant and q = N / g modulo m.
+        Tr(t c) is sum_k c_k p_{k+1} with p_j the power sums of the roots
+        of m.  The identity holds for every nonzero N that g divides
+        modulo m, since then N = g(a, x) q(a, x) at each root a; so the
+        Norm reconstructed mod p is used once ``_quotient_mod`` has checked
+        that division, and the exact resultant otherwise.
         """
         m, g = self.modulus, self.argument
-        # eliminate t: Norm(g) = Res_t(m, g), with t as the y of both
-        t_rows = [UnivariatePolynomial([row.coefficient(j) for row in g.rows])
-                  for j in range(max(row.degree() for row in g.rows) + 1)]
-        norm = resultant_y(BivariatePolynomial(m.coeffs),
-                           BivariatePolynomial(t_rows))
-        prod = g.derivative_y() * _quotient_mod(norm, g, m)
+        norm = _modular_norm(m, g)
+        quotient = None if norm is None else _quotient_mod(norm, g, m)
+        if quotient is None:
+            norm = _resultant_norm(m, g)
+            quotient = _quotient_mod(norm, g, m)
+        prod = g.derivative_y() * quotient
         sums = _power_sums(m, max(row.degree() for row in prod.rows) + 1)
         numerator = UnivariatePolynomial(
             [sum((c * p for c, p in zip(row.coeffs, sums)), ZERO)
@@ -91,9 +97,9 @@ class AlgebraicResidueBlock:
 
 
 def _quotient_mod(num: UnivariatePolynomial, g: BivariatePolynomial,
-                  m: UnivariatePolynomial) -> BivariatePolynomial:
-    """num / g modulo m, for g monic in x (x plays y); exact when g divides
-    num modulo m."""
+                  m: UnivariatePolynomial):
+    """num / g modulo m, for g monic in x (x plays y), or None when g does
+    not divide num modulo m."""
     rest = [UnivariatePolynomial.constant(c) for c in num.coeffs]
     dg = g.degree_y()
     quot = [None] * (len(rest) - dg)
@@ -102,7 +108,49 @@ def _quotient_mod(num: UnivariatePolynomial, g: BivariatePolynomial,
         quot[pos] = c
         for k in range(dg):
             rest[pos + k] = rest[pos + k] - c * g.rows[k]
+    if any(not (r % m).is_zero() for r in rest[:dg]):
+        return None
     return BivariatePolynomial(quot)
+
+
+def _resultant_norm(m: UnivariatePolynomial, g: BivariatePolynomial):
+    """Norm(g) = Res_t(m, g) exactly, up to sign: t is eliminated as the y
+    of both."""
+    t_rows = [UnivariatePolynomial([row.coefficient(j) for row in g.rows])
+              for j in range(max(row.degree() for row in g.rows) + 1)]
+    return resultant_y(BivariatePolynomial(m.coeffs),
+                       BivariatePolynomial(t_rows))
+
+
+def _modular_norm(m: UnivariatePolynomial, g: BivariatePolynomial):
+    """A candidate for the monic Norm(g) = prod over the roots a of m of
+    g(a, x), from its images mod the primes of ``modular``, or None.
+
+    Each image is Res_t(m, g(t, x0)) at the nodes x0 = 0, 1, ..., n deg_x g,
+    which is the product of g(a, x0) because m is monic, interpolated in
+    x0.  The candidate is only ever used through ``_quotient_mod``, which
+    checks exactly that g divides it modulo m.
+    """
+    from ..algebra import modular  # only here, as in _coprime_mod_p
+    n, top = m.degree(), m.degree() * g.degree_y()
+
+    def images(p, s):
+        m_p = modular.image(m.coeffs, p, s)
+        rows = [modular.image(row.coeffs, p, s) for row in g.rows]
+        if m_p is None or None in rows:
+            return None
+        values = []
+        for x0 in range(top + 1):
+            h, power = [0] * n, 1  # g(t, x0), whose t-degree is below n
+            for row in rows:
+                for j, c in enumerate(row):
+                    h[j] = (h[j] + c * power) % p
+                power = power * x0 % p
+            values.append(modular.resultant(m_p, modular.trim(h), p))
+        return modular.interpolate(values, p)
+
+    coeffs = modular.gaussian_candidate(images)
+    return None if coeffs is None else UnivariatePolynomial(coeffs)
 
 
 def _power_sums(m: UnivariatePolynomial, count: int):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,9 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from finitude.algebra import (BivariatePolynomial, GaussianRational,
                               RationalFunction, UnivariatePolynomial,
                               complex_roots, discriminant_y, exact_nth_root,
-                              parse_bivariate, parse_expression,
-                              parse_rational, parse_univariate, resultant_y,
-                              roots, squarefree_factorization)
+                              modular, parse_bivariate, parse_expression,
+                              parse_rational, parse_univariate, poly,
+                              resultant_y, roots, squarefree_factorization)
 from finitude.errors import (DegreeTooLow, ExprSyntaxError,
                              IterationLimitExceeded, NonPolynomialExponent,
                              UndeclaredVariable)
@@ -352,6 +353,42 @@ class TestParser:
                 parse_expression(text, variables)
             assert err.value.position == position
 
+    def test_product_bound(self):
+        # the degree of a product or quotient, the sum of its operands'
+        # degrees, may reach 1000, and every coefficient of every result
+        # may reach 10000 bits, as for a power
+        assert parse_expression("x^600*x^400", ["x"]).num.degree() == 1000
+        assert parse_expression("x^600/x^-400", ["x"]).num.degree() == 1000
+        assert parse_expression("2^5000*2^5000", ["x"]) == 2 ** 10000
+        assert parse_expression("2^6000/2^5000", ["x", "y"]).coefficient(
+            0, 0) == 2 ** 1000
+        # a power on the right is refused at its exponent, before it is
+        # expanded; any other operand at the operator
+        for text, variables, position in [("x^600*x^401", ["x"], 7),
+                                          ("x^600/x^-401", ["x"], 7),
+                                          ("(x*y)^300*(x*y)^201",
+                                           ["x", "y"], 15),
+                                          ("x^600*(x+1)*x^400", ["x"], 13),
+                                          ("x^600*(x^401)", ["x"], 5),
+                                          ("2^5000*2^5000*2^5000", ["x"], 13),
+                                          ("2^5000/2^-5001", ["x"], 6),
+                                          ("2^5000*2^5001*x", ["x", "y"], 6)]:
+            with pytest.raises(ExprSyntaxError,
+                               match="expression too large") as err:
+                parse_expression(text, variables)
+            assert err.value.position == position
+        # a power of a polynomial is bounded by its largest coefficient
+        with pytest.raises(ExprSyntaxError, match="exponent too large"):
+            parse_expression("(1000000*x+1)^1000", ["x"])
+
+    def test_sum_of_coprime_powers_is_fast(self):
+        # the gcds that normalise the sum are proved trivial mod p; Euclid
+        # over Q(i) did not finish in minutes
+        start = time.perf_counter()
+        f = parse_rational("1/(x+1)^120 + 1/(x+2)^120")
+        assert time.perf_counter() - start < 1.0
+        assert f.den == parse_univariate("(x+1)^120*(x+2)^120")
+
     def test_against_sympy(self):
         rng = random.Random(14)
         seen = {"rational": 0, "polynomial": 0,
@@ -527,6 +564,38 @@ def _planted_polynomials(count=60):
         yield p, q, common
 
 
+def _coprimality_pairs(count=200):
+    """Seeded pairs over Q(i): random ones, mostly coprime; ones with a
+    planted common factor; and ones whose leading coefficient vanishes
+    under i -> s mod the first prime p (p itself, s - i) or has no image
+    there (1/p), some of them through a common factor whose image is a
+    constant."""
+    rng = random.Random(1971)
+    p, s = modular.PRIMES[0]
+
+    def draw(degree):
+        return UnivariatePolynomial([rand_gauss(rng, 9) for _ in range(degree)]
+                                    + [rand_gauss(rng, 9)])
+
+    vanishing = [GaussianRational(p), GaussianRational(s, -1),
+                 GaussianRational(Fraction(p, 7)),
+                 GaussianRational(Fraction(1, p))]
+    for k in range(count):
+        a, b = draw(rng.randint(1, 5)), draw(rng.randint(1, 5))
+        if k % 4 == 1:
+            common = draw(rng.randint(1, 2))
+            a, b = a * common, b * common
+        elif k % 4 == 2:
+            lead = UnivariatePolynomial.monomial(rng.choice(vanishing),
+                                                 a.degree() + 1)
+            if k % 8 == 2:  # a common factor that maps to a constant
+                common = lead + 1
+                a, b = a * common, b * common
+            else:
+                a = a + lead
+        yield a, b, k % 4 == 2
+
+
 def _sympy_poly(p):
     return sympy.Poly(to_sympy(p), X, domain="QQ_I")
 
@@ -631,6 +700,17 @@ class TestSympyOracle:
             oracle = _sympy_poly(p).gcd(_sympy_poly(q)).monic()
             assert _sympy_poly(got) == oracle, (str(p), str(q))
             assert (got % common).is_zero()
+
+    def test_coprimality_certificate_against_sympy(self):
+        certified = 0
+        for a, b, lead_vanishes in _coprimality_pairs():
+            oracle = _sympy_poly(a).gcd(_sympy_poly(b)).monic()
+            assert _sympy_poly(a.gcd(b)) == oracle, (str(a), str(b))
+            if poly._coprime_mod_p(a, b):
+                assert oracle.degree() == 0, (str(a), str(b))
+                assert not lead_vanishes
+                certified += 1
+        assert certified >= 90
 
     def test_squarefree_against_sympy(self):
         for p, q, _ in _planted_polynomials():

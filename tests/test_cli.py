@@ -260,15 +260,37 @@ class TestWorkPerRequest:
 
     def test_one_subresultant_sequence_per_integrand(self, monkeypatch):
         # R(t) comes from the tail of the sequence that gives the log
-        # arguments; the derivative check takes one Norm resultant per block
+        # arguments; the derivative check takes the Norm of the block mod p
+        # and needs no exact Norm resultant
         sequences = count_calls(monkeypatch, "subresultant_prs",
                                 poly.subresultant_prs)
         resultants = count_calls(monkeypatch, "resultant_y", poly.resultant_y)
-        form = liouville.integrate_rational(parse_rational("1/(x^3 - 2)"))
+        f = parse_rational("1/(x^3 - 2)")
+        form = liouville.integrate_rational(f)
         assert len(form.blocks) == 1
         assert (len(sequences), len(resultants)) == (1, 0)
-        form.derivative()
-        assert len(resultants) == 1
+        assert form.derivative() == f
+        assert len(resultants) == 0
+
+    @pytest.mark.parametrize("integrand, exact_norms", [
+        # the Norm x^2 - 3000000019 does not reconstruct from one prime;
+        # it does from two, by Chinese remainders
+        ("1/(x^2 - 3000000019)", 0),
+        # one prime reconstructs a wrong constant term, which the exact
+        # division check rejects
+        ("1/((x^2+1)*(x^3 - 5*x + 1234567891011))", 1),
+        # a Norm of 127 bits is out of reach of the whole prime table
+        ("1/(x^2 - 170141183460469231731687303715884105727)", 1),
+    ], ids=["two-primes", "wrong-candidate", "table-runs-out"])
+    def test_exact_norm_only_where_the_modular_one_fails(
+            self, monkeypatch, integrand, exact_norms):
+        f = parse_rational(integrand)
+        form = liouville.integrate_rational(f)
+        resultants = count_calls(monkeypatch, "resultant_y", poly.resultant_y)
+        assert form.derivative() == f
+        assert len(resultants) == exact_norms
+        code, out, _ = run(["--json", "integrate", "--", integrand])
+        assert code == 0 and json.loads(out)["derivative_verified"] is True
 
     @pytest.mark.parametrize("argv, message", [
         (["algebraic", "(y-x)^2"], "SquareFreeRequired"),
@@ -283,10 +305,13 @@ class TestWorkPerRequest:
         (["decompose", "--", "0"], "DegreeTooLow"),
         (["decompose", "--", "1"], "DegreeTooLow"),
         (["integrate", "--", "2^100000"], "exponent too large"),
+        (["integrate", "--", "2^5000*2^5000*2^5000"], "expression too large"),
+        (["integrate", "--", "(x+1)^1000*(x+2)^1000"], "expression too large"),
     ], ids=["square-free", "reducible", "integrate-quotient",
             "integrate-power", "algebraic", "decompose", "ode",
             "puiseux-point", "puiseux-zero", "decompose-zero",
-            "decompose-constant", "integrate-constant-power"])
+            "decompose-constant", "integrate-constant-power",
+            "integrate-constant-product", "integrate-product"])
     def test_input_errors_stay_64(self, argv, message):
         code, _, err = run(argv)
         assert code == 64 and message in err

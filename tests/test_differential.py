@@ -17,6 +17,7 @@ from finitude.differential import (DifferentialPolynomial, LinearODE,
                                    rational_witness_search,
                                    verify_exp_integral_witness,
                                    xi_weighted_check)
+from finitude.differential import liouville
 from finitude.differential.jets import MAX_JET_ORDER
 from finitude.errors import NotHomogeneous, OrderTooLarge
 
@@ -277,6 +278,32 @@ class TestIntegration:
             multiplicities.update(k for _, k in
                                   squarefree_factorization(f.den))
         assert {2, 3, 4} <= multiplicities
+
+    def test_modular_norm_against_resultant(self):
+        # every block's Norm, reconstructed mod p, is the exact Res_t(m, g)
+        # made monic, and passes the exact division check
+        rng = random.Random(1981)
+        blocks = []
+        while len(blocks) < 40:
+            den = UnivariatePolynomial(
+                [GaussianRational(rng.randint(-9, 9), rng.choice(
+                    [0, 0, rng.randint(-3, 3)]))
+                 for _ in range(rng.randint(2, 6))] + [1])
+            num = UnivariatePolynomial(
+                [rng.randint(-9, 9) for _ in range(den.degree())])
+            if num.is_zero():
+                continue
+            f = RationalFunction(num, den)
+            form = integrate_rational(f)
+            assert (form.derivative() - f).is_zero()
+            blocks += form.blocks
+        for block in blocks:
+            m, g = block.modulus, block.argument
+            norm = liouville._modular_norm(m, g)
+            assert norm == liouville._resultant_norm(m, g).monic()
+            assert liouville._quotient_mod(norm, g, m) is not None
+        assert any(not c.is_real() for block in blocks
+                   for c in block.modulus.coeffs)
 
     @pytest.mark.parametrize("integrand", SKIPPED_TAILS)
     def test_sequence_ending_in_a_skipped_degree(self, integrand):

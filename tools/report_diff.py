@@ -13,8 +13,9 @@ Run from the root of a source checkout.  The comparison set is
   requests that expand at an irrational center;
 * ``integrate`` requests whose residues fall in two multiplicity classes,
   come in conjugate Gaussian pairs, or whose subresultant sequences are
-  defective (a degree is skipped), and integrands with repeated
-  denominator factors, which exercise Hermite reduction;
+  defective (a degree is skipped), integrands with repeated
+  denominator factors, which exercise Hermite reduction, integrands whose
+  Norm does not reconstruct from one prime, and a sum of coprime powers;
 * front-end requests: nested quotients, negative powers of subexpressions
   and constant divisors in every subcommand that parses, and malformed
   inputs that exit 64.
@@ -64,6 +65,12 @@ HERMITE_INTEGRANDS = (
     "2*x/(x^2-1)^2", "(3*x+1)/((x^2+x+1)^2*x^3)", "(x^3-1)/(x^2+1)^3",
     "1/(x^2+2)^4", "x^5/(x-1)^3", "(x^4+i)/((x-i)^2*(x+1)^3)",
     "i*x^2/(x^2-2*i)^2", "(x^6+(2-i)*x)/((x+i)^4*(x-2))")
+# the Norm of the derivative check needs two primes (x^2 - 3000000019),
+# or one prime gives a wrong candidate and the exact resultant is taken
+NORM_INTEGRANDS = ("1/(x^2 - 3000000019)",
+                   "1/((x^2+1)*(x^3 - 5*x + 1234567891011))")
+# every gcd that normalises the sum is coprime, and certified mod p
+COPRIME_POWERS = "1/(x+1)^40 + 1/(x+2)^40"
 FRONT_END = [
     ["integrate", "--", "1/(x+1) - 2/(x-1)^2 + (x+1)^-3"],
     ["integrate", "--", "(3/4)^-1*x + i/(x^2+1)"],
@@ -112,7 +119,7 @@ def bench_requests(out_dir):
                        for point in CLOSE_PAIR_POINTS] \
         + [["integrate", "--", integrand] for integrand in
            (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS,
-            *HERMITE_INTEGRANDS)] \
+            *HERMITE_INTEGRANDS, *NORM_INTEGRANDS, COPRIME_POWERS)] \
         + FRONT_END
 
 
