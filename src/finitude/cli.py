@@ -179,7 +179,7 @@ def cmd_fuchsian(args, settings) -> int:
     system = FuchsianSystem.from_json(data)
     mono = system_monodromy(system, tol=settings.fuchsian_tol)
     report.add("monodromy", mono.report())
-    verdict = small_norm_verdict(system, tol=settings.eig_cluster_tol)
+    verdict = small_norm_verdict(system)
     report.add("verdict", verdict.to_json())
     lines = [f"system: {system!r}",
              f"loop condition estimates: "

@@ -3,17 +3,20 @@
 A config file is plain ``key = value`` text (one per line, # comments); the
 effective values are echoed in every report so runs are reproducible.  The
 default tolerances below are the single definition read both by
-``Settings`` and by the keyword defaults of the layers that use them.
+``Settings`` and by the keyword defaults of the layers that use them.  A
+tolerance must be a finite positive number.  The Fuchsian
+triangularization test has no setting: its one threshold separates
+measured traces that lie many orders of magnitude apart.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 CONTINUATION_TOL = 1e-10   # branch tracking (monodromy)
 ROOT_TOL = 1e-12           # certified root enclosures
 FUCHSIAN_TOL = 1e-10       # series truncation per piece of a Fuchsian loop
-EIG_CLUSTER_TOL = 1e-8     # eigenvalue clustering (triangularization)
 
 
 @dataclass
@@ -21,7 +24,6 @@ class Settings:
     continuation_tol: float = CONTINUATION_TOL
     root_tol: float = ROOT_TOL
     fuchsian_tol: float = FUCHSIAN_TOL
-    eig_cluster_tol: float = EIG_CLUSTER_TOL
     witness_degree_bound: int = 0          # 0 = automatic
 
     def to_json(self):
@@ -45,7 +47,12 @@ def load_settings(path: str | None) -> Settings:
             value = value.strip()
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            current = getattr(settings, key)
-            setattr(settings, key,
-                    int(value) if isinstance(current, int) else float(value))
+            if isinstance(getattr(settings, key), int):
+                setattr(settings, key, int(value))
+                continue
+            number = float(value)
+            if not (math.isfinite(number) and number > 0.0):
+                raise ValueError(f"{path}:{lineno}: {key} must be a finite "
+                                 f"positive number, not {value!r}")
+            setattr(settings, key, number)
     return settings

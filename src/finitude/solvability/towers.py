@@ -24,7 +24,6 @@ from fractions import Fraction
 from ..algebra.gaussian import rationalize_complex
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
                             UnivariatePolynomial)
-from ..config import ROOT_TOL
 from ..errors import UnsupportedGroup
 from ..monodromy import MonodromyAction, monodromy_group, track_to_point
 from ..permgroups import compose, cycle_type, inverse
@@ -266,10 +265,10 @@ def _sample_points(action, count):
 def _sample_roots(P, action, points):
     import numpy as np
 
-    sing = action.singular.recertify(ROOT_TOL)
     out = []
     for x in points:
-        vals = track_to_point(P, sing, action.base_point, action.roots, x)
+        vals = track_to_point(P, action.singular, action.base_point,
+                              action.roots, x)
         out.append(np.asarray(vals))
     return out
 

@@ -187,6 +187,12 @@ class TestReports:
                             "algebraic", "y^2-x"])
         assert code == 64
         assert "unknown key 'matching_margin'" in err
+        # the triangularization test has no setting any more
+        cfg.write_text("eig_cluster_tol = 1e-8\n")
+        code, _, err = run(["--json", "--config", str(cfg),
+                            "algebraic", "y^2-x"])
+        assert code == 64
+        assert "unknown key 'eig_cluster_tol'" in err
 
 
 def count_calls(monkeypatch, name, original, owner=None):
@@ -346,7 +352,7 @@ class TestCorpus:
     def test_corpus_green(self):
         code, out, _ = run(["corpus", os.path.join(REPO, "corpus")])
         assert code == 0
-        assert "8/8" in out
+        assert "9/9" in out
 
 
 FIXTURE = os.path.join(REPO, "corpus", "fixtures", "triangular_system.json")
@@ -363,8 +369,6 @@ CONSUMERS = {
                           "residue_enclosures")]),
     "fuchsian_tol": (1e-9, [(["fuchsian", FIXTURE],
                              fuchsian, "system_monodromy")]),
-    "eig_cluster_tol": (1e-7, [(["fuchsian", FIXTURE],
-                                fuchsian, "small_norm_verdict")]),
     "witness_degree_bound": (3, [(["ode", "2", "0", "-1"],
                                   kovacic, "rational_witness_search")]),
 }
@@ -385,6 +389,21 @@ def test_every_setting_reaches_its_consumer(monkeypatch, tmp_path, key):
         passed = [v for args, kwargs in calls
                   for v in (*args, *kwargs.values()) if type(v) is type(value)]
         assert value in passed, (argv, name)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-10"])
+@pytest.mark.parametrize("key", ["continuation_tol", "root_tol",
+                                 "fuchsian_tol"])
+def test_invalid_tolerance_is_refused(tmp_path, key, value):
+    # a NaN root_tol compares with no bound, so enclosures went unchecked and
+    # the report printed NaN, which is not JSON; a NaN continuation_tol made
+    # the tracker give up with exit 2
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for argv, _owner, _name in CONSUMERS[key][1]:
+        code, out, err = run(["--json", "--config", str(cfg)] + argv)
+        assert (code, out) == (64, ""), argv
+        assert "must be a finite positive number" in err
 
 
 def test_exact_subcommands_load_no_numpy():

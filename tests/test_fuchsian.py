@@ -1,5 +1,7 @@
 """Fuchsian system monodromy and simultaneous triangularization."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,8 +11,7 @@ from finitude.errors import (IterationLimitExceeded, NumericFailure,
 from finitude.fuchsian import (FuchsianSystem, integrate_along,
                                monodromy_at_infinity,
                                simultaneous_triangularizable,
-                               small_norm_verdict, system_monodromy,
-                               triangularization_defect)
+                               small_norm_verdict, system_monodromy)
 from finitude.monodromy import Arc, Segment
 from finitude.solvability.verdicts import VerdictStatus
 
@@ -154,6 +155,32 @@ class TestTaylorTransport:
             integrate_along(system, Segment(-1.0, 1.0))
         assert issubclass(SingularOnPath, NumericFailure)
 
+    def test_spectrum_is_the_exponential_of_the_residue_spectrum(self):
+        """Non-resonant residues: spec M_k = exp(2 pi i spec A_k), to a
+        bound scaled by the loop's condition estimate, on 27 loops of
+        systems with 2, 3 and 4 poles."""
+        rng = np.random.default_rng(13)
+        poles = self.POLES + [0.4 - 1.1j]
+        checked = 0
+        for k in range(9):
+            n, count = 2 + k % 3, 2 + k // 3
+            mats = [random_matrix(rng, n, 0.15) for _ in range(count)]
+            mono = system_monodromy(FuchsianSystem(poles[:count], mats))
+            for loop, M, cond in zip(mono.loops, mono.matrices,
+                                     mono.condition_estimates):
+                lam = np.linalg.eigvals(mats[loop.singular_index])
+                gaps = (lam[:, None] - lam[None, :]).ravel()
+                nearest = np.round(gaps.real)
+                # non-resonant: no two eigenvalues differ by a nonzero integer
+                assert np.all(np.abs(gaps - nearest)[nearest != 0] > 1e-2)
+                want = np.exp(2j * np.pi * lam)
+                got = np.linalg.eigvals(M)
+                error = min(np.max(np.abs(got[list(order)] - want))
+                            for order in itertools.permutations(range(n)))
+                assert error <= 1e-10 * max(1.0, cond)
+                checked += 1
+        assert checked == 27
+
     def test_huge_residue_fails(self):
         system = FuchsianSystem([0.0], [1e6 * np.eye(2)])
         with pytest.raises(IterationLimitExceeded):
@@ -161,22 +188,36 @@ class TestTaylorTransport:
         assert issubclass(IterationLimitExceeded, NumericFailure)
 
 
+def triangularizable_residues(rng, n, count, scale=0.15):
+    """A_k = S U_k S^-1 with upper-triangular U_k and one random S."""
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    S_inv = np.linalg.inv(S)
+    return [S @ np.triu(random_matrix(rng, n, scale)) @ S_inv
+            for _ in range(count)]
+
+
 class TestTriangularization:
     def test_single_matrix_always(self):
         rng = np.random.default_rng(3)
         result = simultaneous_triangularizable([random_matrix(rng, 4)])
         assert result["triangularizable"]
+        assert result["margin"] == 0.0
 
     def test_upper_pair(self):
         H = np.array([[1, 0], [0, -1]], dtype=complex)
         result = simultaneous_triangularizable([E, H])
         assert result["triangularizable"]
-        assert triangularization_defect([E, H], result["basis"]) < 1e-9
+        assert result["margin"] <= 1e-15
 
     def test_sl2_pair_obstruction(self):
         result = simultaneous_triangularizable([E, F])
         assert not result["triangularizable"]
-        assert "witness" in result
+        assert result["witness"] == (0, 1)
+        assert result["margin"] == pytest.approx(1.0)
+
+    def test_witness_skips_a_zero_residue(self):
+        result = simultaneous_triangularizable([E, np.zeros((2, 2)), F])
+        assert result["witness"] == (0, 2)
 
     def test_commuting_families(self):
         rng = np.random.default_rng(11)
@@ -187,7 +228,39 @@ class TestTriangularization:
                     for _ in range(3)]
             result = simultaneous_triangularizable(mats)
             assert result["triangularizable"]
-            assert triangularization_defect(mats, result["basis"]) < 1e-7
+            assert result["margin"] <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_seeded_draws_are_all_judged_right(self, n):
+        """120 conjugated triangular systems and 120 generic ones, of 2 to
+        4 residues of scale 0.15: the margins lie on either side of a gap
+        of many orders of magnitude."""
+        rng = np.random.default_rng(100 + n)
+        for _ in range(120):
+            count = int(rng.integers(2, 5))
+            result = simultaneous_triangularizable(
+                triangularizable_residues(rng, n, count))
+            assert result["triangularizable"]
+            assert result["margin"] <= 1e-14
+            result = simultaneous_triangularizable(
+                [random_matrix(rng, n, 0.15) for _ in range(count)])
+            assert not result["triangularizable"]
+            assert result["margin"] >= 1e-3
+
+    def test_planted_system_is_representable(self):
+        """The dimension-4 system drawn from default_rng(2) as the bench
+        workloads draw it: two poles, then two conjugated triangular
+        residues."""
+        rng = np.random.default_rng(2)
+        while True:
+            poles = [complex(rng.standard_normal(), rng.standard_normal())
+                     for _ in range(2)]
+            if abs(poles[0] - poles[1]) >= 0.3:
+                break
+        system = FuchsianSystem(poles, triangularizable_residues(rng, 4, 2))
+        verdict = small_norm_verdict(system)
+        assert verdict.status == VerdictStatus.REPRESENTABLE
+        assert verdict.extras["margin"] <= 1e-14
 
 
 class TestSmallNormVerdict:
@@ -204,6 +277,7 @@ class TestSmallNormVerdict:
         assert verdict.status == VerdictStatus.NOT_REPRESENTABLE
         assert verdict.extras["conditional"] is True
         assert verdict.extras["max_residue_norm"] == pytest.approx(1e-3)
+        assert verdict.extras["witness_pair"] == [0, 1]
 
     def test_zero_system(self):
         system = FuchsianSystem([0.0], [np.zeros((3, 3))])
