@@ -250,7 +250,11 @@ def _algebra_basis(matrices):
 
     The span closure of I under left multiplication by each matrix: a word
     whose component outside the span so far is below TRACE_TOL of its norm
-    adds nothing, and neither do its children.  At most n^2 words.
+    adds nothing, and neither do its children.  A child A w of norm at most
+    TRACE_TOL (both factors have unit norm) is taken as zero: a word that
+    vanishes exactly, such as N^2 for a nilpotent N = S E12 S^-1, computes
+    as rounding error, which scaled to unit norm would be an O(1) matrix
+    outside the algebra.  At most n^2 words.
     """
     n = matrices[0].shape[0]
     words, frame = [], np.zeros((0, n * n), dtype=complex)
@@ -268,7 +272,7 @@ def _algebra_basis(matrices):
         for A in matrices:
             child = A @ w
             size = float(np.linalg.norm(child))
-            if size > 0.0:
+            if size > TRACE_TOL:  # below it, rounding error of a zero word
                 queue.append(child / size)
     return words
 
@@ -284,7 +288,9 @@ def simultaneous_triangularizable(matrices):
     words, Frobenius norms throughout; at most TRACE_TOL is triangularizable.
 
     Returns {"triangularizable": b, "margin": t}, and when b is false
-    "witness": (i, j), the residue pair with the largest trace.
+    "witness": (i, j), the residue pair with the largest trace.  The word
+    behind that trace may involve other residues, so with three or more
+    the witness pair need not fail the test on its own.
     """
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:

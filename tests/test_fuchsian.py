@@ -219,6 +219,21 @@ class TestTriangularization:
         result = simultaneous_triangularizable([E, np.zeros((2, 2)), F])
         assert result["witness"] == (0, 2)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_conjugated_nilpotent_residues(self, seed):
+        """Words such as N^2 vanish exactly but compute as rounding error;
+        they must not enter the algebra as unit-norm noise."""
+        rng = np.random.default_rng(seed)
+        for pair in ([E, np.diag([1.0, -1.0])],
+                     [np.eye(3, k=1), np.diag([1.0, 0.0], k=1)]):
+            n = pair[0].shape[0]
+            S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            S_inv = np.linalg.inv(S)
+            result = simultaneous_triangularizable(
+                [S @ m @ S_inv for m in pair])
+            assert result["triangularizable"]
+            assert result["margin"] <= 1e-14
+
     def test_commuting_families(self):
         rng = np.random.default_rng(11)
         for n in (3, 4):
