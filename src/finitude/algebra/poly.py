@@ -11,6 +11,15 @@ Three layers:
 Everything here is exact; the numeric layer lives in ``roots.py``.  Degrees
 stay at desk scale (tens, not thousands), so dense representations and
 classical algorithms are the right tool.
+
+The field operations of :class:`RationalFunction` keep each result reduced
+with a monic denominator without a gcd of a whole numerator against a
+whole product of denominators, as ``gaussian.py`` does for scalars (Knuth,
+TAOCP vol. 2, 4.5.1; Henrici, JACM 1956): a sum takes g = gcd(b, d) of the
+denominators and then only gcd(t, g) of the new numerator t; a product
+cancels each numerator against the other denominator; a power needs no
+gcd; a derivative divides gcd(b, b') out of the quotient rule.
+The class docstring says why each result is reduced.
 """
 
 from __future__ import annotations
@@ -144,8 +153,9 @@ class UnivariatePolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "UnivariatePolynomial":
@@ -345,19 +355,70 @@ def squarefree_factorization(p: UnivariatePolynomial):
     return out
 
 
+_ONE = UnivariatePolynomial.constant(1)
+
+
+def _quotient(num, den) -> "RationalFunction":
+    """num/den already in normal form: coprime, den monic (0/1 for zero)."""
+    f = object.__new__(RationalFunction)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
+def _common(p, q) -> UnivariatePolynomial:
+    """gcd(p, q) of nonzero p and q; no gcd runs when one is constant."""
+    if p.degree() == 0 or q.degree() == 0:
+        return _ONE
+    return p.gcd(q)
+
+
+def _over(t, den, g) -> "RationalFunction":
+    """t/den in normal form, for monic den and g | den such that every
+    common factor of t and den divides g."""
+    if t.is_zero():
+        return _quotient(t, _ONE)
+    h = _common(t, g)
+    if h.degree() > 0:
+        return _quotient(t.exact_div(h), den.exact_div(h))
+    return _quotient(t, den)
+
+
 class RationalFunction:
-    """Reduced quotient of univariate polynomials; denominator monic."""
+    """Reduced quotient num/den of univariate polynomials: gcd(num, den) = 1
+    and den monic (zero is 0/1), so the form is unique and ``==`` compares
+    it.
+
+    ``__init__`` normalises any pair.  The operations keep their operands'
+    form instead of normalising a whole cross product, so every gcd they
+    run is between factors of the result (the rules of the module
+    docstring):
+
+    * ``a/b + c/d``: with g = gcd(b, d), b = g s and d = g e, the sum is
+      t/(g s e) for t = a e + c s.  An irreducible factor p of t and s
+      would divide a e, hence e (a is coprime to b), and p g would divide
+      both b and d; likewise for e.  So only gcd(t, g) can be nontrivial.
+      No gcd runs when b == d is constant, g = 1 leaves the result
+      reduced as it stands, and b == d skips gcd(b, d).
+    * ``a/b * c/d``: a and d, and c and b, are cancelled first; the
+      product of the cofactors is then reduced (Henrici).
+    * ``(a/b)**n`` is a^n/b^n, reduced as it stands.
+    * ``(a/b)'``: with g = gcd(b, b') it is (a' (b/g) - a (b'/g))/(b (b/g)).
+      Every irreducible p | b divides b/g once, and modulo p, b'/g is m p'
+      times a product of factors coprime to p, for p's multiplicity m; in
+      characteristic 0 that is not 0.  So p divides the first term of the
+      numerator and not the second, and the quotient is reduced.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         num = UnivariatePolynomial.coerce(num)
-        den = UnivariatePolynomial.constant(1) if den is None \
-            else UnivariatePolynomial.coerce(den)
+        den = _ONE if den is None else UnivariatePolynomial.coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            den = UnivariatePolynomial.constant(1)
+            den = _ONE
         else:
             # skipping the gcd of a constant denominator and the scaling of
             # a monic one leaves the normal form as it is
@@ -381,12 +442,12 @@ class RationalFunction:
         if isinstance(value, RationalFunction):
             return value
         if isinstance(value, UnivariatePolynomial):
-            return RationalFunction(value)
-        return RationalFunction(UnivariatePolynomial.constant(value))
+            return _quotient(value, _ONE)
+        return _quotient(UnivariatePolynomial.constant(value), _ONE)
 
     @staticmethod
     def variable() -> "RationalFunction":
-        return RationalFunction(UnivariatePolynomial.variable())
+        return _quotient(UnivariatePolynomial.variable(), _ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -402,13 +463,17 @@ class RationalFunction:
 
     def __add__(self, other):
         other = RationalFunction.coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return _over(a + c, b, b)
+        g = _common(b, d)
+        s, e = (b, d) if g.degree() == 0 else (b.exact_div(g), d.exact_div(g))
+        return _over(a * e + c * s, b * e, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _quotient(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-RationalFunction.coerce(other))
@@ -418,28 +483,49 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = RationalFunction.coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return _quotient(UnivariatePolynomial(), _ONE)
+        g = _common(a, d)
+        if g.degree() > 0:
+            a, d = a.exact_div(g), d.exact_div(g)
+        g = _common(c, b)
+        if g.degree() > 0:
+            c, b = c.exact_div(g), b.exact_div(g)
+        return _quotient(a * c, b * d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = RationalFunction.coerce(other)
-        if other.is_zero():
+    def _reciprocal(self) -> "RationalFunction":
+        """den/num, scaled to a monic denominator."""
+        if self.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        lead = self.num.leading()
+        if lead.is_one():
+            return _quotient(self.den, self.num)
+        lead = lead.inverse()
+        return _quotient(self.den.scale(lead), self.num.scale(lead))
+
+    def __truediv__(self, other):
+        return self * RationalFunction.coerce(other)._reciprocal()
 
     def __rtruediv__(self, other):
         return RationalFunction.coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return (RationalFunction.coerce(1) / self) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
+            return self._reciprocal() ** -n
+        return _quotient(self.num ** n, self.den ** n)
 
     def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
+        a, b = self.num, self.den
+        if b.degree() == 0:
+            return _quotient(a.derivative(), b)
+        db = b.derivative()
+        g = _common(b, db)
+        s, db = (b, db) if g.degree() == 0 else \
+            (b.exact_div(g), db.exact_div(g))
+        return _quotient(a.derivative() * s - a * db, b * s)
 
     def __call__(self, x):
         if isinstance(x, (int, Fraction, GaussianRational)):

@@ -17,20 +17,13 @@ import os
 import sys
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 
 from . import __version__
-from .algebra import parse_expression, parse_univariate
-from .algebra.poly import RationalFunction
 from .config import Settings, load_settings
-from .differential import (LinearODE, generalized_riccati,
-                           integrate_rational, rational_witness_search)
 from .errors import ExprSyntaxError, FinitudeError, NumericFailure
-from .monodromy import monodromy_group, singular_points
-from .puiseux import INFINITY, puiseux_expand
-from .solvability import (invertible_by_radicals, k_radicals_verdict,
-                          radicals_verdict)
-from .solvability.verdicts import VerdictStatus, monodromy_failed
+
+# Each subcommand imports its own modules when main dispatches to it, so a
+# launch loads only what its request needs.
 
 EXIT_REPRESENTABLE = 0
 EXIT_NOT_REPRESENTABLE = 1
@@ -39,6 +32,8 @@ EXIT_USAGE = 64
 
 
 def _status_exit(status) -> int:
+    from .solvability.verdicts import VerdictStatus
+
     return {VerdictStatus.REPRESENTABLE: EXIT_REPRESENTABLE,
             VerdictStatus.NOT_REPRESENTABLE: EXIT_NOT_REPRESENTABLE,
             VerdictStatus.UNDECIDED: EXIT_UNDECIDED}[status]
@@ -76,6 +71,11 @@ def _emit(report: Report, as_json: bool, lines):
 
 
 def cmd_algebraic(args, settings) -> int:
+    from .algebra import parse_expression
+    from .monodromy import monodromy_group, singular_points
+    from .solvability import k_radicals_verdict, radicals_verdict
+    from .solvability.verdicts import monodromy_failed
+
     report = Report("algebraic", {"expr": args.expr, "k": args.k,
                                   "tower": args.tower}, settings)
     P = parse_expression(args.expr, ["x", "y"])
@@ -114,6 +114,10 @@ def cmd_algebraic(args, settings) -> int:
 
 
 def cmd_ode(args, settings) -> int:
+    from .algebra import RationalFunction, parse_expression
+    from .differential import (LinearODE, generalized_riccati,
+                               rational_witness_search)
+
     report = Report("ode", {"order": args.order,
                             "coefficients": args.coefficients}, settings)
     if len(args.coefficients) != args.order:
@@ -144,6 +148,9 @@ def cmd_ode(args, settings) -> int:
 
 
 def cmd_integrate(args, settings) -> int:
+    from .algebra import RationalFunction, parse_expression
+    from .differential import integrate_rational
+
     report = Report("integrate", {"expr": args.expr}, settings)
     f = parse_expression(args.expr, ["x"])
     form = integrate_rational(RationalFunction.coerce(f))
@@ -157,6 +164,9 @@ def cmd_integrate(args, settings) -> int:
 
 
 def cmd_decompose(args, settings) -> int:
+    from .algebra import parse_univariate
+    from .solvability import invertible_by_radicals
+
     report = Report("decompose", {"expr": args.expr}, settings)
     verdict = invertible_by_radicals(parse_univariate(args.expr))
     chain = verdict.extras["factors"]
@@ -170,7 +180,6 @@ def cmd_decompose(args, settings) -> int:
 
 
 def cmd_fuchsian(args, settings) -> int:
-    # imported here so that no other subcommand loads numpy
     from .fuchsian import FuchsianSystem, small_norm_verdict, system_monodromy
 
     with open(args.file, "r", encoding="utf-8") as handle:
@@ -191,6 +200,11 @@ def cmd_fuchsian(args, settings) -> int:
 
 
 def cmd_puiseux(args, settings) -> int:
+    from fractions import Fraction
+
+    from .algebra import parse_expression
+    from .puiseux import INFINITY, puiseux_expand
+
     report = Report("puiseux", {"expr": args.expr, "point": args.point,
                                 "order": args.order}, settings)
     P = parse_expression(args.expr, ["x", "y"])

@@ -854,6 +854,78 @@ class TestComplexRoots:
                 assert not a.overlaps(b)
 
 
+def _rational_pairs(count=200):
+    """Seeded pairs (f, g) of Q(i)(x) elements with Gaussian coefficients.
+    Their denominators share a planted factor, often to a power above one,
+    besides a factor of their own; every fifth pair has equal denominators,
+    half of them with numerators whose sum shares the planted factor;
+    every fifth a second denominator that is most likely coprime to the
+    first; every fifth a polynomial g (zero or constant in some); and
+    every fifth a g built as h - f for an h over a power of the planted
+    factor, so that the sum cancels.  In a third of the pairs each
+    numerator carries the other denominator's own factor, so that a
+    product cancels."""
+    rng = random.Random(1956)
+
+    def draw(degree):
+        lead = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
+        return UnivariatePolynomial([rand_gauss(rng, 5)
+                                     for _ in range(degree)] + [lead])
+
+    for k in range(count):
+        shared, u, v = (draw(rng.randint(1, 2)), draw(rng.randint(0, 2)),
+                        draw(rng.randint(1, 2)))
+        b = shared ** rng.randint(1, 3) * u
+        d = shared ** rng.randint(1, 2) * v
+        a, c = draw(rng.randint(0, 4)), draw(rng.randint(0, 4))
+        if k % 3 == 0:
+            a, c = a * v, c * u
+        if k % 5 == 1:
+            d = b
+            if k % 10 == 6:
+                c = shared * draw(rng.randint(0, 2)) - a
+        elif k % 5 == 2:
+            d = v
+        elif k % 5 == 3:
+            d = UnivariatePolynomial.constant(1)
+            if k % 15 == 3:
+                c = UnivariatePolynomial()
+            elif k % 15 == 8:
+                c = UnivariatePolynomial.constant(rand_gauss(rng, 5))
+        elif k % 5 == 4:
+            h = RationalFunction(draw(rng.randint(0, 2)),
+                                 shared ** rng.randint(1, 2))
+            c, d = h.num * b - a * h.den, h.den * b
+        yield RationalFunction(a, b), RationalFunction(c, d)
+
+
+# Q(i)(x) in sympy: every field operation cancels by sympy's own gcd, as
+# sympy.cancel does, at about a tenth of its cost on expressions
+QI_FIELD, _ = sympy.field("x", sympy.QQ_I)
+
+
+def _to_field(p):
+    """A UnivariatePolynomial as an element of sympy's polynomial ring."""
+    gaussian = [sympy.QQ_I(sympy.QQ(c.re.numerator, c.re.denominator),
+                           sympy.QQ(c.im.numerator, c.im.denominator))
+                for c in reversed(p.coeffs)]
+    return QI_FIELD.ring.from_list(gaussian) if gaussian \
+        else QI_FIELD.ring.zero
+
+
+def _assert_cancelled(got, expected, context):
+    """got equals sympy's cancelled quotient ``expected``, and is in normal
+    form: a monic denominator coprime to the numerator by plain Euclid."""
+    lead = expected.denom.LC
+    assert _to_field(got.num) * lead == expected.numer, context
+    assert _to_field(got.den) * lead == expected.denom, context
+    assert got.den.leading().is_one(), context
+    p, q = got.num, got.den
+    while not q.is_zero():
+        p, q = q, p % q
+    assert p.degree() == 0, context
+
+
 class TestRationalFunction:
     def test_normalization(self):
         f = RationalFunction(parse_univariate("2*x^2 - 2"),
@@ -867,3 +939,90 @@ class TestRationalFunction:
         g = f.derivative()
         h = parse_rational("(x^2 - 4*x - 1)/(x^2 - 4*x + 4)")
         assert g == h
+
+    def test_field_operations_against_sympy(self):
+        counts = {"equal": 0, "coprime": 0, "sum cancels": 0,
+                  "product cancels": 0}
+        x = QI_FIELD.ring.gens[0]
+        for k, (f, g) in enumerate(_rational_pairs()):
+            a, b = _to_field(f.num), _to_field(f.den)
+            F, G = QI_FIELD(a) / QI_FIELD(b), \
+                QI_FIELD(_to_field(g.num)) / QI_FIELD(_to_field(g.den))
+            context = (k, str(f), str(g))
+            _assert_cancelled(f + g, F + G, context)
+            _assert_cancelled(f - g, F - G, context)
+            _assert_cancelled(f - f, F - F, context)
+            _assert_cancelled(f * g, F * G, context)
+            _assert_cancelled(f.derivative(), QI_FIELD(
+                a.diff(x) * b - a * b.diff(x)) / QI_FIELD(b ** 2), context)
+            n = k % 7 - 3
+            _assert_cancelled(f ** n, F ** n, context)
+            if g.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    f / g
+                with pytest.raises(ZeroDivisionError):
+                    g ** -1
+            else:
+                _assert_cancelled(f / g, F / G, context)
+                _assert_cancelled(g ** n, G ** n, context)
+            counts["equal"] += f.den == g.den and f.den.degree() > 0
+            counts["coprime"] += f.den.gcd(g.den).degree() == 0
+            lcm = f.den.degree() + g.den.degree() - \
+                f.den.gcd(g.den).degree()
+            counts["sum cancels"] += (f + g).den.degree() < lcm
+            counts["product cancels"] += (f * g).den.degree() < \
+                f.den.degree() + g.den.degree()
+        assert min(counts.values()) >= 30, counts
+
+
+def _gcd_calls(monkeypatch):
+    """Every UnivariatePolynomial.gcd call from here on, as (p, q)."""
+    calls = []
+    original = UnivariatePolynomial.gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(UnivariatePolynomial, "gcd", counted)
+    return calls
+
+
+class TestRationalGcds:
+    """The gcds that the field operations run, pinned."""
+
+    def test_polynomials_run_none(self, monkeypatch):
+        p, q = parse_rational("x^3 + i*x - 2"), parse_rational("(2*x - i)/3")
+        calls = _gcd_calls(monkeypatch)
+        p + q, p - q, p * q, q * 5, p.derivative()
+        assert calls == []
+
+    def test_coprime_denominators_run_one(self, monkeypatch):
+        f = parse_rational("(x + 1)/(x^2 + 1)")
+        g = parse_rational("i*x/(x - 3)^2")
+        expected = RationalFunction(f.num * g.den + g.num * f.den,
+                                    f.den * g.den)
+        calls = _gcd_calls(monkeypatch)
+        assert f + g == expected
+        assert calls == [(f.den, g.den)]
+
+    def test_shared_factor_runs_two_small_ones(self, monkeypatch):
+        f = parse_rational("1/((x - 1)^2*(x + 2))")
+        g = parse_rational("1/((x - 1)*(x^2 + 5))")
+        calls = _gcd_calls(monkeypatch)
+        f - g
+        shared = parse_univariate("x - 1")
+        assert calls[0] == (f.den, g.den)
+        assert len(calls) == 2 and calls[1][1] == shared
+
+    def test_powers_run_none(self, monkeypatch):
+        f = parse_rational("(x^2 - i)/(3*x^3 + x - 1)")
+        calls = _gcd_calls(monkeypatch)
+        f ** 3, f ** -2, f ** 0, 1 / f
+        assert calls == []
+
+    def test_derivative_runs_one(self, monkeypatch):
+        f = parse_rational("(x + i)/((x - 1)^3*(x^2 + 2))")
+        calls = _gcd_calls(monkeypatch)
+        f.derivative()
+        assert calls == [(f.den, f.den.derivative())]

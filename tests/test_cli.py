@@ -19,6 +19,10 @@ from finitude.differential import kovacic, liouville
 from finitude.solvability import ritt_decompose
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# a2 of y'' + 3 y' + a2 y = 0 around a rational witness with two poles
+ODE_CONSTANT_A1 = ("(2*x^4 + x^3*(16 - 8*i) + x^2*(8 - 60*i)"
+                   " + x*(-98 - 80*i) - 126 + 12*i)/(x^4 + x^3*(6 - 4*i)"
+                   " + x^2*(5 - 24*i) + x*(-24 - 36*i) - 36)")
 
 
 def run(argv):
@@ -150,6 +154,24 @@ class TestReports:
         code, out, _ = run(["--json", "ode", "2", "0", "-1"])
         assert code == 0
         assert json.loads(out)["witnesses"] == ["-1", "1"]
+
+    def test_ode_constant_a1_two_pole_witness(self):
+        # a1 constant and a witness with two Gaussian poles: the slow case
+        # of the witness search, most of it Q(i)(x) arithmetic
+        code, out, _ = run(["--json", "ode", "2", "--", "3", ODE_CONSTANT_A1])
+        assert code == 0
+        assert json.loads(out)["witnesses"] == [
+            "(-x^2 + (-7+2*i)*x + (-6+10*i))/(x^2 + (3-2*i)*x - 6*i)",
+            "(-2*x^10 + (-42+20*i)*x^9 + (-350+408*i)*x^8"
+            " + (-1436+3784*i)*x^7 + (-2642+22016*i)*x^6"
+            " + (906+95516*i)*x^5 + (20594+340112*i)*x^4"
+            " + (105548+981928*i)*x^3 + (426168+2071416*i)*x^2"
+            " + (1063704+2690544*i)*x + (1178832+1510512*i))/(x^10"
+            " + (23-10*i)*x^9 + (214-222*i)*x^8 + (998-2228*i)*x^7"
+            " + (1985-13676*i)*x^6 + (-3345-59242*i)*x^5"
+            " + (-39856-196238*i)*x^4 + (-177660-499416*i)*x^3"
+            " + (-542592-892680*i)*x^2 + (-1048344-919056*i)*x"
+            " + (-917856-350928*i))"]
 
     def test_decompose(self):
         code, out, _ = run(["--json", "decompose", "x^6"])
@@ -409,11 +431,15 @@ def test_invalid_tolerance_is_refused(tmp_path, key, value):
 def test_exact_subcommands_load_no_numpy():
     # numpy takes most of a launch; only fuchsian, --tower, base roots and
     # puiseux need it, so a fresh interpreter serving integrate, ode and
-    # decompose never imports it
+    # decompose never imports it.  Each subcommand imports its modules when
+    # it is dispatched to, so the import itself loads none of them.
     script = "\n".join([
         "import contextlib, io, sys",
         "import finitude.cli",
         "assert 'numpy' not in sys.modules, 'import'",
+        "loaded = sorted(m for m in sys.modules if m.startswith('finitude'))",
+        "assert loaded == ['finitude', 'finitude.cli', 'finitude.config',",
+        "                  'finitude.errors'], loaded",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    codes = [finitude.cli.main(argv) for argv in (",
         "        ['integrate', '--', '(3*x+1)/(x^3-2)'],",

@@ -17,8 +17,9 @@ Run from the root of a source checkout.  The comparison set is
   denominator factors, which exercise Hermite reduction, integrands whose
   Norm does not reconstruct from one prime, and a sum of coprime powers;
 * front-end requests: nested quotients, negative powers of subexpressions
-  and constant divisors in every subcommand that parses, and malformed
-  inputs that exit 64.
+  and constant divisors in every subcommand that parses, two ``ode 2``
+  requests whose witnesses have two poles, and malformed inputs that exit
+  64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -76,6 +77,16 @@ FRONT_END = [
     ["integrate", "--", "(3/4)^-1*x + i/(x^2+1)"],
     ["integrate", "--", "-(x^2+1)^-1/(2 - i)"],
     ["ode", "2", "--", "1/x", "-(x+1)^-2"],
+    # a witness with two Gaussian poles, a1 constant (the slow case of the
+    # witness search) and a1 linear
+    ["ode", "2", "--", "3",
+     "(2*x^4 + x^3*(16 - 8*i) + x^2*(8 - 60*i) + x*(-98 - 80*i) - 126"
+     " + 12*i)/(x^4 + x^3*(6 - 4*i) + x^2*(5 - 24*i) + x*(-24 - 36*i)"
+     " - 36)"],
+    ["ode", "2", "--", "x + 2",
+     "(x^5 + x^4*(-5 + 6*i) + x^3*(-9 - 21*i) + x^2*(36 - 12*i)"
+     " + x*(22 + 48*i) - 42 + 12*i)/(x^4 + x^3*(-8 + 6*i)"
+     " + x^2*(11 - 36*i) + x*(20 + 60*i) - 32 - 24*i)"],
     ["algebraic", "--", "y^3/2 - x/3"],
     ["decompose", "--", "(x^2+1)^3/8"],
     ["decompose", "--", "(x^2-1)/(x-1)"],
