@@ -9,8 +9,13 @@ Three layers:
   curves P(x, y) = 0).
 
 Everything here is exact; the numeric layer lives in ``roots.py``.  Degrees
-stay at desk scale (tens, not thousands), so dense representations and
-classical algorithms are the right tool.
+stay at desk scale (tens, not thousands), so representations are dense.
+Two kernels run on Gaussian-integer vectors (``gaussvec.py``): a product of
+two non-constant polynomials, cleared to integer lists once and normalised
+once per output coefficient, and the subresultant sequence, over Z[i][x].
+Divisions (``divmod``, Euclid) stay classical on scalars: a
+pseudo-division on cleared vectors needs a content gcd at each step as its
+numerators grow, and that is slower than the scalar steps.
 
 The field operations of :class:`RationalFunction` keep each result reduced
 with a monic denominator without a gcd of a whole numerator against a
@@ -27,11 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DegreeTooLow, SquareFreeRequired, ZeroPolynomial
+from . import gaussvec
 from .gaussian import GaussianRational, ONE, ZERO
-
-
-def _coerce_scalar(c) -> GaussianRational:
-    return GaussianRational.coerce(c)
 
 
 def _coprime_mod_p(a, b) -> bool:
@@ -55,7 +57,7 @@ class UnivariatePolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce_scalar(c) for c in coeffs]
+        cs = [GaussianRational.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -64,10 +66,6 @@ class UnivariatePolynomial:
         raise AttributeError("UnivariatePolynomial is immutable")
 
     # --- constructors ----------
-
-    @staticmethod
-    def zero() -> "UnivariatePolynomial":
-        return UnivariatePolynomial()
 
     @staticmethod
     def constant(c) -> "UnivariatePolynomial":
@@ -115,15 +113,15 @@ class UnivariatePolynomial:
     # --- ring operations ----------
 
     def __add__(self, other):
-        other = UnivariatePolynomial.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePolynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        a, b = self.coeffs, UnivariatePolynomial.coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UnivariatePolynomial([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-UnivariatePolynomial.coerce(other))
@@ -132,16 +130,14 @@ class UnivariatePolynomial:
         return UnivariatePolynomial.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = UnivariatePolynomial.coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UnivariatePolynomial()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UnivariatePolynomial(out)
+        if not isinstance(other, UnivariatePolynomial):
+            return self.scale(other)
+        a, b = self.coeffs, other.coeffs
+        if len(b) <= 1:
+            return self.scale(b[0]) if b else other
+        if len(a) <= 1:
+            return other.scale(a[0]) if a else self
+        return _poly(gaussvec.product(a, b))
 
     __rmul__ = __mul__
 
@@ -159,8 +155,8 @@ class UnivariatePolynomial:
         return result
 
     def scale(self, c) -> "UnivariatePolynomial":
-        c = _coerce_scalar(c)
-        return UnivariatePolynomial([a * c for a in self.coeffs])
+        c = GaussianRational.coerce(c)
+        return _poly([a * c for a in self.coeffs])
 
     def divmod(self, other):
         other = UnivariatePolynomial.coerce(other)
@@ -353,6 +349,15 @@ def squarefree_factorization(p: UnivariatePolynomial):
         d = c - b.derivative()
         k += 1
     return out
+
+
+def _poly(cs) -> UnivariatePolynomial:
+    """The GaussianRational list cs, top zeros dropped, as a polynomial."""
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    p = object.__new__(UnivariatePolynomial)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
 
 
 _ONE = UnivariatePolynomial.constant(1)
@@ -579,10 +584,6 @@ class BivariatePolynomial:
     # --- constructors ----------
 
     @staticmethod
-    def zero() -> "BivariatePolynomial":
-        return BivariatePolynomial()
-
-    @staticmethod
     def constant(c) -> "BivariatePolynomial":
         return BivariatePolynomial([UnivariatePolynomial.constant(c)])
 
@@ -675,8 +676,9 @@ class BivariatePolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # --- views / substitutions ----------
@@ -805,36 +807,33 @@ def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePol
 def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
     """([P, Q, R_1, R_2, ...], psi): the subresultant remainder sequence in
     y over Q(i)[x], the higher y-degree first (Collins; Brown-Traub, JACM
-    1971), and its last psi.
+    1971), and its last psi; ``gaussvec.subresultants`` gives the
+    recurrence.  Each R of y-degree i is similar over Q(i)(x) to the i-th
+    subresultant; the signs are Brown's (ACM TOMS 1978), as in sympy's
+    ``subresultants``.  The psi returned is, up to sign, the leading
+    coefficient of the regular subresultant whose y-degree is that of the
+    second-to-last member (+-1 when that member is P).
 
-    R_{k+1} = prem(R_{k-1}, R_k) / beta_k, where prem multiplies by
-    lc_y(R_k)^(deg R_{k-1} - deg R_k + 1), beta_k = -lc_y(R_{k-1}) psi_k^d
-    and psi_{k+1} = (-lc_y(R_k))^d / psi_k^(d-1) for d the degree step; the
-    divisions are exact.  Each R of y-degree i is similar over Q(i)(x) to
-    the i-th subresultant; the signs are Brown's (ACM TOMS 1978), as in
-    sympy's ``subresultants``.  The psi returned is, up to sign, the
-    leading coefficient of the regular subresultant whose y-degree is that
-    of the second-to-last member (+-1 when that member is P).
+    It runs over Z[i][x] on aP and bQ, for P and Q of y-degrees n >= m and
+    the least integers a and b that make them Gaussian-integral.  Their
+    j-th subresultant, a determinant of m - j rows of P's coefficients and
+    n - j rows of Q's, is a^(m-j) b^(n-j) times that of P and Q; so are the
+    member after one of y-degree j + 1, and psi for j the y-degree of the
+    second-to-last member.  Each is divided back once.
     """
     seq = sorted((P, Q), key=BivariatePolynomial.degree_y, reverse=True)
-    lc = UnivariatePolynomial.constant(1)
-    psi = -lc
-    while True:
-        F, G = seq[-2], seq[-1]
-        dg, lc_g = G.degree_y(), G.leading_y()
-        d = F.degree_y() - dg
-        rows = list(F.rows)
-        while len(rows) > dg:  # rows = lc_g rows - c y^(top - dg) G
-            c = rows.pop()
-            rows = [r * lc_g for r in rows]
-            for k, g in enumerate(G.rows[:-1], len(rows) - dg):
-                rows[k] = rows[k] - c * g
-        if all(r.is_zero() for r in rows):
-            return seq, psi
-        beta = -lc * psi ** d
-        seq.append(BivariatePolynomial([r.exact_div(beta) for r in rows]))
-        lc = lc_g
-        psi = ((-lc) ** d).exact_div(psi ** (d - 1)) if d else psi
+    (a, F), (b, G) = map(gaussvec.clear_rows, (seq[0].rows, seq[1].rows))
+    members, psi = gaussvec.subresultants(F, G)
+    degrees = [len(R) - 1 for R in (F, G, *members)]
+    n, m = degrees[:2]
+
+    def back(u, j):
+        return _poly(gaussvec.rationals(u, a ** (m - j) * b ** (n - j)))
+
+    seq += [BivariatePolynomial([back(r, j - 1) for r in R])
+            for R, j in zip(members, degrees[1:])]
+    # psi is still -1 when no member follows P and Q
+    return seq, back(psi, degrees[-2]) if members else -_ONE
 
 
 def series_mul(a, b, order, zero):

@@ -12,29 +12,35 @@ measured traces that lie many orders of magnitude apart.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
 
 CONTINUATION_TOL = 1e-10   # branch tracking (monodromy)
 ROOT_TOL = 1e-12           # certified root enclosures
 FUCHSIAN_TOL = 1e-10       # series truncation per piece of a Fuchsian loop
 
 
-@dataclass
 class Settings:
-    continuation_tol: float = CONTINUATION_TOL
-    root_tol: float = ROOT_TOL
-    fuchsian_tol: float = FUCHSIAN_TOL
-    witness_degree_bound: int = 0          # 0 = automatic
+    """The effective settings; ``to_json`` gives every key, in this order.
+    A plain class: ``dataclasses`` and the ``inspect`` it loads would take
+    most of the time ``import finitude.cli`` takes."""
+
+    def __init__(self, continuation_tol: float = CONTINUATION_TOL,
+                 root_tol: float = ROOT_TOL,
+                 fuchsian_tol: float = FUCHSIAN_TOL,
+                 witness_degree_bound: int = 0):  # 0 = automatic
+        self.continuation_tol = continuation_tol
+        self.root_tol = root_tol
+        self.fuchsian_tol = fuchsian_tol
+        self.witness_degree_bound = witness_degree_bound
 
     def to_json(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 def load_settings(path: str | None) -> Settings:
     settings = Settings()
     if path is None:
         return settings
-    valid = {f.name: f.type for f in fields(Settings)}
+    valid = settings.to_json()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()

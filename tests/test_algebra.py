@@ -454,6 +454,59 @@ class TestParser:
             assert parse_rational(f.format()) == f
 
 
+def _product_pairs(count=240):
+    """Seeded pairs of coefficient lists over Q(i) of degrees 0-40, on both
+    sides of gaussvec.KRONECKER_CUT, with parts of 3 to 200 bits over
+    denominators 1 to 2^40; some real, some imaginary, some with zero runs
+    at the bottom, top and inside, and some the same list twice."""
+    rng = random.Random(2121)
+
+    def draw(length, bits, kind):
+        def part():
+            value = rng.getrandbits(bits) - (1 << (bits - 1))
+            return Fraction(value, rng.choice([1, 1, 2, 6, 35,
+                                               rng.getrandbits(40) + 1]))
+        coeffs = [GaussianRational(0 if kind == "imaginary" else part(),
+                                   0 if kind == "real" else part())
+                  for _ in range(length)]
+        if kind == "padded" and length:
+            start = rng.randrange(length)
+            stop = rng.randrange(start, length)
+            coeffs[start:stop] = [GaussianRational(0)] * (stop - start)
+            coeffs[0] = GaussianRational(0)
+        return coeffs + [GaussianRational(rng.randint(1, 9),
+                                          rng.randint(-1, 1))]
+
+    kinds = ["gaussian", "real", "imaginary", "padded"]
+    for k in range(count):
+        bits = rng.choice([3, 8, 30, 64, 200])
+        lengths = [rng.randint(0, 40), rng.randint(0, 40)]
+        if k % 3 == 0:
+            lengths = [rng.randint(poly.gaussvec.KRONECKER_CUT, 40)] * 2
+        p = draw(lengths[0], bits, kinds[k % 4])
+        q = p if k % 7 == 0 else draw(lengths[1], bits, kinds[k // 4 % 4])
+        yield p, q
+
+
+class TestProducts:
+    def test_products_against_schoolbook(self):
+        """Q(i)[x] products on Gaussian-integer vectors against plain
+        schoolbook products of GaussianRationals."""
+        kronecker = 0
+        for p, q in _product_pairs():
+            expected = [GaussianRational(0)] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    expected[i + j] = expected[i + j] + a * b
+            f = UnivariatePolynomial(p)
+            got = f * (f if q is p else UnivariatePolynomial(q))
+            assert got == UnivariatePolynomial(expected)
+            for c in got.coeffs:  # normalised triples
+                assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
+            kronecker += min(len(p), len(q)) >= poly.gaussvec.KRONECKER_CUT
+        assert kronecker >= 60
+
+
 class TestResultant:
     def test_spec_examples(self):
         assert resultant_y(parse_bivariate("y^2 - x"),
@@ -497,6 +550,36 @@ def _oracle_pairs(count=60):
         lead_q = UnivariatePolynomial([-2, 1]) if k % 3 == 0 else \
             UnivariatePolynomial([rng.randint(1, 4)])
         yield curve(rng.randint(1, 4), lead_p), curve(rng.randint(1, 3), lead_q)
+
+
+def _nonintegral_pairs(count=40):
+    """Seeded pairs (P, Q) over Q(i) whose coefficients have denominators
+    2, 3, 5 and 7 in both P and Q, with either of the two of higher
+    y-degree or both of one degree."""
+    rng = random.Random(2117)
+
+    def coefficient():
+        return GaussianRational(
+            Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7])),
+            rng.choice([0, Fraction(rng.randint(-4, 4),
+                                    rng.choice([2, 3, 5, 7]))]))
+
+    def curve(degree):
+        rows = [UnivariatePolynomial([coefficient()
+                                      for _ in range(rng.randint(1, 3))])
+                for _ in range(degree)]
+        lead = UnivariatePolynomial([Fraction(rng.randint(1, 6),
+                                              rng.choice([2, 3, 5, 7])),
+                                     coefficient()])
+        return BivariatePolynomial(rows + [lead])
+
+    for k in range(count):
+        degrees = [rng.randint(2, 4), rng.randint(1, 3)]
+        if k % 4 == 1:
+            degrees.reverse()
+        elif k % 4 == 2:
+            degrees[1] = degrees[0]
+        yield curve(degrees[0]), curve(degrees[1])
 
 
 X, Y = sympy.symbols("x y")
@@ -596,6 +679,20 @@ def _coprimality_pairs(count=200):
         yield a, b, k % 4 == 2
 
 
+def _principal_coefficient(P, Q, j):
+    """The j-th principal subresultant coefficient of P and Q of y-degrees
+    n >= m: the minor of the highest-first Sylvester matrix on its first
+    m - j rows (of P) and n - j rows (of Q) and n + m - 2j columns."""
+    n, m = P.degree_y(), Q.degree_y()
+    minor = sylvester(to_sympy(P), to_sympy(Q), Y).extract(
+        list(range(m - j)) + list(range(m, m + n - j)),
+        list(range(n + m - 2 * j)))
+    if not minor.rows:
+        return sympy.Integer(1)
+    matrix = DomainMatrix.from_Matrix(minor)
+    return matrix.domain.to_sympy(matrix.det())
+
+
 def _sympy_poly(p):
     return sympy.Poly(to_sympy(p), X, domain="QQ_I")
 
@@ -666,7 +763,7 @@ class TestSympyOracle:
         assert checked >= 60
 
     def test_subresultant_prs_against_sympy(self):
-        pairs = list(_oracle_pairs()) + [
+        pairs = list(_oracle_pairs()) + list(_nonintegral_pairs()) + [
             _rothstein_trager_pair(f) for f in (*DEFECTIVE_PAIRS,
                                                 *_integrands())]
         defective = skipped_into_tail = 0
@@ -680,6 +777,12 @@ class TestSympyOracle:
             degrees = [member.degree_y() for member in got]
             defective += any(a - b > 1 for a, b in zip(degrees[1:],
                                                         degrees[2:]))
+            if len(got) > 2:
+                # psi is +-lc of the regular subresultant of the y-degree
+                # of the second-to-last member
+                coefficient = _principal_coefficient(*got[:2], degrees[-2])
+                assert sympy.expand(to_sympy(psi) ** 2
+                                    - coefficient ** 2) == 0, (str(P), str(Q))
             if degrees[-1] == 0:
                 # the resultant from the tail: +-last^e / psi^(e-1)
                 e = degrees[-2]

@@ -1,6 +1,5 @@
 """CLI contract: exit codes, JSON reports, corpus driver."""
 
-import dataclasses
 import io
 import json
 import os
@@ -12,7 +11,8 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from finitude import errors, fuchsian, monodromy
-from finitude.algebra import parse_rational, poly
+from finitude.algebra import (GaussianRational, UnivariatePolynomial,
+                              parse_rational, parse_univariate, poly)
 from finitude.cli import build_parser, main
 from finitude.config import Settings
 from finitude.differential import kovacic, liouville
@@ -300,6 +300,33 @@ class TestWorkPerRequest:
         assert form.derivative() == f
         assert len(resultants) == 0
 
+    def test_exact_kernels_run_on_integer_vectors(self, monkeypatch):
+        # the subresultant sequence divides over Z[i][t], not by scalar
+        # long division, and a product of two non-constant polynomials
+        # multiplies integer vectors, not Gaussian rationals
+        divisions = count_calls(monkeypatch, "divmod",
+                                UnivariatePolynomial.divmod,
+                                UnivariatePolynomial)
+        sequences = count_calls(monkeypatch, "subresultant_prs",
+                                poly.subresultant_prs)
+        code, out, _ = run(["--json", "integrate", "--", "1/(x^3 - 2)"])
+        assert code == 0 and json.loads(out)["derivative_verified"] is True
+        assert len(sequences) == 1 and divisions
+        divisions.clear()
+        poly.subresultant_prs(*sequences[0][0])
+        assert divisions == []
+        products = count_calls(monkeypatch, "__mul__",
+                               GaussianRational.__mul__, GaussianRational)
+        p = parse_univariate("(2/3 + i)*x^3 - x/5 + 7")
+        q = parse_univariate("x^2/7 - (1 - 3*i/2)")
+        products.clear()
+        pq = p * q
+        assert products == []
+        assert pq == parse_univariate(
+            "(2/21 + i/7)*x^5 - (2/3 + i)*(1 - 3*i/2)*x^3 - x^3/35"
+            " + (1 - 3*i/2)*x/5 + x^2 - 7*(1 - 3*i/2)")
+        assert p * 3 == 3 * p and products  # a constant scales
+
     @pytest.mark.parametrize("integrand, exact_norms", [
         # the Norm x^2 - 3000000019 does not reconstruct from one prime;
         # it does from two, by Chinese remainders
@@ -396,7 +423,7 @@ CONSUMERS = {
 }
 
 
-@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(Settings)])
+@pytest.mark.parametrize("key", list(Settings().to_json()))
 def test_every_setting_reaches_its_consumer(monkeypatch, tmp_path, key):
     value, consumers = CONSUMERS[key]
     assert value != getattr(Settings(), key)
@@ -437,6 +464,8 @@ def test_exact_subcommands_load_no_numpy():
         "import contextlib, io, sys",
         "import finitude.cli",
         "assert 'numpy' not in sys.modules, 'import'",
+        "assert 'dataclasses' not in sys.modules, 'dataclasses'",
+        "assert 'inspect' not in sys.modules, 'inspect'",
         "loaded = sorted(m for m in sys.modules if m.startswith('finitude'))",
         "assert loaded == ['finitude', 'finitude.cli', 'finitude.config',",
         "                  'finitude.errors'], loaded",

@@ -17,7 +17,8 @@ Run from the root of a source checkout.  The comparison set is
   denominator factors, which exercise Hermite reduction, integrands whose
   Norm does not reconstruct from one prime, and a sum of coprime powers;
 * front-end requests: nested quotients, negative powers of subexpressions
-  and constant divisors in every subcommand that parses, two ``ode 2``
+  and constant divisors in every subcommand that parses, an integrand with
+  rational coefficients in numerator and denominator, two ``ode 2``
   requests whose witnesses have two poles, and malformed inputs that exit
   64.
 
@@ -76,6 +77,9 @@ FRONT_END = [
     ["integrate", "--", "1/(x+1) - 2/(x-1)^2 + (x+1)^-3"],
     ["integrate", "--", "(3/4)^-1*x + i/(x^2+1)"],
     ["integrate", "--", "-(x^2+1)^-1/(2 - i)"],
+    # rational coefficients on both sides: the subresultant sequence runs
+    # on the cleared pair and divides its members back
+    ["integrate", "--", "(x/3 + 1/2)/(x^3 - x/5 + 1/7)"],
     ["ode", "2", "--", "1/x", "-(x+1)^-2"],
     # a witness with two Gaussian poles, a1 constant (the slow case of the
     # witness search) and a1 linear
