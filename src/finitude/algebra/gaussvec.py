@@ -6,13 +6,13 @@ im[k] = b_k D/d_k.  A product of two cleared lists is a product of integer
 lists, and each output coefficient is normalised once, by ``_triple``, so
 no gcd runs per coefficient pair.
 
-Integer lists are convolved by schoolbook when either is shorter than
-``KRONECKER_CUT`` and otherwise by Kronecker substitution: each list is
-packed into one Python ``int``, in slots wide enough for every coefficient
-of the product, and one big-integer product does the work (von zur Gathen
-and Gerhard, *Modern Computer Algebra*, 8.4).  A Gaussian product is three
-real ones in Karatsuba's form, (A + Bi)(C + Di) = AC - BD + ((A + B)(C +
-D) - AC - BD) i, and one or two when an operand is real.
+Integer lists are convolved by schoolbook.  Packing both lists into one
+big integer (Kronecker substitution) pays only when both have about 16 or
+more coefficients, and in seeded ``integrate``, ``ode``, ``decompose``,
+``puiseux`` and ``algebraic`` requests the shorter operand of a product
+has at most 15.  A Gaussian product is three real ones in Karatsuba's
+form, (A + Bi)(C + Di) = AC - BD + ((A + B)(C + D) - AC - BD) i, and one
+or two when an operand is real.
 
 A polynomial over Z[i] is a pair (re, im) of integer lists of one length,
 lowest degree first, whose top coefficient is not 0 + 0i; zero is ([], []).
@@ -23,13 +23,11 @@ left.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import zip_longest
 from math import lcm
 
 from .gaussian import _triple
-
-# where schoolbook and Kronecker products of lists of 3 to 200 bits cross
-KRONECKER_CUT = 16
 
 
 def clear(coeffs):
@@ -42,37 +40,8 @@ def clear(coeffs):
             [c._b * s for c, s in zip(coeffs, scales)])
 
 
-def _offset(slots: int, width: int) -> int:
-    """2^(8 width - 1) in each of ``slots`` slots of ``width`` bytes."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-
-
-def _pack(a, width: int, half: int) -> int:
-    return int.from_bytes(b"".join([(c + half).to_bytes(width, "little")
-                                    for c in a]), "little") \
-        - _offset(len(a), width)
-
-
-def _kronecker(a, b):
-    """The convolution of a and b through one product of packed ints.  Each
-    output coefficient is below min(len) max|a| max|b| in size, so it fits
-    a signed slot of that many bits plus one."""
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() \
-        + min(len(a), len(b)).bit_length()
-    width = bits // 8 + 1
-    half = 1 << (8 * width - 1)
-    pa = _pack(a, width, half)
-    product = pa * pa if a is b else pa * _pack(b, width, half)
-    slots = len(a) + len(b) - 1
-    raw = (product + _offset(slots, width)).to_bytes(slots * width, "little")
-    return [int.from_bytes(raw[k:k + width], "little") - half
-            for k in range(0, slots * width, width)]
-
-
 def convolve(a, b):
     """The product of the integer lists a and b, lowest degree first."""
-    if len(a) >= KRONECKER_CUT and len(b) >= KRONECKER_CUT:
-        return _kronecker(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -141,18 +110,6 @@ def minus(u, v):
                  [x - y for x, y in zip_longest(u[1], v[1], fillvalue=0)])
 
 
-def power(u, n: int):
-    """u^n over Z[i] for n >= 0."""
-    result, base = ([1], [0]), u
-    while n:
-        if n & 1:
-            result = times(result, base)
-        n >>= 1
-        if n:
-            base = times(base, base)
-    return result
-
-
 def divide(u, v):
     """u/v over Z[i] for nonzero v dividing u; ArithmeticError otherwise."""
     ur, ui = list(u[0]), list(u[1])
@@ -203,12 +160,13 @@ def subresultants(F, G):
             rows.pop()
         if not rows:
             return members, psi
-        beta = negative(times(lc, power(psi, d)))
+        beta = negative(reduce(times, [psi] * d, lc))  # d is 1 but after a defective step
         F, G = G, [divide(r, beta) for r in rows]
         members.append(G)
         lc = lc_g
         if d:
-            psi = divide(power(negative(lc), d), power(psi, d - 1))
+            psi = divide(reduce(times, [negative(lc)] * d),
+                         reduce(times, [psi] * (d - 1), ([1], [0])))
 
 
 def rationals(u, D: int):

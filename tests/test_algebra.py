@@ -455,8 +455,8 @@ class TestParser:
 
 
 def _product_pairs(count=240):
-    """Seeded pairs of coefficient lists over Q(i) of degrees 0-40, on both
-    sides of gaussvec.KRONECKER_CUT, with parts of 3 to 200 bits over
+    """Seeded pairs of coefficient lists over Q(i) of degrees 0-40, a third
+    of them both of degree 16 or more, with parts of 3 to 200 bits over
     denominators 1 to 2^40; some real, some imaginary, some with zero runs
     at the bottom, top and inside, and some the same list twice."""
     rng = random.Random(2121)
@@ -482,7 +482,7 @@ def _product_pairs(count=240):
         bits = rng.choice([3, 8, 30, 64, 200])
         lengths = [rng.randint(0, 40), rng.randint(0, 40)]
         if k % 3 == 0:
-            lengths = [rng.randint(poly.gaussvec.KRONECKER_CUT, 40)] * 2
+            lengths = [rng.randint(16, 40)] * 2
         p = draw(lengths[0], bits, kinds[k % 4])
         q = p if k % 7 == 0 else draw(lengths[1], bits, kinds[k // 4 % 4])
         yield p, q
@@ -492,7 +492,6 @@ class TestProducts:
     def test_products_against_schoolbook(self):
         """Q(i)[x] products on Gaussian-integer vectors against plain
         schoolbook products of GaussianRationals."""
-        kronecker = 0
         for p, q in _product_pairs():
             expected = [GaussianRational(0)] * (len(p) + len(q) - 1)
             for i, a in enumerate(p):
@@ -503,8 +502,6 @@ class TestProducts:
             assert got == UnivariatePolynomial(expected)
             for c in got.coeffs:  # normalised triples
                 assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
-            kronecker += min(len(p), len(q)) >= poly.gaussvec.KRONECKER_CUT
-        assert kronecker >= 60
 
 
 class TestResultant:
