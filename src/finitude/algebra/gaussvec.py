@@ -19,15 +19,22 @@ lowest degree first, whose top coefficient is not 0 + 0i; zero is ([], []).
 These are the members of ``poly.subresultant_prs``, whose divisions are
 exact: ``divide`` is long division over Z[i] and checks that nothing is
 left.
+
+The Euclid-shaped kernels share Brown's recurrence (``subresultants``):
+the sequence itself, every resultant as one more psi step at its tail
+(``next_psi``), and the inverse modulo m(t) (``inverse_mod``), which
+carries a cofactor.  An element of Q(i)[t]/(m), m monic, is a cleared
+pair (D, u), reduced by pseudo-division by the cleared m, whose leading
+coefficient is an integer, and one content gcd (``reduce_mod``).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
-from .gaussian import _triple
+from .gaussian import ZERO, _triple
 
 
 def clear(coeffs):
@@ -83,6 +90,13 @@ def _trim(re, im):
     return re, im
 
 
+def integral(coeffs, s: int):
+    """(re, im) of s times the GaussianRational list coeffs, for an
+    integer s that every denominator divides."""
+    return ([c._a * (s // c._d) for c in coeffs],
+            [c._b * (s // c._d) for c in coeffs])
+
+
 def clear_rows(rows):
     """(D, [(re, im), ...]) for a list of UnivariatePolynomial rows over one
     common denominator D."""
@@ -136,37 +150,166 @@ def divide(u, v):
     return qr, qi
 
 
-def subresultants(F, G):
-    """([R_1, R_2, ...], psi): the members after F and G, lists of Z[i][x]
-    rows in y with deg F >= deg G, and the last psi, for
-    ``poly.subresultant_prs``.
+def next_psi(lc, psi, d):
+    """(-lc)^d / psi^(d-1) over Z[i]: the psi of Brown's recurrence after
+    a step of d degrees whose lower member has leading coefficient lc."""
+    return divide(reduce(times, [negative(lc)] * d),
+                  reduce(times, [psi] * (d - 1), ([1], [0])))
+
+
+def subresultants(F, G, cofactors=None):
+    """([R_1, R_2, ...], psi, U): the members after F and G, lists of
+    Z[i][x] rows in y with deg F >= deg G, the last psi, for
+    ``poly.subresultant_prs``, and U, the cofactor of the last member.
 
     R_{k+1} = prem(R_{k-1}, R_k) / beta_k, where prem multiplies by
     lc_y(R_k)^(deg R_{k-1} - deg R_k + 1), beta_k = -lc_y(R_{k-1}) psi_k^d
     and psi_{k+1} = (-lc_y(R_k))^d / psi_k^(d-1) for d the degree step,
     with lc_y(R_{-1}) = 1 and psi_0 = -1; every division is exact.
+
+    ``cofactors``, a pair (U_F, U_G) of polynomials in y, makes every row
+    operation and every division by beta apply to them too, so the member
+    R = U_R a + V_R b whenever F = U_F a + V_F b and G = U_G a + V_G b;
+    U is then U_R of the last member (U_G when no member follows), and
+    None without ``cofactors``.  The divisions stay exact: the cofactors
+    of a subresultant are determinants as well (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 6.10-6.11).
     """
     members, lc, psi = [], ([1], [0]), ([-1], [0])
+    carry, cofactor = cofactors if cofactors else ([], None)
     while True:
         dg, lc_g = len(G) - 1, G[-1]
         d = len(F) - 1 - dg
         rows = list(F)
         while len(rows) > dg:  # rows = lc_g rows - c y^(top - dg) G
             c = rows.pop()
+            shift = len(rows) - dg
             rows = [times(r, lc_g) for r in rows]
-            for k, g in enumerate(G[:-1], len(rows) - dg):
+            for k, g in enumerate(G[:-1], shift):
                 rows[k] = minus(rows[k], times(c, g))
+            if cofactor is not None:
+                carry = [times(u, lc_g) for u in carry] \
+                    + [([], [])] * (shift + len(cofactor) - len(carry))
+                for k, u in enumerate(cofactor, shift):
+                    carry[k] = minus(carry[k], times(c, u))
         while rows and not rows[-1][0]:
             rows.pop()
         if not rows:
-            return members, psi
+            return members, psi, cofactor
         beta = negative(reduce(times, [psi] * d, lc))  # d is 1 but after a defective step
         F, G = G, [divide(r, beta) for r in rows]
         members.append(G)
+        if cofactor is not None:
+            carry, cofactor = cofactor, [divide(u, beta) for u in carry]
         lc = lc_g
         if d:
-            psi = divide(reduce(times, [negative(lc)] * d),
-                         reduce(times, [psi] * (d - 1), ([1], [0])))
+            psi = next_psi(lc, psi, d)
+
+
+def inverse_mod(a, m):
+    """The coefficients of the inverse of a modulo m, of degree below
+    deg m, for GaussianRational lists a and m, deg m >= 1, with a coprime
+    to m; ArithmeticError when they are not coprime.
+
+    The recurrence of ``subresultants`` runs on the cleared pair D_a a and
+    D_m m with one-element rows (constants of Z[i][x]), the higher degree
+    first, and carries the cofactor of D_a a.  Its last member is a
+    constant r = U D_a a + V D_m m, so the inverse is D_a U / r, and U
+    already has degree below deg m.
+    """
+    Da, ar, ai = clear(a)
+    _, mr, mi = clear(m)
+    A, M = ([_trim([x], [y]) for x, y in zip(re, im)]
+            for re, im in ((ar, ai), (mr, mi)))
+    one = [([1], [0])]
+    F, G, cofactors = (A, M, (one, [])) if len(A) >= len(M) \
+        else (M, A, ([], one))
+    members, _, U = subresultants(F, G, cofactors)
+    last = members[-1] if members else G
+    if len(last) != 1:
+        raise ArithmeticError("no inverse modulo a common factor")
+    (rr,), (ri,) = last[0]
+    norm = rr * rr + ri * ri
+    return [_triple(Da * (x[0] * rr + y[0] * ri),
+                    Da * (y[0] * rr - x[0] * ri), norm) if x else ZERO
+            for x, y in U]
+
+
+# --- Q(i)[t]/(m) ----------
+
+def reduce_mod(D, u, m):
+    """(E, w) with w/E = u/D modulo m and gcd(E, w) = 1, for u over Z[i],
+    an integer D > 0 and m = (re, im) over Z[i] whose leading coefficient
+    is a positive integer (a monic polynomial, cleared).  Pseudo-division:
+    each step multiplies u and D by that integer; then one content gcd."""
+    ur, ui = list(u[0]), list(u[1])
+    mr, mi = m
+    n, lead = len(mr) - 1, mr[-1]
+    for k in range(len(ur) - 1, n - 1, -1):
+        t, s = ur.pop(), ui.pop()
+        if t or s:  # u = lead u - (t + s i) t^(k - n) m
+            ur = [lead * x for x in ur]
+            ui = [lead * y for y in ui]
+            D *= lead
+            for j in range(n):
+                x, y = mr[j], mi[j]
+                ur[k - n + j] -= t * x - s * y
+                ui[k - n + j] -= t * y + s * x
+    g = gcd(D, *ur, *ui)
+    if g != 1:
+        D, ur, ui = D // g, [x // g for x in ur], [y // g for y in ui]
+    return D, _trim(ur, ui)
+
+
+def multiply_mod(rows, c, m):
+    """[row c mod m for row in rows], for GaussianRational lists rows, c
+    and a monic m; c and m are cleared once."""
+    E, cr, ci = clear(c)
+    _, mr, mi = clear(m)
+    out = []
+    for row in rows:
+        D, rr, ri = clear(row)
+        D, u = reduce_mod(D * E, multiply(rr, ri, cr, ci), (mr, mi)) \
+            if row else (1, ([], []))
+        out.append(rationals(u, D))
+    return out
+
+
+def quotient_mod(num, g, m):
+    """The rows of num / g modulo m, each reduced mod m, or None when g
+    does not divide num modulo m: num is a GaussianRational list (a
+    polynomial in x), g the list of its x-rows, UnivariatePolynomials in t
+    with g monic in x, and m a monic GaussianRational list in t.
+
+    Long division in x over Q(i)[t]/(m): every coefficient is a cleared
+    element (D, u) of its own, reduced by ``reduce_mod`` when it becomes
+    the top; g is cleared once to E g.
+    """
+    _, mr, mi = clear(m)
+    E, G = clear_rows(g)
+    dg = len(G) - 1
+    rest = [(c._d, _trim([c._a], [c._b])) for c in num]
+    quot = []
+    for pos in range(len(rest) - dg - 1, -1, -1):
+        D, u = reduce_mod(*rest[pos + dg], (mr, mi))
+        quot.append(rationals(u, D))
+        if u[0]:
+            DE = D * E
+            for k in range(dg):
+                rest[pos + k] = _difference(rest[pos + k],
+                                            (DE, times(u, G[k])))
+    if any(reduce_mod(*r, (mr, mi))[1][0] for r in rest[:dg]):
+        return None
+    return quot[::-1]
+
+
+def _difference(p, q):
+    """(D, u) - (E, w) for cleared elements, over lcm(D, E)."""
+    (D, u), (E, w) = p, q
+    L = D // gcd(D, E) * E
+    s, t = L // D, L // E
+    return L, minus(([x * s for x in u[0]], [y * s for y in u[1]]),
+                    ([x * t for x in w[0]], [y * t for y in w[1]]))
 
 
 def rationals(u, D: int):

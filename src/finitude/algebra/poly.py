@@ -12,10 +12,12 @@ Everything here is exact; the numeric layer lives in ``roots.py``.  Degrees
 stay at desk scale (tens, not thousands), so representations are dense.
 Two kernels run on Gaussian-integer vectors (``gaussvec.py``): a product of
 two non-constant polynomials, cleared to integer lists once and normalised
-once per output coefficient, and the subresultant sequence, over Z[i][x].
-Divisions (``divmod``, Euclid) stay classical on scalars: a
-pseudo-division on cleared vectors needs a content gcd at each step as its
-numerators grow, and that is slower than the scalar steps.
+once per output coefficient, and the subresultant sequence over Z[i][x],
+which also gives every resultant (``resultant_y``, ``discriminant_y`` and
+``UnivariatePolynomial.resultant``) from its tail.  ``divmod``, ``gcd``
+and the square-free factorization stay on scalars: their quotients and
+remainders are over Q(i), and on cleared vectors they would need a
+content gcd at each step as the numerators grow.
 
 The field operations of :class:`RationalFunction` keep each result reduced
 with a monic denominator without a gcd of a whole numerator against a
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 from ..errors import DegreeTooLow, SquareFreeRequired, ZeroPolynomial
 from . import gaussvec
-from .gaussian import GaussianRational, ONE, ZERO
+from .gaussian import GaussianRational, ZERO
 
 
 def _coprime_mod_p(a, b) -> bool:
@@ -242,22 +244,6 @@ class UnivariatePolynomial:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def extended_gcd(self, other):
-        """(g, s, t) with s*self + t*other = g, g monic."""
-        other = UnivariatePolynomial.coerce(other)
-        r0, r1 = self, other
-        s0, s1 = UnivariatePolynomial.constant(1), UnivariatePolynomial()
-        t0, t1 = UnivariatePolynomial(), UnivariatePolynomial.constant(1)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        lead = r0.leading().inverse()
-        return r0.scale(lead), s0.scale(lead), t0.scale(lead)
-
     def squarefree_part(self) -> "UnivariatePolynomial":
         if self.is_zero():
             raise ZeroPolynomial("squarefree part of zero")
@@ -268,21 +254,12 @@ class UnivariatePolynomial:
     # --- misc ----------
 
     def resultant(self, other) -> GaussianRational:
-        """res(self, other), highest-first convention, by the Euclidean
-        recursion; the scalar step of resultant_y."""
+        """res(self, other), highest-first convention: ``resultant_y`` of
+        the two as polynomials in y with constant coefficients, other
+        first.  A zero operand raises ZeroPolynomial."""
         other = UnivariatePolynomial.coerce(other)
-        a, b = self, other
-        if a.is_zero() or b.is_zero():
-            return ZERO
-        res = ONE
-        while b.degree() > 0:
-            r = a % b
-            if r.is_zero():
-                return ZERO if a.degree() > 0 else ONE
-            res = res * (b.leading() ** (a.degree() - r.degree())) \
-                * (ONE if (a.degree() * b.degree()) % 2 == 0 else -ONE)
-            a, b = b, r
-        return res * (b.constant_value() ** a.degree())
+        return resultant_y(BivariatePolynomial(other.coeffs),
+                           BivariatePolynomial(self.coeffs)).constant_value()
 
     def __eq__(self, other):
         if not isinstance(other, UnivariatePolynomial):
@@ -773,35 +750,17 @@ def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePol
     first, so Res_y(y - a, y - b) = b - a for monic linear inputs.  In the
     usual highest-first convention this is Res(Q, P).
 
-    Computed by evaluation and exact Newton interpolation: at each node
-    x0 = 0, 1, 2, ... where neither lc_y(P) nor lc_y(Q) vanishes, the value
-    is the Euclidean resultant Q(x0, y).resultant(P(x0, y)); the other
-    nodes are skipped, so the y-degrees never drop.
+    Computed from the tail of the subresultant sequence of P and Q
+    (``prs_resultant``), which puts the higher y-degree first; Res(P, Q) =
+    (-1)^(deg P deg Q) Res(Q, P).
     """
     P = BivariatePolynomial.coerce(P)
     Q = BivariatePolynomial.coerce(Q)
     if P.is_zero() or Q.is_zero():
         raise ZeroPolynomial("resultant of the zero polynomial")
-    np_, nq = P.degree_y(), Q.degree_y()
-    if np_ == 0 and nq == 0:
-        return UnivariatePolynomial.constant(1)
-    if np_ == 0:
-        return P.rows[0] ** nq
-    if nq == 0:
-        return Q.rows[0] ** np_
-    bound = P.degree_x() * nq + Q.degree_x() * np_
-    xs = []
-    vals = []
-    t = 0
-    while len(xs) <= bound:
-        x0 = GaussianRational(t)
-        t += 1
-        p0 = UnivariatePolynomial([r(x0) for r in P.rows])
-        q0 = UnivariatePolynomial([r(x0) for r in Q.rows])
-        if p0.degree() == np_ and q0.degree() == nq:
-            xs.append(x0)
-            vals.append(q0.resultant(p0))
-    return interpolate(xs, vals)
+    seq, psi = subresultant_prs(P, Q)
+    res = prs_resultant(seq, psi)
+    return -res if seq[0] is P and P.degree_y() * Q.degree_y() % 2 else res
 
 
 def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
@@ -823,7 +782,7 @@ def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
     """
     seq = sorted((P, Q), key=BivariatePolynomial.degree_y, reverse=True)
     (a, F), (b, G) = map(gaussvec.clear_rows, (seq[0].rows, seq[1].rows))
-    members, psi = gaussvec.subresultants(F, G)
+    members, psi, _ = gaussvec.subresultants(F, G)
     degrees = [len(R) - 1 for R in (F, G, *members)]
     n, m = degrees[:2]
 
@@ -834,6 +793,36 @@ def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
             for R, j in zip(members, degrees[1:])]
     # psi is still -1 when no member follows P and Q
     return seq, back(psi, degrees[-2]) if members else -_ONE
+
+
+def prs_resultant(seq, psi) -> UnivariatePolynomial:
+    """Res(seq[0], seq[1]) in y, highest-first, from the tail of the
+    sequence and psi that ``subresultant_prs`` returns.
+
+    It is 0 when the last member has positive y-degree, and G^n when no
+    member follows a G of y-degree 0.  Otherwise it is -(-last)^e /
+    psi^(e-1), e the y-degree of the member before last: the psi of the
+    step of the recurrence that would follow last, negated.  Brown's psi,
+    started at psi_0 = -1, is minus the principal subresultant coefficient
+    of its y-degree, and that of degree 0 is the resultant (structure
+    theorem; Brown-Traub, JACM 1971).  The step runs where
+    ``subresultant_prs`` ran the recurrence, on a^(m-j) b^(n-j) times last
+    (j = e - 1) and psi (j = e), where its division is exact, and the
+    resultant of aF and bG divides back by a^m b^n.
+    """
+    F, G, last = seq[0], seq[1], seq[-1]
+    n, m = F.degree_y(), G.degree_y()
+    if last.degree_y() > 0:
+        return UnivariatePolynomial()
+    if len(seq) == 2:
+        return G.rows[0] ** n
+    e = seq[-2].degree_y()
+    a, b = gaussvec.clear_rows(F.rows)[0], gaussvec.clear_rows(G.rows)[0]
+    step = gaussvec.next_psi(
+        gaussvec.integral(last.rows[0].coeffs,
+                          a ** (m - e + 1) * b ** (n - e + 1)),
+        gaussvec.integral(psi.coeffs, a ** (m - e) * b ** (n - e)), e)
+    return _poly(gaussvec.rationals(gaussvec.negative(step), a ** m * b ** n))
 
 
 def series_mul(a, b, order, zero):
@@ -860,20 +849,6 @@ def series_inverse(a, order, zero):
             acc = acc + a[k] * inv[m - k]
         inv.append(-acc / a0)
     return inv
-
-
-def interpolate(xs, vals) -> UnivariatePolynomial:
-    """Exact interpolation through (xs[k], vals[k]) via Newton divided differences."""
-    n = len(xs)
-    table = list(vals)
-    for level in range(1, n):
-        for k in range(n - 1, level - 1, -1):
-            table[k] = (table[k] - table[k - 1]) / (xs[k] - xs[k - level])
-    poly = UnivariatePolynomial()
-    for k in range(n - 1, -1, -1):
-        poly = poly * UnivariatePolynomial([-xs[k], 1]) + \
-            UnivariatePolynomial.constant(table[k])
-    return poly
 
 
 def discriminant_y(P: BivariatePolynomial) -> UnivariatePolynomial:

@@ -20,7 +20,8 @@ from contextlib import redirect_stdout
 
 from . import __version__
 from .config import Settings, load_settings
-from .errors import ExprSyntaxError, FinitudeError, NumericFailure
+from .errors import (BoundExceeded, ExprSyntaxError, FinitudeError,
+                     NumericFailure)
 
 # Each subcommand imports its own modules when main dispatches to it, so a
 # launch loads only what its request needs.
@@ -126,7 +127,17 @@ def cmd_ode(args, settings) -> int:
     ode = LinearODE([RationalFunction.coerce(c) for c in coeffs])
     bound = settings.witness_degree_bound or None
     if ode.order == 2:
-        witnesses = rational_witness_search(ode, degree_bound=bound)
+        try:
+            witnesses = rational_witness_search(ode, degree_bound=bound)
+        except BoundExceeded as err:
+            # a valid equation outside the search's scope: poles that are
+            # not Gaussian rational, or a degree above the bound
+            report.add("undecided", str(err))
+            _emit(report, args.json,
+                  [f"undecided: {err}",
+                   "the rational witness search does not cover this "
+                   "equation"])
+            return EXIT_UNDECIDED
         report.add("witnesses", [w.format() for w in witnesses])
         if witnesses:
             lines = ["rational logarithmic-derivative witnesses:"]

@@ -2,10 +2,10 @@
 
 integrate_rational produces r0 + sum lambda_i ln r_i with r0 rational and
 square-free, monic, pairwise coprime log arguments.  Mack's linear Hermite
-reduction, one extended gcd per multiplicity level, removes all
-higher-order poles exactly and leaves the canonical r0: the antiderivative
-of the polynomial quotient, with constant term 0, plus a proper rational
-function.  One subresultant sequence of den and num - t den' then gives
+reduction, one inverse modulo a square-free part per multiplicity level,
+removes all higher-order poles exactly and leaves the canonical r0: the
+antiderivative of the polynomial quotient, with constant term 0, plus a
+proper rational function.  One subresultant sequence of den and num - t den' then gives
 both the Rothstein-Trager resultant R(t) = Res_x(den, num - t den'), from
 its tail, and the log arguments (Lazard-Rioboo-Trager): the residues whose
 log argument has x-degree i are the roots of Q_i in R = prod Q_i^i, and the
@@ -13,7 +13,9 @@ primitive part of the member of degree i serves them all.  Rational
 residues stay Gaussian-rational and take that member at the residue;
 irrational ones are carried exactly as roots of the rest m(t) of Q_i, with
 the log argument g(t, x) that member made monic in x, its coefficients
-polynomials in t reduced mod m.
+polynomials in t reduced mod m.  The inverses modulo m and modulo the
+square-free parts, the arithmetic mod m and the sequence itself run on
+Gaussian-integer vectors (``gaussvec``).
 
 The whole form differentiates back exactly: a conjugate log sum has the
 derivative Tr(t g_x q) / Norm(g) with Norm(g) = Res_t(m, g), q = Norm / g
@@ -26,9 +28,10 @@ identity d(form)/dx = f is checkable with no floating point at all.
 
 from __future__ import annotations
 
+from ..algebra import gaussvec
 from ..algebra.gaussian import ZERO, GaussianRational
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
-                            UnivariatePolynomial, resultant_y,
+                            UnivariatePolynomial, prs_resultant, resultant_y,
                             squarefree_factorization, subresultant_prs)
 from ..algebra.roots import complex_roots, exact_gaussian_roots
 from ..config import ROOT_TOL
@@ -99,18 +102,10 @@ class AlgebraicResidueBlock:
 def _quotient_mod(num: UnivariatePolynomial, g: BivariatePolynomial,
                   m: UnivariatePolynomial):
     """num / g modulo m, for g monic in x (x plays y), or None when g does
-    not divide num modulo m."""
-    rest = [UnivariatePolynomial.constant(c) for c in num.coeffs]
-    dg = g.degree_y()
-    quot = [None] * (len(rest) - dg)
-    for pos in range(len(quot) - 1, -1, -1):
-        c = rest[pos + dg] % m
-        quot[pos] = c
-        for k in range(dg):
-            rest[pos + k] = rest[pos + k] - c * g.rows[k]
-    if any(not (r % m).is_zero() for r in rest[:dg]):
-        return None
-    return BivariatePolynomial(quot)
+    not divide num modulo m; on cleared vectors (``gaussvec.quotient_mod``)."""
+    rows = gaussvec.quotient_mod(num.coeffs, g.rows, m.coeffs)
+    return None if rows is None else BivariatePolynomial(
+        [UnivariatePolynomial(row) for row in rows])
 
 
 def _resultant_norm(m: UnivariatePolynomial, g: BivariatePolynomial):
@@ -243,7 +238,8 @@ def _hermite_reduce(num: UnivariatePolynomial, den: UnivariatePolynomial):
         d_minus2 = d_minus.gcd(d_minus.derivative())
         d_minus_star = d_minus.exact_div(d_minus2)
         a = -(d_star * d_minus.derivative()).exact_div(d_minus)
-        s = a.extended_gcd(d_minus_star)[1]
+        s = UnivariatePolynomial(
+            gaussvec.inverse_mod(a.coeffs, d_minus_star.coeffs))
         b = (num * s) % d_minus_star
         c = (num - b * a).exact_div(d_minus_star)
         num = c - b.derivative() * d_star.exact_div(d_minus_star)
@@ -291,16 +287,9 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
         [UnivariatePolynomial([num.coefficient(k), -dden.coefficient(k)])
          for k in range(length)])
     seq, psi = subresultant_prs(BivariatePolynomial(den.coeffs), A)
-    last = seq[-1]
-    if last.degree_y() > 0:
+    if seq[-1].degree_y() > 0:
         raise ZeroPolynomial("degenerate Rothstein-Trager resultant")
-    # the last member is the subresultant of x-degree e - 1, e the x-degree
-    # of the member before it, so R = S_0 = +-last^e / psi^(e-1) with psi
-    # the leading coefficient of the regular subresultant S_e (structure
-    # theorem; psi is lc_x of the member before only when that member
-    # follows a step of one degree); only R up to a constant is used
-    e = seq[-2].degree_y()
-    resultant = (last.rows[0] ** e).exact_div(psi ** (e - 1))
+    resultant = prs_resultant(seq, psi)
     members = {S.degree_y(): S for S in seq}
     classes = [(q, members[i].primitive_y())
                for q, i in squarefree_factorization(resultant)]
@@ -318,7 +307,9 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
         m = q.gcd(residual)
         if m.degree() > 0:
             # g = S / lc_x(S) mod m, monic in x
-            inv = S.leading_y().extended_gcd(m)[1] % m
+            inv = gaussvec.inverse_mod(S.leading_y().coeffs, m.coeffs)
+            rows = gaussvec.multiply_mod([row.coeffs for row in S.rows[:-1]],
+                                         inv, m.coeffs)
             blocks.append(AlgebraicResidueBlock(m, BivariatePolynomial(
-                [(row * inv) % m for row in S.rows[:-1]] + [1])))
+                [UnivariatePolynomial(row) for row in rows] + [1])))
     return logs, blocks

@@ -13,7 +13,7 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from finitude.algebra import (BivariatePolynomial, GaussianRational,
                               RationalFunction, UnivariatePolynomial,
                               complex_roots, discriminant_y, exact_nth_root,
-                              modular, parse_bivariate, parse_expression,
+                              gaussvec, modular, parse_bivariate, parse_expression,
                               parse_rational, parse_univariate, poly,
                               resultant_y, roots, squarefree_factorization)
 from finitude.errors import (DegreeTooLow, ExprSyntaxError,
@@ -549,6 +549,61 @@ def _oracle_pairs(count=60):
         yield curve(rng.randint(1, 4), lead_p), curve(rng.randint(1, 3), lead_q)
 
 
+def _tail_pairs():
+    """Pairs (P, Q) whose subresultant sequence ends in a step from y-degree
+    e to 0 for e = 2, 3 and 4, each also with Q of the higher y-degree:
+    binomials with their y-derivatives, and y^n + c(x) against y^k + d(x)."""
+    for text in ("y^3 - x", "y^4 + x", "y^5 - x", "2*y^4 - x^2 + i",
+                 "y^5/3 + (x + 1)/2"):
+        P = parse_bivariate(text)
+        yield P, P.derivative_y()
+        yield P.derivative_y(), P
+    for texts in (("y^4 - x", "y^2 - 1"), ("y^6 + x^2", "y^3 + 2*x"),
+                  ("y^5 - x^2 + 1", "3*y^4/2 + x")):
+        P, Q = map(parse_bivariate, texts)
+        yield P, Q
+        yield Q, P
+
+
+def _inverse_pairs(count=60):
+    """Seeded (a, m, kind) with a coprime to m: Gaussian-integer and
+    Gaussian-rational coefficients, deg a below and at least deg m, and
+    the pairs of Hermite reduction, a = -D* D-'/D- modulo the square-free
+    part D-* of D- = gcd(D, D'), for D with repeated factors."""
+    rng = random.Random(2203)
+
+    def draw(degree, integral):
+        def coefficient():
+            if integral:
+                return GaussianRational(rng.randint(-9, 9), rng.randint(-3, 3))
+            return GaussianRational(Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 12)),
+                                    Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 5)))
+        return UnivariatePolynomial([coefficient() for _ in range(degree)]
+                                    + [rng.choice([1, 2, 3, -1])])
+
+    produced = 0
+    while produced < count:
+        kind = ("integral", "non-integral", "hermite")[produced % 3]
+        if kind == "hermite":
+            den = UnivariatePolynomial.constant(1)
+            for _ in range(rng.randint(1, 2)):
+                den = den * draw(rng.randint(1, 2), True) ** rng.randint(2, 3)
+            den = (den * draw(rng.randint(0, 2), False)).monic()
+            d_minus = den.gcd(den.derivative())
+            m = d_minus.exact_div(d_minus.gcd(d_minus.derivative()))
+            a = -(den.exact_div(d_minus) * d_minus.derivative()) \
+                .exact_div(d_minus)
+        else:
+            m = draw(rng.randint(1, 6), kind == "integral")
+            a = draw(rng.randint(0, 9), kind == "integral")
+        if _sympy_poly(a).gcd(_sympy_poly(m)).degree() > 0:
+            continue
+        produced += 1
+        yield a, m, kind
+
+
 def _nonintegral_pairs(count=40):
     """Seeded pairs (P, Q) over Q(i) whose coefficients have denominators
     2, 3, 5 and 7 in both P and Q, with either of the two of higher
@@ -740,17 +795,43 @@ class TestSympyOracle:
     """The exact layer against sympy, an independent implementation."""
 
     def test_resultant_against_sylvester_determinant(self):
-        for P, Q in _oracle_pairs():
+        tails = set()
+        for P, Q in [*_oracle_pairs(), *_tail_pairs()]:
             # highest-first Sylvester matrix of (Q, P): Res_y(P, Q) = Res(Q, P)
             matrix = DomainMatrix.from_Matrix(
                 sylvester(to_sympy(Q), to_sympy(P), Y))
             oracle = matrix.domain.to_sympy(matrix.det())
             assert sympy.expand(to_sympy(resultant_y(P, Q)) - oracle) == 0, \
                 (str(P), str(Q))
+            seq, _ = subresultant_prs(P, Q)
+            if seq[-1].degree_y() == 0 and len(seq) > 2:
+                tails.add(seq[-2].degree_y())
+        assert {1, 2, 3, 4} <= tails
+        for p, q, _ in list(_coprimality_pairs())[:40]:
+            # highest-first, p first
+            matrix = DomainMatrix.from_Matrix(
+                sylvester(to_sympy(p), to_sympy(q), X))
+            oracle = matrix.domain.to_sympy(matrix.det())
+            assert sympy.expand(to_sympy(UnivariatePolynomial.constant(
+                p.resultant(q))) - oracle) == 0, (str(p), str(q))
+
+    def test_inverse_mod_against_sympy(self):
+        seen = set()
+        for a, m, kind in _inverse_pairs():
+            got = UnivariatePolynomial(gaussvec.inverse_mod(a.coeffs,
+                                                            m.coeffs))
+            oracle = _sympy_poly(a).invert(_sympy_poly(m))
+            assert _sympy_poly(got) == oracle, (str(a), str(m))
+            assert got.degree() < m.degree()
+            seen.add(kind)
+            seen.add("deg a >= deg m" if a.degree() >= m.degree() else "")
+        assert {"integral", "non-integral", "hermite",
+                "deg a >= deg m"} <= seen
 
     def test_discriminant_against_sympy(self):
         checked = 0
-        for P in (P for pair in _oracle_pairs() for P in pair):
+        for P in (P for pair in [*_oracle_pairs(), *_tail_pairs()]
+                  for P in pair):
             if P.degree_y() < 2:
                 continue
             oracle = sympy.discriminant(to_sympy(P), Y)

@@ -12,7 +12,8 @@ import pytest
 
 from finitude import errors, fuchsian, monodromy
 from finitude.algebra import (GaussianRational, UnivariatePolynomial,
-                              parse_rational, parse_univariate, poly)
+                              gaussvec, parse_rational, parse_univariate,
+                              poly)
 from finitude.cli import build_parser, main
 from finitude.config import Settings
 from finitude.differential import kovacic, liouville
@@ -57,6 +58,19 @@ class TestExitCodes:
         code, _out, err = run(argv)
         assert code == 2
         assert f"undecided: {error}" in err
+
+    @pytest.mark.parametrize("coefficients, reason", [
+        # y = x^2 - 2 solves it, but the poles of r are +-sqrt(2)
+        (["0", "-2/(x^2-2)"], "not Gaussian rational"),
+        # Hermite's equation y'' - 2x y' + 24 y = 0: its witness H_12'/H_12
+        # needs polynomial degree 12, above the automatic bound
+        (["-2*x", "24"], "required polynomial degree 12 exceeds bound 10"),
+    ], ids=["irrational-poles", "degree-bound"])
+    def test_ode_outside_the_search_is_2(self, coefficients, reason):
+        code, out, _ = run(["--json", "ode", "2", "--", *coefficients])
+        assert code == 2
+        data = json.loads(out)
+        assert reason in data["undecided"] and "witnesses" not in data
 
     @pytest.mark.parametrize("expr", [
         "(110052 - 233085*x)/(x^2 + 8*x - 4)",
@@ -217,6 +231,17 @@ class TestReports:
         assert "unknown key 'eig_cluster_tol'" in err
 
 
+def _replace(monkeypatch, name, original, replacement, owner=None):
+    """Put ``replacement`` in place of ``original`` in every finitude
+    module that binds it as ``name``, and in ``owner`` (a class, for a
+    method)."""
+    holders = [module for module in list(sys.modules.values())
+               if getattr(module, "__name__", "").startswith("finitude")
+               and getattr(module, name, None) is original]
+    for holder in holders + ([owner] if owner is not None else []):
+        monkeypatch.setattr(holder, name, replacement)
+
+
 def count_calls(monkeypatch, name, original, owner=None):
     """Record every call of ``original`` through any finitude module that
     binds it as ``name``, and through ``owner`` (a class, for a method);
@@ -227,12 +252,25 @@ def count_calls(monkeypatch, name, original, owner=None):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    holders = [module for module in list(sys.modules.values())
-               if getattr(module, "__name__", "").startswith("finitude")
-               and getattr(module, name, None) is original]
-    for holder in holders + ([owner] if owner is not None else []):
-        monkeypatch.setattr(holder, name, counted)
+    _replace(monkeypatch, name, original, counted, owner)
     return calls
+
+
+def count_inside(monkeypatch, name, original, calls, owner=None):
+    """Wrap ``original`` as count_calls does; returns the list, one entry
+    per call of it, of how many entries the list ``calls`` gained during
+    that call."""
+    gained = []
+
+    def watched(*args, **kwargs):
+        before = len(calls)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            gained.append(len(calls) - before)
+
+    _replace(monkeypatch, name, original, watched, owner)
+    return gained
 
 
 class TestWorkPerRequest:
@@ -326,6 +364,33 @@ class TestWorkPerRequest:
             "(2/21 + i/7)*x^5 - (2/3 + i)*(1 - 3*i/2)*x^3 - x^3/35"
             " + (1 - 3*i/2)*x/5 + x^2 - 7*(1 - 3*i/2)")
         assert p * 3 == 3 * p and products  # a constant scales
+
+    def test_modular_kernels_multiply_no_gaussian_rationals(
+            self, monkeypatch):
+        # the inverse of lc_x(S) modulo m and the division of the Norm
+        # modulo m run on cleared integer vectors
+        products = count_calls(monkeypatch, "__mul__",
+                               GaussianRational.__mul__, GaussianRational)
+        inverses = count_inside(monkeypatch, "inverse_mod",
+                                gaussvec.inverse_mod, products, gaussvec)
+        quotients = count_inside(monkeypatch, "_quotient_mod",
+                                 liouville._quotient_mod, products)
+        code, out, _ = run(["--json", "integrate", "--", "1/(x^3 - 2)"])
+        assert code == 0 and json.loads(out)["derivative_verified"] is True
+        assert (inverses, quotients) == ([0], [0])
+        assert products  # elsewhere, Gaussian rationals still multiply
+
+    def test_resultant_runs_no_scalar_division(self, monkeypatch):
+        # Res_y comes from the subresultant recurrence over Z[i][x], here
+        # through a tail from y-degree 2 to 0
+        divisions = count_calls(monkeypatch, "divmod",
+                                UnivariatePolynomial.divmod,
+                                UnivariatePolynomial)
+        resultants = count_inside(monkeypatch, "resultant_y",
+                                  poly.resultant_y, divisions)
+        code, _, _ = run(["--json", "algebraic", "--", "y^3 - x"])
+        assert code == 0
+        assert resultants == [0] and divisions
 
     @pytest.mark.parametrize("integrand, exact_norms", [
         # the Norm x^2 - 3000000019 does not reconstruct from one prime;

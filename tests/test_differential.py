@@ -281,7 +281,8 @@ class TestIntegration:
 
     def test_modular_norm_against_resultant(self):
         # every block's Norm, reconstructed mod p, is the exact Res_t(m, g)
-        # made monic, and passes the exact division check
+        # made monic, and passes the exact division check; a perturbed one
+        # fails it
         rng = random.Random(1981)
         blocks = []
         while len(blocks) < 40:
@@ -302,6 +303,8 @@ class TestIntegration:
             norm = liouville._modular_norm(m, g)
             assert norm == liouville._resultant_norm(m, g).monic()
             assert liouville._quotient_mod(norm, g, m) is not None
+            # g, monic of positive degree in x, does not divide Norm + 1
+            assert liouville._quotient_mod(norm + 1, g, m) is None
         assert any(not c.is_real() for block in blocks
                    for c in block.modulus.coeffs)
 

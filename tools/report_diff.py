@@ -14,13 +14,16 @@ Run from the root of a source checkout.  The comparison set is
 * ``integrate`` requests whose residues fall in two multiplicity classes,
   come in conjugate Gaussian pairs, or whose subresultant sequences are
   defective (a degree is skipped), integrands with repeated
-  denominator factors, which exercise Hermite reduction, integrands whose
-  Norm does not reconstruct from one prime, and a sum of coprime powers;
+  denominator factors, which exercise Hermite reduction, an integrand
+  whose log argument has a leading coefficient of higher degree than the
+  modulus it is inverted by, integrands whose Norm does not reconstruct
+  from one prime, and a sum of coprime powers;
 * front-end requests: nested quotients, negative powers of subexpressions
   and constant divisors in every subcommand that parses, an integrand with
   rational coefficients in numerator and denominator, two ``ode 2``
-  requests whose witnesses have two poles, and malformed inputs that exit
-  64.
+  requests whose witnesses have two poles and two outside the witness
+  search, a curve whose subresultant sequence skips four degrees at its
+  end, and malformed inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -66,7 +69,12 @@ DEFECTIVE_INTEGRANDS = ("1/(x^4 + 2)", "(2*x^2 + 3)/(x^6 - 4)",
 HERMITE_INTEGRANDS = (
     "2*x/(x^2-1)^2", "(3*x+1)/((x^2+x+1)^2*x^3)", "(x^3-1)/(x^2+1)^3",
     "1/(x^2+2)^4", "x^5/(x-1)^3", "(x^4+i)/((x-i)^2*(x+1)^3)",
-    "i*x^2/(x^2-2*i)^2", "(x^6+(2-i)*x)/((x+i)^4*(x-2))")
+    "i*x^2/(x^2-2*i)^2", "(x^6+(2-i)*x)/((x+i)^4*(x-2))",
+    "1/(x^3 - 2)^2")
+# the leading coefficient in x of its log argument has a higher t-degree
+# than the residues' minimal polynomial m, whose inverse it needs
+HIGH_LEAD_INTEGRAND = \
+    "(2*x + 3)/(x^7 - 8*x^6 - 6*x^5 + 8*x^4 + 5*x^3 - 5*x^2 + 5*x)"
 # the Norm of the derivative check needs two primes (x^2 - 3000000019),
 # or one prime gives a wrong candidate and the exact resultant is taken
 NORM_INTEGRANDS = ("1/(x^2 - 3000000019)",
@@ -92,6 +100,12 @@ FRONT_END = [
      " + x*(22 + 48*i) - 42 + 12*i)/(x^4 + x^3*(-8 + 6*i)"
      " + x^2*(11 - 36*i) + x*(20 + 60*i) - 32 - 24*i)"],
     ["algebraic", "--", "y^3/2 - x/3"],
+    # a subresultant sequence ending in a step from y-degree 4 to 0
+    ["algebraic", "--", "y^5 - x"],
+    # outside the rational witness search (exit 2): poles that are not
+    # Gaussian rational, and a degree above the automatic bound
+    ["ode", "2", "--", "0", "-2/(x^2-2)"],
+    ["ode", "2", "--", "-2*x", "24"],
     ["decompose", "--", "(x^2+1)^3/8"],
     ["decompose", "--", "(x^2-1)/(x-1)"],
     ["puiseux", "--", "(y^2 - x)/(2*i)"],
@@ -134,7 +148,8 @@ def bench_requests(out_dir):
                        for point in CLOSE_PAIR_POINTS] \
         + [["integrate", "--", integrand] for integrand in
            (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS,
-            *HERMITE_INTEGRANDS, *NORM_INTEGRANDS, COPRIME_POWERS)] \
+            *HERMITE_INTEGRANDS, HIGH_LEAD_INTEGRAND, *NORM_INTEGRANDS,
+            COPRIME_POWERS)] \
         + FRONT_END
 
 
