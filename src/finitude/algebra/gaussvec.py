@@ -246,15 +246,15 @@ def reduce_mod(D, u, m):
     mr, mi = m
     n, lead = len(mr) - 1, mr[-1]
     for k in range(len(ur) - 1, n - 1, -1):
-        t, s = ur.pop(), ui.pop()
-        if t or s:  # u = lead u - (t + s i) t^(k - n) m
+        p, q = ur.pop(), ui.pop()
+        if p or q:  # u = lead u - (p + q i) t^(k - n) m
             ur = [lead * x for x in ur]
             ui = [lead * y for y in ui]
             D *= lead
             for j in range(n):
                 x, y = mr[j], mi[j]
-                ur[k - n + j] -= t * x - s * y
-                ui[k - n + j] -= t * y + s * x
+                ur[k - n + j] -= p * x - q * y
+                ui[k - n + j] -= p * y + q * x
     g = gcd(D, *ur, *ui)
     if g != 1:
         D, ur, ui = D // g, [x // g for x in ur], [y // g for y in ui]

@@ -129,14 +129,9 @@ def cmd_ode(args, settings) -> int:
     if ode.order == 2:
         try:
             witnesses = rational_witness_search(ode, degree_bound=bound)
-        except BoundExceeded as err:
-            # a valid equation outside the search's scope: poles that are
-            # not Gaussian rational, or a degree above the bound
+        except BoundExceeded as err:  # a valid equation out of its scope
             report.add("undecided", str(err))
-            _emit(report, args.json,
-                  [f"undecided: {err}",
-                   "the rational witness search does not cover this "
-                   "equation"])
+            _emit(report, args.json, [f"undecided: {err}"])
             return EXIT_UNDECIDED
         report.add("witnesses", [w.format() for w in witnesses])
         if witnesses:

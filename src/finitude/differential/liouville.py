@@ -5,11 +5,12 @@ square-free, monic, pairwise coprime log arguments.  Mack's linear Hermite
 reduction, one inverse modulo a square-free part per multiplicity level,
 removes all higher-order poles exactly and leaves the canonical r0: the
 antiderivative of the polynomial quotient, with constant term 0, plus a
-proper rational function.  One subresultant sequence of den and num - t den' then gives
-both the Rothstein-Trager resultant R(t) = Res_x(den, num - t den'), from
-its tail, and the log arguments (Lazard-Rioboo-Trager): the residues whose
-log argument has x-degree i are the roots of Q_i in R = prod Q_i^i, and the
-primitive part of the member of degree i serves them all.  Rational
+proper rational function.  One subresultant sequence of den and
+num - t den' then gives both the Rothstein-Trager resultant
+R(t) = Res_x(den, num - t den'), from its tail, and the log arguments
+(Lazard-Rioboo-Trager): the residues whose log argument has x-degree i
+are the roots of Q_i in R = prod Q_i^i, and the primitive part of the
+member of degree i serves them all.  Rational
 residues stay Gaussian-rational and take that member at the residue;
 irrational ones are carried exactly as roots of the rest m(t) of Q_i, with
 the log argument g(t, x) that member made monic in x, its coefficients

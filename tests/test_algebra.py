@@ -13,9 +13,10 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from finitude.algebra import (BivariatePolynomial, GaussianRational,
                               RationalFunction, UnivariatePolynomial,
                               complex_roots, discriminant_y, exact_nth_root,
-                              gaussvec, modular, parse_bivariate, parse_expression,
-                              parse_rational, parse_univariate, poly,
-                              resultant_y, roots, squarefree_factorization)
+                              gaussvec, modular, parse_bivariate,
+                              parse_expression, parse_rational,
+                              parse_univariate, poly, resultant_y, roots,
+                              squarefree_factorization)
 from finitude.errors import (DegreeTooLow, ExprSyntaxError,
                              IterationLimitExceeded, NonPolynomialExponent,
                              UndeclaredVariable)

@@ -372,7 +372,7 @@ class TestWorkPerRequest:
         products = count_calls(monkeypatch, "__mul__",
                                GaussianRational.__mul__, GaussianRational)
         inverses = count_inside(monkeypatch, "inverse_mod",
-                                gaussvec.inverse_mod, products, gaussvec)
+                                gaussvec.inverse_mod, products)
         quotients = count_inside(monkeypatch, "_quotient_mod",
                                  liouville._quotient_mod, products)
         code, out, _ = run(["--json", "integrate", "--", "1/(x^3 - 2)"])
