@@ -16,13 +16,13 @@ or two when an operand is real.
 
 A polynomial over Z[i] is a pair (re, im) of integer lists of one length,
 lowest degree first, whose top coefficient is not 0 + 0i; zero is ([], []).
-These are the members of ``poly.subresultant_prs``, whose divisions are
-exact: ``divide`` is long division over Z[i] and checks that nothing is
-left.
+These are the members of the subresultant recurrence, whose divisions
+are exact: ``divide`` is long division over Z[i] and checks that nothing
+is left.
 
 The Euclid-shaped kernels share Brown's recurrence (``subresultants``):
 the sequence itself, every resultant as one more psi step at its tail
-(``next_psi``), and the inverse modulo m(t) (``inverse_mod``), which
+(``resultant``), and the inverse modulo m(t) (``inverse_mod``), which
 carries a cofactor.  An element of Q(i)[t]/(m), m monic, is a cleared
 pair (D, u), reduced by pseudo-division by the cleared m, whose leading
 coefficient is an integer, and one content gcd (``reduce_mod``).
@@ -90,13 +90,6 @@ def _trim(re, im):
     return re, im
 
 
-def integral(coeffs, s: int):
-    """(re, im) of s times the GaussianRational list coeffs, for an
-    integer s that every denominator divides."""
-    return ([c._a * (s // c._d) for c in coeffs],
-            [c._b * (s // c._d) for c in coeffs])
-
-
 def clear_rows(rows):
     """(D, [(re, im), ...]) for a list of UnivariatePolynomial rows over one
     common denominator D."""
@@ -157,10 +150,31 @@ def next_psi(lc, psi, d):
                   reduce(times, [psi] * (d - 1), ([1], [0])))
 
 
+def resultant(F, G, members, psi):
+    """Res(F, G) over Z[i], highest-first, from the members and psi that
+    ``subresultants(F, G)`` returns.
+
+    It is 0 when the last member has positive degree, and G^n when no
+    member follows a G of degree 0 (n = deg F).  Otherwise it is
+    -(-last)^e / psi^(e-1), e the degree of the member before last: the
+    psi of the step of the recurrence that would follow last, negated.
+    Brown's psi, started at psi_0 = -1, is minus the principal
+    subresultant coefficient of its degree, and that of degree 0 is the
+    resultant (structure theorem; Brown-Traub, JACM 1971).
+    """
+    last = members[-1] if members else G
+    if len(last) > 1:
+        return [], []
+    if not members:
+        return reduce(times, [G[0]] * (len(F) - 1), ([1], [0]))
+    e = len(members[-2] if len(members) > 1 else G) - 1
+    return negative(next_psi(last[0], psi, e))
+
+
 def subresultants(F, G, cofactors=None):
     """([R_1, R_2, ...], psi, U): the members after F and G, lists of
     Z[i][x] rows in y with deg F >= deg G, the last psi, for
-    ``poly.subresultant_prs``, and U, the cofactor of the last member.
+    ``resultant``, and U, the cofactor of the last member.
 
     R_{k+1} = prem(R_{k-1}, R_k) / beta_k, where prem multiplies by
     lc_y(R_k)^(deg R_{k-1} - deg R_k + 1), beta_k = -lc_y(R_{k-1}) psi_k^d

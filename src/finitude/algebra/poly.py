@@ -12,12 +12,14 @@ Everything here is exact; the numeric layer lives in ``roots.py``.  Degrees
 stay at desk scale (tens, not thousands), so representations are dense.
 Two kernels run on Gaussian-integer vectors (``gaussvec.py``): a product of
 two non-constant polynomials, cleared to integer lists once and normalised
-once per output coefficient, and the subresultant sequence over Z[i][x],
-which also gives every resultant (``resultant_y``, ``discriminant_y`` and
-``UnivariatePolynomial.resultant``) from its tail.  ``divmod``, ``gcd``
-and the square-free factorization stay on scalars: their quotients and
-remainders are over Q(i), and on cleared vectors they would need a
-content gcd at each step as the numerators grow.
+once per output coefficient, and the subresultant recurrence over
+Z[i][x], which gives every resultant (``resultant_y``, ``discriminant_y``
+and ``UnivariatePolynomial.resultant``) from its integer tail with one
+division; only ``subresultant_prs`` divides its members back to
+Q(i)[x].  ``divmod``, ``gcd`` and the square-free factorization stay on
+scalars: their quotients and remainders are over Q(i), and on cleared
+vectors they would need a content gcd at each step as the numerators
+grow.
 
 The field operations of :class:`RationalFunction` keep each result reduced
 with a monic denominator without a gcd of a whole numerator against a
@@ -177,9 +179,6 @@ class UnivariatePolynomial:
                 for j, b in enumerate(other.coeffs):
                     num[j + k] = num[j + k] - c * b
         return UnivariatePolynomial(quot), UnivariatePolynomial(num[:dd])
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -605,15 +604,6 @@ class BivariatePolynomial:
             raise ZeroPolynomial("zero polynomial")
         return self.rows[-1]
 
-    def support(self):
-        """Lattice points (i, j) = (degree in x, degree in y) with nonzero coeff."""
-        pts = []
-        for j, row in enumerate(self.rows):
-            for i, c in enumerate(row.coeffs):
-                if not c.is_zero():
-                    pts.append((i, j))
-        return pts
-
     # --- ring operations ----------
 
     def __add__(self, other):
@@ -750,79 +740,56 @@ def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePol
     first, so Res_y(y - a, y - b) = b - a for monic linear inputs.  In the
     usual highest-first convention this is Res(Q, P).
 
-    Computed from the tail of the subresultant sequence of P and Q
-    (``prs_resultant``), which puts the higher y-degree first; Res(P, Q) =
+    Computed from the tail of the subresultant recurrence over Z[i][x]
+    (``_recurrence``), which puts the higher y-degree first; Res(P, Q) =
     (-1)^(deg P deg Q) Res(Q, P).
     """
     P = BivariatePolynomial.coerce(P)
     Q = BivariatePolynomial.coerce(Q)
     if P.is_zero() or Q.is_zero():
         raise ZeroPolynomial("resultant of the zero polynomial")
-    seq, psi = subresultant_prs(P, Q)
-    res = prs_resultant(seq, psi)
+    seq, _, res, _ = _recurrence(P, Q)
     return -res if seq[0] is P and P.degree_y() * Q.degree_y() % 2 else res
 
 
-def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
-    """([P, Q, R_1, R_2, ...], psi): the subresultant remainder sequence in
-    y over Q(i)[x], the higher y-degree first (Collins; Brown-Traub, JACM
-    1971), and its last psi; ``gaussvec.subresultants`` gives the
-    recurrence.  Each R of y-degree i is similar over Q(i)(x) to the i-th
-    subresultant; the signs are Brown's (ACM TOMS 1978), as in sympy's
-    ``subresultants``.  The psi returned is, up to sign, the leading
-    coefficient of the regular subresultant whose y-degree is that of the
-    second-to-last member (+-1 when that member is P).
+def _recurrence(P: BivariatePolynomial, Q: BivariatePolynomial):
+    """(seq, members, resultant, back) for the pair seq = [F, G], P and Q
+    with the higher y-degree n first: the members after F and G of the
+    recurrence of ``gaussvec.subresultants``, as Z[i][x] rows, and
+    Res(F, G) in y, highest-first, over Q(i)[x].
 
-    It runs over Z[i][x] on aP and bQ, for P and Q of y-degrees n >= m and
-    the least integers a and b that make them Gaussian-integral.  Their
-    j-th subresultant, a determinant of m - j rows of P's coefficients and
-    n - j rows of Q's, is a^(m-j) b^(n-j) times that of P and Q; so are the
-    member after one of y-degree j + 1, and psi for j the y-degree of the
-    second-to-last member.  Each is divided back once.
+    The recurrence runs on aF and bG, for the least integers a and b that
+    make them Gaussian-integral.  Their j-th subresultant, a determinant
+    of m - j rows of F's coefficients and n - j rows of G's (m = deg G), is
+    a^(m-j) b^(n-j) times that of F and G; so are the member after one of
+    y-degree j + 1, and the resultant (j = 0).  ``back(u, j)`` divides the
+    vector u by that factor, and the resultant is divided back once.
     """
     seq = sorted((P, Q), key=BivariatePolynomial.degree_y, reverse=True)
     (a, F), (b, G) = map(gaussvec.clear_rows, (seq[0].rows, seq[1].rows))
     members, psi, _ = gaussvec.subresultants(F, G)
-    degrees = [len(R) - 1 for R in (F, G, *members)]
-    n, m = degrees[:2]
+    n, m = len(F) - 1, len(G) - 1
 
     def back(u, j):
         return _poly(gaussvec.rationals(u, a ** (m - j) * b ** (n - j)))
 
+    return seq, members, back(gaussvec.resultant(F, G, members, psi), 0), back
+
+
+def subresultant_prs(P: BivariatePolynomial, Q: BivariatePolynomial):
+    """([P, Q, R_1, R_2, ...], resultant): the subresultant remainder
+    sequence in y over Q(i)[x], the higher y-degree first (Collins;
+    Brown-Traub, JACM 1971), and the resultant of its first two members,
+    highest-first.  Each R of y-degree i is similar over Q(i)(x) to the
+    i-th subresultant; the signs are Brown's (ACM TOMS 1978), as in
+    sympy's ``subresultants``.  Each member is divided back once from the
+    recurrence of ``_recurrence``.
+    """
+    seq, members, res, back = _recurrence(P, Q)
+    degrees = [R.degree_y() for R in seq] + [len(R) - 1 for R in members]
     seq += [BivariatePolynomial([back(r, j - 1) for r in R])
             for R, j in zip(members, degrees[1:])]
-    # psi is still -1 when no member follows P and Q
-    return seq, back(psi, degrees[-2]) if members else -_ONE
-
-
-def prs_resultant(seq, psi) -> UnivariatePolynomial:
-    """Res(seq[0], seq[1]) in y, highest-first, from the tail of the
-    sequence and psi that ``subresultant_prs`` returns.
-
-    It is 0 when the last member has positive y-degree, and G^n when no
-    member follows a G of y-degree 0.  Otherwise it is -(-last)^e /
-    psi^(e-1), e the y-degree of the member before last: the psi of the
-    step of the recurrence that would follow last, negated.  Brown's psi,
-    started at psi_0 = -1, is minus the principal subresultant coefficient
-    of its y-degree, and that of degree 0 is the resultant (structure
-    theorem; Brown-Traub, JACM 1971).  The step runs where
-    ``subresultant_prs`` ran the recurrence, on a^(m-j) b^(n-j) times last
-    (j = e - 1) and psi (j = e), where its division is exact, and the
-    resultant of aF and bG divides back by a^m b^n.
-    """
-    F, G, last = seq[0], seq[1], seq[-1]
-    n, m = F.degree_y(), G.degree_y()
-    if last.degree_y() > 0:
-        return UnivariatePolynomial()
-    if len(seq) == 2:
-        return G.rows[0] ** n
-    e = seq[-2].degree_y()
-    a, b = gaussvec.clear_rows(F.rows)[0], gaussvec.clear_rows(G.rows)[0]
-    step = gaussvec.next_psi(
-        gaussvec.integral(last.rows[0].coeffs,
-                          a ** (m - e + 1) * b ** (n - e + 1)),
-        gaussvec.integral(psi.coeffs, a ** (m - e) * b ** (n - e)), e)
-    return _poly(gaussvec.rationals(gaussvec.negative(step), a ** m * b ** n))
+    return seq, res
 
 
 def series_mul(a, b, order, zero):

@@ -65,9 +65,6 @@ class ComplexInterval:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexInterval is immutable")
 
-    def contains(self, z: complex) -> bool:
-        return abs(z - self.center) <= self.radius
-
     def overlaps(self, other: "ComplexInterval") -> bool:
         return abs(self.center - other.center) <= self.radius + other.radius
 

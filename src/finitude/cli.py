@@ -125,10 +125,9 @@ def cmd_ode(args, settings) -> int:
         raise ExprSyntaxError("expected one coefficient per order", 0)
     coeffs = [parse_expression(c, ["x"]) for c in args.coefficients]
     ode = LinearODE([RationalFunction.coerce(c) for c in coeffs])
-    bound = settings.witness_degree_bound or None
     if ode.order == 2:
         try:
-            witnesses = rational_witness_search(ode, degree_bound=bound)
+            witnesses = rational_witness_search(ode)
         except BoundExceeded as err:  # a valid equation out of its scope
             report.add("undecided", str(err))
             _emit(report, args.json, [f"undecided: {err}"])

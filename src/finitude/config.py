@@ -25,12 +25,10 @@ class Settings:
 
     def __init__(self, continuation_tol: float = CONTINUATION_TOL,
                  root_tol: float = ROOT_TOL,
-                 fuchsian_tol: float = FUCHSIAN_TOL,
-                 witness_degree_bound: int = 0):  # 0 = automatic
+                 fuchsian_tol: float = FUCHSIAN_TOL):
         self.continuation_tol = continuation_tol
         self.root_tol = root_tol
         self.fuchsian_tol = fuchsian_tol
-        self.witness_degree_bound = witness_degree_bound
 
     def to_json(self):
         return dict(vars(self))
@@ -53,9 +51,6 @@ def load_settings(path: str | None) -> Settings:
             value = value.strip()
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if isinstance(getattr(settings, key), int):
-                setattr(settings, key, int(value))
-                continue
             number = float(value)
             if not (math.isfinite(number) and number > 0.0):
                 raise ValueError(f"{path}:{lineno}: {key} must be a finite "

@@ -214,7 +214,7 @@ def _polynomial_kernel(theta: RationalFunction, w: RationalFunction, d: int):
     return UnivariatePolynomial(list(sol) + [GaussianRational(1)])
 
 
-def rational_witness_search(ode: LinearODE, degree_bound: int | None = None):
+def rational_witness_search(ode: LinearODE):
     """All rational logarithmic-derivative witnesses of an order-2 ODE.
 
     Returns a (possibly empty) list of RationalFunction u with
@@ -267,9 +267,8 @@ def rational_witness_search(ode: LinearODE, degree_bound: int | None = None):
         return []
     if not inf_variants:
         return []
-    if degree_bound is None:
-        degree_bound = max(10, sum(o for _p, o in den_factors)
-                           + abs(r.num.degree() - r.den.degree()) + 2)
+    degree_bound = max(10, sum(o for _p, o in den_factors)
+                       + abs(r.num.degree() - r.den.degree()) + 2)
     seen = set()
     for choice in product(*([d.variants for d in locals_] + [inf_variants])):
         pole_parts = choice[:-1]

@@ -32,7 +32,7 @@ from __future__ import annotations
 from ..algebra import gaussvec
 from ..algebra.gaussian import ZERO, GaussianRational
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
-                            UnivariatePolynomial, prs_resultant, resultant_y,
+                            UnivariatePolynomial, resultant_y,
                             squarefree_factorization, subresultant_prs)
 from ..algebra.roots import complex_roots, exact_gaussian_roots
 from ..config import ROOT_TOL
@@ -287,10 +287,9 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
     A = BivariatePolynomial(
         [UnivariatePolynomial([num.coefficient(k), -dden.coefficient(k)])
          for k in range(length)])
-    seq, psi = subresultant_prs(BivariatePolynomial(den.coeffs), A)
+    seq, resultant = subresultant_prs(BivariatePolynomial(den.coeffs), A)
     if seq[-1].degree_y() > 0:
         raise ZeroPolynomial("degenerate Rothstein-Trager resultant")
-    resultant = prs_resultant(seq, psi)
     members = {S.degree_y(): S for S in seq}
     classes = [(q, members[i].primitive_y())
                for q, i in squarefree_factorization(resultant)]

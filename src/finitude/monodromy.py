@@ -199,16 +199,6 @@ class MonodromyAction:
     def orbits(self):
         return self.group.orbits()
 
-    def orbit_groups(self):
-        """Per-orbit restricted actions (for reducible curves)."""
-        out = []
-        for orbit in self.group.orbits():
-            index = {pt: k for k, pt in enumerate(orbit)}
-            gens = [tuple(index[g[pt]] for pt in orbit)
-                    for g in self.group.generators]
-            out.append((orbit, PermGroup(len(orbit), gens)))
-        return out
-
     def report(self, singular: SingularSet | None = None):
         data = {
             "base_point": [self.base_point.real, self.base_point.imag],

@@ -350,9 +350,6 @@ class PermGroup:
             gens = _reduce_generators(n, gens)
         return PermGroup(n, gens)
 
-    def subgroup(self, generators) -> "PermGroup":
-        return PermGroup(self.degree, generators)
-
     def normal_closure(self, elements) -> "PermGroup":
         """Smallest subgroup containing ``elements`` normalized by self."""
         n = self.degree
@@ -490,7 +487,9 @@ def composition_factors(group: PermGroup):
     Abelian factors are reported as ('cyclic', p); non-abelian simple ones
     as ('simple', name, order, minimal_degree).  The computation walks the
     derived series first (those quotients are abelian, contributing cyclic
-    factors) and then splits the perfect core by minimal normal subgroups.
+    factors) and then splits the perfect core along its orbits; a
+    transitive core is identified when it is simple, and a proper minimal
+    normal subgroup raises SearchBudgetExceeded.
     """
     factors = []
     series = group.derived_series()
@@ -528,11 +527,15 @@ def _core_factors(core: PermGroup, factors):
         factors.extend(composition_factors(kernel))
         return
     minimal = _minimal_normal_subgroup(core)
-    if minimal.order() == core.order():
-        name, mu = _identify_simple(core)
-        factors.append(("simple", name, core.order(), mu))
-        return
-    _split_core(core, minimal, factors)
+    if minimal.order() < core.order():
+        # core/minimal is a nontrivial perfect group, so it has a nonabelian
+        # simple quotient and order >= 60 > MAX_DEGREE: its coset action
+        # cannot be built
+        raise SearchBudgetExceeded(
+            f"coset action of index {core.order() // minimal.order()} "
+            "exceeds degree cap")
+    name, mu = _identify_simple(core)
+    factors.append(("simple", name, core.order(), mu))
 
 
 def _orbit_restriction(group: PermGroup, orbit):
@@ -546,42 +549,6 @@ def _orbit_restriction(group: PermGroup, orbit):
     for pt in orbit:
         kernel = kernel.stabilizer(pt)
     return image, kernel
-
-
-def _split_core(core: PermGroup, normal: PermGroup, factors):
-    """Recurse into a proper normal subgroup and the quotient (the coset
-    action)."""
-    _core_factors(_coset_action(core, normal), factors)
-    if normal.is_solvable():
-        solvable_order = normal.order()
-        factors.extend(_abelian_factor_primes(solvable_order))
-    else:
-        factors.extend(composition_factors(normal))
-
-
-def _coset_action(group: PermGroup, subgroup: PermGroup) -> PermGroup:
-    """Permutation action of ``group`` on the right cosets of ``subgroup``."""
-    index = group.order() // subgroup.order()
-    if index > MAX_DEGREE:
-        raise SearchBudgetExceeded(
-            f"coset action of index {index} exceeds degree cap")
-    elements = group.elements()
-    reps = []
-    seen = set()
-    sub_elements = set(subgroup.elements())
-    for g in elements:
-        canon = min(compose(s, g) for s in sub_elements)
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(g)
-    canon_of = {}
-    for idx, rep in enumerate(reps):
-        for s in sub_elements:
-            canon_of[compose(s, rep)] = idx
-    gens = []
-    for g in group.generators:
-        gens.append(tuple(canon_of[compose(rep, g)] for rep in reps))
-    return PermGroup(index, gens)
 
 
 def is_k_solvable(group: PermGroup, k: int):
@@ -674,10 +641,6 @@ def full_cycles(group: PermGroup, budget: int = ELEMENT_BUDGET):
     return found
 
 
-def has_full_cycle(group: PermGroup) -> bool:
-    return bool(full_cycles(group))
-
-
 def classify_primitive_solvable_with_cycle(group: PermGroup):
     """Classify a primitive solvable group with a full cycle.
 
@@ -737,57 +700,3 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-# --- monodromy pairs -----------------------------------------------------------
-
-
-class GroupPair:
-    """A group together with a distinguished subgroup (point stabilizer)."""
-
-    def __init__(self, group: PermGroup, subgroup: PermGroup):
-        for g in subgroup.generators:
-            if not group.contains(g):
-                raise ValueError("subgroup is not contained in the group")
-        self.group = group
-        self.subgroup = subgroup
-
-    def __repr__(self):
-        return (f"GroupPair(order={self.group.order()}, "
-                f"stabilizer_order={self.subgroup.order()})")
-
-
-def monodromy_pair(group: PermGroup, point0: int = 0) -> GroupPair:
-    """Pair [G, G_x] with G_x the stabilizer of the given (0-based) label."""
-    return GroupPair(group, group.stabilizer(point0))
-
-
-def is_almost_normal(pair: GroupPair, budget: int = 10000):
-    """Exhibit a finite set of conjugators whose stabilizer-conjugates
-    intersect trivially.  Returns (bool, conjugators used)."""
-    group, sub = pair.group, pair.subgroup
-    n = group.degree
-    if sub.is_trivial():
-        return True, [identity(n)]
-    current = sub
-    used = [identity(n)]
-    candidates = list(group.generators)
-    if group.order() <= budget:
-        candidates = group.elements(budget)
-    for h in candidates:
-        conj_gens = [conjugate(g, h) for g in sub.generators]
-        conj = PermGroup(n, conj_gens)
-        inter = _intersection(current, conj)
-        if inter.order() < current.order():
-            current = inter
-            used.append(h)
-            if current.is_trivial():
-                return True, used
-    return current.is_trivial(), used
-
-
-def _intersection(a: PermGroup, b: PermGroup) -> PermGroup:
-    small, big = (a, b) if a.order() <= b.order() else (b, a)
-    gens = [g for g in small.elements() if big.contains(g)]
-    return PermGroup(a.degree, gens)
-

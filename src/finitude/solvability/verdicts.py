@@ -169,9 +169,3 @@ def invertible_by_radicals(f: UnivariatePolynomial) -> Verdict:
     verdict.extras["factors"] = [g.format() for g in chain]
     verdict.extras["classification"] = kinds
     return verdict
-
-
-def invertible_by_k_radicals(f: UnivariatePolynomial, k: int) -> Verdict:
-    """Is the inverse of f representable by k-radicals?  The general
-    monodromy test on f(y) - x subsumes the exceptional tables."""
-    return k_radicals_verdict(inverse_curve(f), k)

@@ -847,7 +847,7 @@ class TestSympyOracle:
                                                 *_integrands())]
         defective = skipped_into_tail = 0
         for P, Q in pairs:
-            got, psi = subresultant_prs(P, Q)
+            got, resultant = subresultant_prs(P, Q)
             oracle = sympy.subresultants(to_sympy(P), to_sympy(Q), Y)
             assert len(got) == len(oracle), (str(P), str(Q))
             for member, expected in zip(got, oracle):
@@ -856,19 +856,12 @@ class TestSympyOracle:
             degrees = [member.degree_y() for member in got]
             defective += any(a - b > 1 for a, b in zip(degrees[1:],
                                                         degrees[2:]))
-            if len(got) > 2:
-                # psi is +-lc of the regular subresultant of the y-degree
-                # of the second-to-last member
-                coefficient = _principal_coefficient(*got[:2], degrees[-2])
-                assert sympy.expand(to_sympy(psi) ** 2
-                                    - coefficient ** 2) == 0, (str(P), str(Q))
+            # the resultant from the tail, with its sign: the principal
+            # subresultant coefficient of y-degree 0
+            assert sympy.expand(to_sympy(resultant) - _principal_coefficient(
+                *got[:2], 0)) == 0, (str(P), str(Q))
             if degrees[-1] == 0:
-                # the resultant from the tail: +-last^e / psi^(e-1)
                 e = degrees[-2]
-                tail = (got[-1].rows[0] ** e).exact_div(psi ** (e - 1))
-                resultant = sympy.resultant(to_sympy(P), to_sympy(Q), Y)
-                assert sympy.expand(to_sympy(tail) ** 2
-                                    - resultant ** 2) == 0, (str(P), str(Q))
                 skipped_into_tail += len(degrees) > 2 and \
                     degrees[-3] - e > 1 and e > 1
         for integrand, degrees in DEFECTIVE_PAIRS.items():

@@ -16,7 +16,7 @@ from finitude.algebra import (GaussianRational, UnivariatePolynomial,
                               poly)
 from finitude.cli import build_parser, main
 from finitude.config import Settings
-from finitude.differential import kovacic, liouville
+from finitude.differential import liouville
 from finitude.solvability import ritt_decompose
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -223,12 +223,15 @@ class TestReports:
                             "algebraic", "y^2-x"])
         assert code == 64
         assert "unknown key 'matching_margin'" in err
-        # the triangularization test has no setting any more
-        cfg.write_text("eig_cluster_tol = 1e-8\n")
-        code, _, err = run(["--json", "--config", str(cfg),
-                            "algebraic", "y^2-x"])
-        assert code == 64
-        assert "unknown key 'eig_cluster_tol'" in err
+        # the triangularization test has no setting any more, and the
+        # witness search takes its degree bound from the equation
+        for key, value in [("eig_cluster_tol", "1e-8"),
+                           ("witness_degree_bound", "3")]:
+            cfg.write_text(f"{key} = {value}\n")
+            code, _, err = run(["--json", "--config", str(cfg),
+                                "algebraic", "y^2-x"])
+            assert code == 64
+            assert f"unknown key '{key}'" in err
 
 
 def _replace(monkeypatch, name, original, replacement, owner=None):
@@ -337,6 +340,19 @@ class TestWorkPerRequest:
         assert (len(sequences), len(resultants)) == (1, 0)
         assert form.derivative() == f
         assert len(resultants) == 0
+
+    def test_resultant_divides_back_once(self, monkeypatch):
+        # Res_y comes from the integer tail of the recurrence with one
+        # division by a^m b^n; no member of the sequence is divided back
+        conversions = count_calls(monkeypatch, "rationals", gaussvec.rationals)
+        sequences = count_calls(monkeypatch, "subresultant_prs",
+                                poly.subresultant_prs)
+        resultants = count_inside(monkeypatch, "resultant_y",
+                                  poly.resultant_y, conversions)
+        code, _, _ = run(["--json", "algebraic", "--", "y^5 + y - x"])
+        assert code == 1
+        assert resultants and set(resultants) == {1}
+        assert sequences == []
 
     def test_exact_kernels_run_on_integer_vectors(self, monkeypatch):
         # the subresultant sequence divides over Z[i][t], not by scalar
@@ -483,8 +499,6 @@ CONSUMERS = {
                           "residue_enclosures")]),
     "fuchsian_tol": (1e-9, [(["fuchsian", FIXTURE],
                              fuchsian, "system_monodromy")]),
-    "witness_degree_bound": (3, [(["ode", "2", "0", "-1"],
-                                  kovacic, "rational_witness_search")]),
 }
 
 

@@ -4,14 +4,16 @@ import random
 from itertools import permutations
 
 import pytest
+from sympy.combinatorics import Permutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
+from sympy.combinatorics.named_groups import AlternatingGroup
 
 from finitude.errors import NotApplicable, NotTransitive
-from finitude.permgroups import (GroupPair, PermGroup,
+from finitude.permgroups import (PermGroup,
                                  classify_primitive_solvable_with_cycle,
                                  composition_factors, cycles_string,
-                                 has_full_cycle, identity, is_almost_normal,
-                                 is_k_solvable, is_primitive, monodromy_pair,
-                                 parse_cycles)
+                                 full_cycles, identity, is_k_solvable,
+                                 is_primitive, parse_cycles)
 
 
 def brute_force_order(degree, gens):
@@ -112,6 +114,35 @@ class TestKSolvable:
         assert ("simple", "A7", 2520, 7) in factors
         assert ("cyclic", 2) in factors
 
+    def test_wreath_product_against_sympy(self):
+        # A5 wr C2 on two blocks of 5: its perfect core A5 x A5 has two
+        # orbits, so the factors come from restrictions to orbits
+        G = PermGroup.from_cycles(10, "(1 2 3 4 5)", "(1 2 3)",
+                                  "(1 6)(2 7)(3 8)(4 9)(5 10)")
+        assert G.order() == 7200
+        factors = composition_factors(G)
+        assert sorted(factors) == [("cyclic", 2), ("simple", "A5", 60, 5),
+                                   ("simple", "A5", 60, 5)]
+        # sympy's composition_series takes solvable groups only; the oracle
+        # is the series G > G' > N > 1, N the kernel of G' on the first
+        # block, with factors C2 and A5 (simple, and the one subgroup of
+        # order 60 of S5) found by sympy
+        oracle = SympyGroup(*[Permutation(list(g)) for g in G.generators])
+        core = oracle.derived_subgroup()
+        kernel = core.pointwise_stabilizer(list(range(5)))
+        assert kernel.is_normal(core)
+        assert [oracle.order() // core.order(), core.order() // kernel.order(),
+                kernel.order()] == [2, 60, 60]
+        image = SympyGroup(*[Permutation(p.array_form[:5])
+                             for p in core.generators])
+        moved = SympyGroup(*[Permutation([i - 5 for i in p.array_form[5:]])
+                             for p in kernel.generators])
+        for block in (image, moved):
+            assert block.order() == 60
+            assert block.is_subgroup(AlternatingGroup(5))
+        assert is_k_solvable(G, 5)[0]
+        assert not is_k_solvable(G, 4)[0]
+
 
 class TestPrimitivity:
     def test_z4_imprimitive(self):
@@ -119,7 +150,7 @@ class TestPrimitivity:
 
     def test_s5_primitive_with_cycle(self):
         assert is_primitive(S5)
-        assert has_full_cycle(S5)
+        assert full_cycles(S5)
 
     def test_prime_cyclic_primitive(self):
         for p in (3, 5, 7, 11):
@@ -160,23 +191,6 @@ class TestClassification:
     def test_unsolvable_rejected(self):
         with pytest.raises(NotApplicable):
             classify_primitive_solvable_with_cycle(S5)
-
-
-class TestPairs:
-    def test_faithful_transitive_almost_normal(self):
-        pair = monodromy_pair(S5)
-        ok, conjugators = is_almost_normal(pair)
-        assert ok and conjugators
-
-    def test_trivial_pair(self):
-        trivial = PermGroup.trivial(3)
-        ok, conjugators = is_almost_normal(GroupPair(trivial, trivial))
-        assert ok and conjugators == [identity(3)]
-
-    def test_regular_cyclic_stabilizer_trivial(self):
-        Zn = PermGroup.cyclic(6)
-        pair = monodromy_pair(Zn)
-        assert pair.subgroup.order() == 1
 
 
 class TestSerialization:

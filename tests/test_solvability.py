@@ -4,14 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from finitude.algebra import (BivariatePolynomial, GaussianRational,
                               UnivariatePolynomial, parse_bivariate,
                               parse_univariate)
 from finitude.errors import ReducibleInput, UnsupportedGroup
-from finitude.monodromy import monodromy_group
+from finitude.monodromy import MonodromyAction, monodromy_group
+from finitude.permgroups import PermGroup
 from finitude.solvability import (classify_primitive, compose_chain,
-                                  invertible_by_k_radicals,
                                   invertible_by_radicals, k_radicals_verdict,
                                   radical_tower, radicals_verdict,
                                   ritt_decompose, tower_mismatch)
@@ -104,6 +105,30 @@ class TestRitt:
         assert chain.degrees() == [5]
         assert chain.primitive_flags == [True]
 
+    def test_against_sympy_decompose(self):
+        # seeded compositions of two or three factors of prime degree over
+        # Q: that chain is complete, so by Ritt's first theorem every
+        # complete decomposition has its degree multiset.  sympy 1.14's
+        # decompose is a decomposition but not always a complete one (it
+        # leaves (x^3 + 2x^2 + x)^2 + x^3 + 2x^2 + x whole), so it bounds
+        # the length from below only
+        rng = random.Random(13)
+        x = sympy.Symbol("x")
+        for _ in range(12):
+            factors = [UnivariatePolynomial(
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(d)] + [Fraction(rng.choice([-2, -1, 1, 3]))])
+                for d in rng.choices([2, 3], k=rng.randint(2, 3))]
+            f = compose_chain(factors)
+            chain = ritt_decompose(f)
+            assert compose_chain(chain) == f
+            assert sorted(chain.degrees()) == sorted(
+                g.degree() for g in factors), f.format()
+            oracle = sympy.decompose(sum(
+                sympy.Rational(c.re.numerator, c.re.denominator) * x ** k
+                for k, c in enumerate(f.coeffs)))
+            assert len(oracle) <= len(chain), f.format()
+
     def test_decomposition_reproduces_input(self):
         rng = random.Random(2)
         for _ in range(10):
@@ -187,10 +212,27 @@ class TestVerdicts:
         assert v.group.order() == 120
 
     def test_invertible_k(self):
-        f = parse_univariate("x^5 + x")
-        assert invertible_by_k_radicals(f, 5).representable
-        assert not invertible_by_k_radicals(f, 4).representable
-        assert invertible_by_k_radicals(chebyshev(7), 1).representable
+        P = inverse_curve(parse_univariate("x^5 + x"))
+        assert k_radicals_verdict(P, 5).representable
+        assert not k_radicals_verdict(P, 4).representable
+        assert k_radicals_verdict(inverse_curve(chebyshev(7)), 1).representable
+
+    def test_agl32_is_undecided(self):
+        # AGL(3,2) is perfect; its minimal normal subgroup, the translations
+        # 2^3, has index 168, and the coset action is not attempted
+        def affine(image):
+            return tuple(image(v) for v in range(8))
+
+        group = PermGroup(8, [affine(lambda v: v ^ 1),
+                              affine(lambda v: (v << 1 | v >> 2) & 7),
+                              affine(lambda v: v ^ (v >> 1 & 1))])
+        assert group.order() == 1344
+        action = MonodromyAction(None, None, 0, range(8), [],
+                                 group.generators, group)
+        verdict = k_radicals_verdict(None, 7, action=action)
+        assert verdict.status == VerdictStatus.UNDECIDED
+        assert verdict.reason == ("k-solvability undecided: coset action of "
+                                  "index 168 exceeds degree cap")
 
     def test_certificate_soundness_sample(self):
         P = parse_bivariate("y^3 - (x^2 + 1)")

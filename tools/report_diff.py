@@ -23,7 +23,8 @@ Run from the root of a source checkout.  The comparison set is
   rational coefficients in numerator and denominator, two ``ode 2``
   requests whose witnesses have two poles and two outside the witness
   search, a curve whose subresultant sequence skips four degrees at its
-  end, and malformed inputs that exit 64.
+  end, radical towers of two dihedral curves and a cyclic one, an
+  ``ode 3`` request (the order-n path), and malformed inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -106,6 +107,12 @@ FRONT_END = [
     # Gaussian rational, and a degree above the automatic bound
     ["ode", "2", "--", "0", "-2/(x^2-2)"],
     ["ode", "2", "--", "-2*x", "24"],
+    # radical towers: two planted dihedral curves and a cyclic one
+    # (y = rho + rho^2, rho^5 = x); the order-n path of ode
+    ["algebraic", "--tower", "--", "16*y^5-20*y^3+5*y-x"],
+    ["algebraic", "--tower", "--", "32*y^6-48*y^4+18*y^2-1-x"],
+    ["algebraic", "--tower", "--", "y^5 - 5*x*y^2 - 5*x*y - x^2 - x"],
+    ["ode", "3", "--", "0", "1/x", "x^2"],
     ["decompose", "--", "(x^2+1)^3/8"],
     ["decompose", "--", "(x^2-1)/(x-1)"],
     ["puiseux", "--", "(y^2 - x)/(2*i)"],
