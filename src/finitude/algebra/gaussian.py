@@ -327,60 +327,50 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _fraction_nth_root(q: Fraction, n: int) -> Fraction | None:
-    """Exact n-th root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-
-    def iroot(m: int) -> int | None:
-        r = round(m ** (1.0 / n))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** n == m:
-                return c
-        return None
-
-    num = iroot(q.numerator)
-    den = iroot(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 def exact_nth_root(z: GaussianRational, n: int) -> GaussianRational | None:
     """Some exact n-th root of ``z`` in Q(i), or None if none exists.
 
-    Candidates come from a floating approximation; every candidate is verified
-    exactly, so the answer is certified even though the search is numeric.
+    With z = (a + bi)/d, a root is v/d for a Gaussian integer v with
+    v^n = w = (a + bi) d^(n-1) (Z[i] is integrally closed).  A square root,
+    the principal one, is exact: |v|^2 = |w|, and ``math.isqrt`` gives the
+    parts of v.  For n >= 3 each n-th root of w is guessed in doubles
+    from w scaled by a power of two into range and rounded to a Gaussian
+    integer; Newton's iteration, each iterate rounded too, runs from there
+    until an iterate is verified exactly or stops moving.
     """
     if z.is_zero():
         return ZERO
     if n == 1:
         return z
-    w = complex(z) ** (1.0 / n)
+    d = z._d
+    wr, wi = z._a * d ** (n - 1), z._b * d ** (n - 1)
+    if n == 2:
+        m = math.isqrt(wr * wr + wi * wi)
+        u, v = math.isqrt((m + wr) // 2), math.isqrt((m - wr) // 2)
+        if m * m != wr * wr + wi * wi or 2 * u * u != m + wr \
+                or 2 * v * v != m - wr:
+            return None
+        return GaussianRational(Fraction(u, d),
+                                Fraction(v if wi >= 0 else -v, d))
+    bits = max(abs(wr), abs(wi)).bit_length()
+    s = max(0, (bits - 900) // n + 1)
+    guess = complex(wr / (1 << n * s), wi / (1 << n * s)) ** (1.0 / n)
+    w = GaussianRational(wr, wi)
     for k in range(n):
-        rot = complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
-        cand = w * rot
-        fr = Fraction(cand.real).limit_denominator(10**12)
-        fi = Fraction(cand.imag).limit_denominator(10**12)
-        g = GaussianRational(fr, fi)
-        if g ** n == z:
-            return g
-    # Purely real radicand with a rational real root is the common exact case;
-    # the loop above can miss it when limit_denominator rounds badly.
-    if z.is_real():
-        root = _fraction_nth_root(abs(z.re), n)
-        if root is not None:
-            if z.re >= 0:
-                g = GaussianRational(root)
-                if g ** n == z:
-                    return g
-            else:
-                for g in (GaussianRational(-root), GaussianRational(0, root),
-                          GaussianRational(0, -root)):
-                    if g ** n == z:
-                        return g
+        c = guess * complex(math.cos(2 * math.pi * k / n),
+                            math.sin(2 * math.pi * k / n))
+        v = GaussianRational(round(c.real) << s, round(c.imag) << s)
+        for _ in range(bits.bit_length() + 2):  # the correct bits double
+            power = v ** n
+            if power == w:
+                return v / d
+            if v.is_zero():  # an iterate of no root, since w != 0
+                break
+            nxt = v - (power - w) / (v ** (n - 1) * n)
+            nxt = GaussianRational(round(nxt.re), round(nxt.im))
+            if nxt == v:
+                break
+            v = nxt
     return None
 
 

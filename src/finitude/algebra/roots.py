@@ -20,6 +20,9 @@ it and finished again, and the roots below the axis are the conjugates of
 those above; pairwise disjoint disks then make each real centre enclose a
 real root, and conjugate pairs come out as exact conjugates.
 
+``exact_gaussian_roots`` recognises the Gaussian-rational roots among the
+certified ones, each by one exact evaluation on its square-free factor.
+
 ``refine_root`` carries one root past double precision: Newton on the exact
 Q(i) coefficients, each iterate rounded to a fixed dyadic grid.
 """
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from ..config import ROOT_TOL
 from ..errors import IterationLimitExceeded, ZeroPolynomial
-from .gaussian import GaussianRational, rationalize_complex
+from .gaussian import GaussianRational
 from .poly import UnivariatePolynomial, squarefree_factorization
 
 # refine_root rounds its iterates to multiples of 2^-REFINE_BITS; far below
@@ -264,6 +267,9 @@ def _enclose(ints, approx, tol: float):
             c, r = _finish(ints, complex(c.real, 0.0))
         if real and c.imag < 0:
             continue
+        if r == math.inf:  # p' vanishes at c, or the radius overflows
+            raise IterationLimitExceeded(
+                f"could not certify root near {c:.6g}")
         enclosures.append(ComplexInterval(c, r))
         if real and c.imag > 0:
             enclosures.append(ComplexInterval(c.conjugate(), r))
@@ -282,21 +288,34 @@ def _enclose(ints, approx, tol: float):
     return enclosures
 
 
-def _factor_roots(factor: UnivariatePolynomial, tol: float, accept: float):
-    """Certified enclosures of the roots of one square-free factor.  Where
-    double evaluation cannot resolve a cluster to ``tol``, Aberth sweeps
-    again with exact evaluation, and those enclosures need only meet
-    ``accept``."""
-    ints = _gaussian_integers(factor)
+def _factor_roots(ints, tol: float, accept: float):
+    """Certified enclosures of the roots of one square-free factor, given
+    by its Gaussian-integer coefficients ``ints``.  Where double evaluation
+    cannot resolve a cluster to ``tol``, Aberth sweeps again with exact
+    evaluation, and those enclosures need only meet ``accept``."""
     shift = max(max(abs(a), abs(b)).bit_length() for a, b in ints) - 1
     cs = [complex(a / (1 << shift), b / (1 << shift)) for a, b in ints]
     desc = cs[::-1]
     approx = _aberth(lambda z: _log_slope(desc, cs, z), _bini_seeds(cs))
+    if len(approx) != len(ints) - 1:  # a coefficient underflowed to 0
+        raise IterationLimitExceeded("roots out of double range")
     try:
         return _enclose(ints, approx, tol)
     except IterationLimitExceeded:
         approx = _aberth(lambda z: _exact_log_slope(ints, z), approx)
         return _enclose(ints, approx, accept)
+
+
+def _enclosures(factors, tol: float, accept: float):
+    """(cleared coefficients, enclosure, multiplicity) of each root of the
+    (square-free factor, multiplicity) pairs, sorted by the centres'
+    (real, imaginary) parts."""
+    out = []
+    for factor, mult in factors:
+        ints = _gaussian_integers(factor)
+        out += [(ints, enc, mult) for enc in _factor_roots(ints, tol, accept)]
+    return sorted(out, key=lambda item: (item[1].center.real,
+                                         item[1].center.imag))
 
 
 def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL,
@@ -307,21 +326,17 @@ def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL,
     centres' (real, imaginary) parts.  Distinct roots of each square-free
     factor come in pairwise disjoint disks of radius at most
     tol * max(1, |centre|), each centred on its root rounded to the double
-    grid of its larger part; failure to reach that raises
-    IterationLimitExceeded.  A caller that can use wider disks where a
-    cluster defeats ``tol`` passes that bound as ``accept`` (at least
-    ``tol``): it applies to the roots of a factor that needed the exact
-    sweeps.
+    grid of its larger part; failure to reach that, or to approximate all
+    deg p roots in doubles, raises IterationLimitExceeded.  A caller that
+    can use wider disks where a cluster defeats ``tol`` passes that bound as
+    ``accept`` (at least ``tol``): it applies to the roots of a factor that
+    needed the exact sweeps.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding on the zero polynomial")
     accept = tol if accept is None else accept
-    out = []
-    for factor, mult in squarefree_factorization(p):
-        out.extend((enc, mult)
-                   for enc in _factor_roots(factor, tol, accept))
-    out.sort(key=lambda pair: (pair[0].center.real, pair[0].center.imag))
-    return out
+    return [(enc, mult) for _ints, enc, mult
+            in _enclosures(squarefree_factorization(p), tol, accept)]
 
 
 def _round_to_grid(c: GaussianRational) -> GaussianRational:
@@ -357,25 +372,38 @@ def refine_root(p: UnivariatePolynomial, z: complex):
     return c
 
 
-def exact_gaussian_roots(p: UnivariatePolynomial, tol: float = 1e-10):
-    """Split p into certified Gaussian-rational roots and a residual factor.
+def _gaussian_root(ints, z: complex):
+    """The Gaussian-rational root of p, with Gaussian-integer coefficients
+    ``ints``, that the double z approximates, or None.  With L = lc(p), L r
+    is a Gaussian integer for each root r (Z[i] is integrally closed), so
+    L z is rounded to one, w, which is right while |L r| < 2^52; w/L is
+    accepted when L^n p(w/L), by integer Horner, vanishes."""
+    lr, li = ints[-1]
+    xr, xi, t = _dyadic(z)
+    wr = _round_div(lr * xr - li * xi, t)
+    wi = _round_div(lr * xi + li * xr, t)
+    pr, pi = lr, li
+    kr, ki = 1, 0  # L^(n-k) at the coefficient of t^k
+    for a, b in reversed(ints[:-1]):
+        kr, ki = kr * lr - ki * li, kr * li + ki * lr
+        pr, pi = (pr * wr - pi * wi + a * kr - b * ki,
+                  pr * wi + pi * wr + a * ki + b * kr)
+    if pr or pi:
+        return None
+    return GaussianRational(wr, wi) / GaussianRational(lr, li)
 
-    Returns (pairs, residual) where pairs is a list of (GaussianRational
-    root, multiplicity) verified by exact division, and residual is the
-    monic cofactor with no Gaussian-rational roots found.
-    """
-    residual = p.monic()
-    found = []
-    for enc, _mult in complex_roots(p, tol):
-        cand = rationalize_complex(enc.center)
-        lin = UnivariatePolynomial([-cand, 1])
-        count = 0
-        while residual.degree() >= 1:
-            q, r = residual.divmod(lin)
-            if not r.is_zero():
-                break
-            residual = q
-            count += 1
-        if count:
-            found.append((cand, count))
-    return found, residual
+
+def exact_gaussian_roots(factors, tol: float = 1e-10):
+    """The roots of ``factors``, pairwise coprime (square-free factor,
+    multiplicity) pairs as ``squarefree_factorization`` returns them, each
+    certified once at ``tol``: (roots, rest), the (GaussianRational,
+    multiplicity) pairs and the (ComplexInterval, multiplicity) pairs of
+    the other roots, each in the order of ``complex_roots``."""
+    roots, rest = [], []
+    for ints, enc, mult in _enclosures(factors, tol, tol):
+        root = _gaussian_root(ints, enc.center)
+        if root is None:
+            rest.append((enc, mult))
+        else:
+            roots.append((root, mult))
+    return roots, rest

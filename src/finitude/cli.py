@@ -85,9 +85,9 @@ def cmd_algebraic(args, settings) -> int:
     # to the primitive part of P, so x-content gets its own singular set
     action = failure = None
     try:
-        action = monodromy_group(P, tol=settings.continuation_tol)
-        singular = (action.singular.recertify(settings.root_tol)
-                    if action.polynomial == P
+        action = monodromy_group(P, tol=settings.continuation_tol,
+                                 root_tol=settings.root_tol)
+        singular = (action.singular if action.polynomial == P
                     else singular_points(P, settings.root_tol))
     except NumericFailure as err:
         failure = monodromy_failed(err)
@@ -127,7 +127,7 @@ def cmd_ode(args, settings) -> int:
     ode = LinearODE([RationalFunction.coerce(c) for c in coeffs])
     if ode.order == 2:
         try:
-            witnesses = rational_witness_search(ode)
+            witnesses, skipped = rational_witness_search(ode)
         except BoundExceeded as err:  # a valid equation out of its scope
             report.add("undecided", str(err))
             _emit(report, args.json, [f"undecided: {err}"])
@@ -138,6 +138,9 @@ def cmd_ode(args, settings) -> int:
             lines += [f"  u = {w.format()}" for w in witnesses]
             lines.append("a solution y = exp(integral u) exists; the "
                          "equation is solvable by generalized quadratures")
+            if skipped:  # the first candidate beyond the degree bound
+                report.add("skipped", skipped)
+                lines.append(f"candidates beyond the bound skipped: {skipped}")
             _emit(report, args.json, lines)
             return EXIT_REPRESENTABLE
         lines = ["no rational witness found (NOT a proof of "
@@ -158,8 +161,8 @@ def cmd_integrate(args, settings) -> int:
 
     report = Report("integrate", {"expr": args.expr}, settings)
     f = parse_expression(args.expr, ["x"])
-    form = integrate_rational(RationalFunction.coerce(f))
-    report.add("liouville_form", form.to_json(settings.root_tol))
+    form = integrate_rational(RationalFunction.coerce(f), settings.root_tol)
+    report.add("liouville_form", form.to_json())
     check = (form.derivative() - RationalFunction.coerce(f)).is_zero()
     report.add("derivative_verified", check)
     _emit(report, args.json,

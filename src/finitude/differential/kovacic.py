@@ -18,7 +18,8 @@ from itertools import product
 
 from ..algebra.gaussian import GaussianRational, exact_nth_root
 from ..algebra.poly import (RationalFunction, UnivariatePolynomial,
-                            series_inverse, series_mul)
+                            series_inverse, series_mul,
+                            squarefree_factorization)
 from ..algebra.roots import exact_gaussian_roots
 from ..errors import BoundExceeded
 from .jets import LinearODE, verify_exp_integral_witness
@@ -217,11 +218,14 @@ def _polynomial_kernel(theta: RationalFunction, w: RationalFunction, d: int):
 def rational_witness_search(ode: LinearODE):
     """All rational logarithmic-derivative witnesses of an order-2 ODE.
 
-    Returns a (possibly empty) list of RationalFunction u with
-    verify_exp_integral_witness(ode, u) true.  An empty list means no
-    rational witness exists within this scope -- not a proof that the ODE
-    is unsolvable by quadratures.  Poles of the invariant r outside the
-    Gaussian rationals raise BoundExceeded (unsupported coefficient field).
+    Returns (witnesses, skipped): a (possibly empty) list of
+    RationalFunction u with verify_exp_integral_witness(ode, u) true, and
+    why the first candidate beyond the degree bound was skipped, or None.
+    An empty list means no rational witness exists within this scope --
+    not a proof that the ODE is unsolvable by quadratures.  Poles of the
+    invariant r outside the Gaussian rationals raise BoundExceeded
+    (unsupported coefficient field), and so does a skipped candidate when
+    no witness is found.
     """
     if ode.order != 2:
         raise ValueError("rational witness search is implemented for order 2")
@@ -233,43 +237,28 @@ def rational_witness_search(ode: LinearODE):
         u = shift  # v = 0 solves v' + v^2 = 0
         if verify_exp_integral_witness(ode, u):
             witnesses.append(u)
-        return witnesses
-    # poles of r with exact locations
-    den_factors = []
-    squarefree = r.den.squarefree_part()
-    if squarefree.degree() > 0:
-        roots, residual = exact_gaussian_roots(squarefree)
-        if residual.degree() > 0:
-            raise BoundExceeded(
-                "pole locations of the Riccati invariant are not Gaussian "
-                "rational; exact search unsupported")
-        for pole, _m in roots:
-            order = 0
-            probe = r.den
-            lin = UnivariatePolynomial([-pole, 1])
-            while True:
-                q, rem = probe.divmod(lin)
-                if not rem.is_zero():
-                    break
-                order += 1
-                probe = q
-            den_factors.append((pole, order))
+        return witnesses, None
+    # poles of r with exact locations, their orders the multiplicities of
+    # the roots of r.den
+    den_factors, rest = exact_gaussian_roots(
+        squarefree_factorization(r.den))
+    if rest:
+        raise BoundExceeded(
+            "pole locations of the Riccati invariant are not Gaussian "
+            "rational; exact search unsupported")
     locals_ = []
     for pole, order in den_factors:
         data = _pole_candidates(r, pole, order)
-        if data is None:
-            return []
-        if not data.variants:
-            return []
+        if data is None or not data.variants:
+            return [], None
         locals_.append(data)
     inf_variants = _infinity_candidates(r)
-    if inf_variants is None:
-        return []
     if not inf_variants:
-        return []
+        return [], None
     degree_bound = max(10, sum(o for _p, o in den_factors)
                        + abs(r.num.degree() - r.den.degree()) + 2)
     seen = set()
+    skipped = None
     for choice in product(*([d.variants for d in locals_] + [inf_variants])):
         pole_parts = choice[:-1]
         inf_part = choice[-1]
@@ -280,8 +269,9 @@ def rational_witness_search(ode: LinearODE):
             continue
         d = int(d_val.re)
         if d > degree_bound:
-            raise BoundExceeded(
-                f"required polynomial degree {d} exceeds bound {degree_bound}")
+            skipped = skipped or (f"required polynomial degree {d} exceeds "
+                                  f"bound {degree_bound}")
+            continue
         theta = inf_part[0]
         for (pole, _order), (s_fn, alpha) in zip(den_factors, pole_parts):
             lin = UnivariatePolynomial([-pole, 1])
@@ -299,6 +289,8 @@ def rational_witness_search(ode: LinearODE):
         seen.add(key)
         if verify_exp_integral_witness(ode, u):
             witnesses.append(u)
+    if skipped and not witnesses:
+        raise BoundExceeded(skipped)
     witnesses.sort(key=lambda f: (f.num.degree(), f.den.degree(),
                                   str(f.format())))
-    return witnesses
+    return witnesses, skipped

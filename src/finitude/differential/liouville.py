@@ -10,13 +10,15 @@ num - t den' then gives both the Rothstein-Trager resultant
 R(t) = Res_x(den, num - t den'), from its tail, and the log arguments
 (Lazard-Rioboo-Trager): the residues whose log argument has x-degree i
 are the roots of Q_i in R = prod Q_i^i, and the primitive part of the
-member of degree i serves them all.  Rational
-residues stay Gaussian-rational and take that member at the residue;
-irrational ones are carried exactly as roots of the rest m(t) of Q_i, with
-the log argument g(t, x) that member made monic in x, its coefficients
-polynomials in t reduced mod m.  The inverses modulo m and modulo the
-square-free parts, the arithmetic mod m and the sequence itself run on
-Gaussian-integer vectors (``gaussvec``).
+member of degree i serves them all.  The roots of
+each Q_i are certified once, to ``root_tol``, and recognised as Gaussian
+rational or not where they are found, so each residue's class is known.
+Rational residues stay Gaussian-rational and take that member at the
+residue; irrational ones are carried exactly as roots of the rest m(t) of
+Q_i, with their enclosures and the log argument g(t, x) that member made
+monic in x, its coefficients polynomials in t reduced mod m.  The inverses
+modulo m and modulo the square-free parts, the arithmetic mod m and the
+sequence itself run on Gaussian-integer vectors (``gaussvec``).
 
 The whole form differentiates back exactly: a conjugate log sum has the
 derivative Tr(t g_x q) / Norm(g) with Norm(g) = Res_t(m, g), q = Norm / g
@@ -34,7 +36,7 @@ from ..algebra.gaussian import ZERO, GaussianRational
 from ..algebra.poly import (BivariatePolynomial, RationalFunction,
                             UnivariatePolynomial, resultant_y,
                             squarefree_factorization, subresultant_prs)
-from ..algebra.roots import complex_roots, exact_gaussian_roots
+from ..algebra.roots import exact_gaussian_roots
 from ..config import ROOT_TOL
 from ..errors import ZeroPolynomial
 
@@ -44,15 +46,15 @@ class AlgebraicResidueBlock:
 
     ``argument`` is g as a BivariatePolynomial in which x plays y: row k is
     the coefficient of x^k, a polynomial in t reduced mod m; g is monic in x.
+    ``enclosures`` are the certified centres of the roots of m, sorted by
+    (real, imaginary) part.
     """
 
     def __init__(self, modulus: UnivariatePolynomial,
-                 argument: BivariatePolynomial):
+                 argument: BivariatePolynomial, enclosures):
         self.modulus = modulus      # m(t), monic and square-free
         self.argument = argument
-
-    def residue_enclosures(self, tol=ROOT_TOL):
-        return [enc.center for enc, _ in complex_roots(self.modulus, tol)]
+        self.enclosures = list(enclosures)
 
     def derivative_contribution(self) -> RationalFunction:
         """d/dx of the conjugate log sum, exactly.
@@ -203,15 +205,15 @@ class LiouvilleForm:
         parts.extend(block.format() for block in self.blocks)
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self, root_tol=ROOT_TOL):
-        """The report form; algebraic residues are certified to root_tol."""
+    def to_json(self):
+        """The report form, with the centres of the algebraic residues."""
         logs = [{"lambda": str(term.lam), "arg": term.argument.format()}
                 for term in self.logs]
         for block in self.blocks:
-            encl = block.residue_enclosures(root_tol)
             logs.append({
                 "lambda": f"RootOf({block.modulus.format('t')})",
-                "lambda_enclosures": [[z.real, z.imag] for z in encl],
+                "lambda_enclosures": [[z.real, z.imag]
+                                      for z in block.enclosures],
                 "arg": block.format_argument(),
             })
         return {"r0": self.r0.format(), "logs": logs}
@@ -249,25 +251,27 @@ def _hermite_reduce(num: UnivariatePolynomial, den: UnivariatePolynomial):
     return g, RationalFunction(num, d_star)
 
 
-def integrate_rational(f: RationalFunction) -> LiouvilleForm:
+def integrate_rational(f: RationalFunction,
+                       root_tol: float = ROOT_TOL) -> LiouvilleForm:
     """Liouville form of the indefinite integral of a rational function.
 
     r0 is the antiderivative of the polynomial quotient, with constant term
     0, plus the proper rational part from Hermite reduction; the residues
     come from Rothstein-Trager, kept exact (Gaussian-rational when
-    possible, else as conjugate root families).  The identity
-    derivative() == f holds exactly.
+    possible, else as conjugate root families whose roots are certified to
+    ``root_tol``).  The identity derivative() == f holds exactly.
     """
     f = RationalFunction.coerce(f)
     quotient, rest = f.num.divmod(f.den)
     g, h = _hermite_reduce(rest, f.den)
     logs, blocks = ([], []) if h.is_zero() \
-        else _rothstein_trager(h.num, h.den)
+        else _rothstein_trager(h.num, h.den, root_tol)
     return LiouvilleForm(RationalFunction(quotient.antiderivative()) + g,
                          logs, blocks)
 
 
-def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
+def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial,
+                      root_tol: float):
     """Log terms of num/den with den monic and square-free, deg num < deg den.
 
     Lazard-Rioboo-Trager: one subresultant sequence of den and
@@ -291,25 +295,26 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial):
     if seq[-1].degree_y() > 0:
         raise ZeroPolynomial("degenerate Rothstein-Trager resultant")
     members = {S.degree_y(): S for S in seq}
-    classes = [(q, members[i].primitive_y())
-               for q, i in squarefree_factorization(resultant)]
-    rational_roots, residual = exact_gaussian_roots(
-        resultant.squarefree_part())
-    logs = []
-    for lam, _mult in rational_roots:
-        if lam.is_zero():
-            continue
-        S = next(S for q, S in classes if q(lam).is_zero())
-        logs.append(LogTerm(lam, UnivariatePolynomial(
-            [row(lam) for row in S.rows])))
+    classes = squarefree_factorization(resultant)
+    arguments = {i: members[i].primitive_y() for _q, i in classes}
+    rational, rest = exact_gaussian_roots(classes, root_tol)
+    logs = [LogTerm(lam, UnivariatePolynomial(
+                [row(lam) for row in arguments[i].rows]))
+            for lam, i in rational if not lam.is_zero()]
     blocks = []
-    for q, S in classes:
-        m = q.gcd(residual)
-        if m.degree() > 0:
-            # g = S / lc_x(S) mod m, monic in x
-            inv = gaussvec.inverse_mod(S.leading_y().coeffs, m.coeffs)
-            rows = gaussvec.multiply_mod([row.coeffs for row in S.rows[:-1]],
-                                         inv, m.coeffs)
-            blocks.append(AlgebraicResidueBlock(m, BivariatePolynomial(
-                [UnivariatePolynomial(row) for row in rows] + [1])))
+    for q, i in classes:
+        enclosures = [enc.center for enc, j in rest if j == i]
+        if not enclosures:
+            continue
+        m = q
+        for lam, j in rational:
+            if j == i:
+                m = m.exact_div(UnivariatePolynomial([-lam, 1]))
+        S = arguments[i]
+        # g = S / lc_x(S) mod m, monic in x
+        inv = gaussvec.inverse_mod(S.leading_y().coeffs, m.coeffs)
+        rows = gaussvec.multiply_mod([row.coeffs for row in S.rows[:-1]],
+                                     inv, m.coeffs)
+        blocks.append(AlgebraicResidueBlock(m, BivariatePolynomial(
+            [UnivariatePolynomial(row) for row in rows] + [1]), enclosures))
     return logs, blocks

@@ -50,7 +50,7 @@ class FuchsianSystem:
 
     def singular_set(self) -> SingularSet:
         encl = [ComplexInterval(p, 1e-14) for p in self.poles]
-        return SingularSet(encl, None)
+        return SingularSet(encl)
 
     @staticmethod
     def from_json(data) -> "FuchsianSystem":

@@ -1,12 +1,14 @@
 """Monodromy of algebraic functions by numerical analytic continuation.
 
-Pipeline: certified singular points (roots of lc_y * disc_y), deterministic
-petal loops from a real base point, predictor-corrector tracking of all n
-branches along the tree of those loops, end matching to the nearest start
-root within the separation margin, and group closure through the
-permutation-group layer.  Every tracker step is checked (Newton
-contraction, a correction small against the branch separation) but not
-certified.
+Pipeline: certified singular points (roots of lc_y * disc_y, certified once
+at ``root_tol``), deterministic petal loops from a real base point,
+predictor-corrector tracking of all n branches along the tree of those
+loops, end matching to the nearest start root within the separation margin,
+and group closure through the permutation-group layer.  One tracker, the
+float image of the curve, serves every path of a computation, and the
+returned action keeps it for later continuations (the tower samples).
+Every tracker step is checked (Newton contraction, a correction small
+against the branch separation) but not certified.
 
 Conventions (fixed so reruns are bit-identical):
 
@@ -53,19 +55,10 @@ LOCATOR_TOL = 1e-8
 
 
 class SingularSet:
-    """Certified enclosures of the singular points of a curve, with the exact
-    locator polynomial they were certified from (None when given directly)."""
+    """Certified enclosures of the singular points of a curve."""
 
-    def __init__(self, points, source: BivariatePolynomial, locator=None):
+    def __init__(self, points):
         self.points = list(points)  # ComplexInterval, deduplicated
-        self.source = source
-        self.locator = locator
-
-    def recertify(self, tol: float) -> "SingularSet":
-        """The same singular points certified at ``tol``, by root finding on
-        the stored locator only (no new resultant)."""
-        return SingularSet(_locator_roots(self.locator, tol), self.source,
-                           self.locator)
 
     def centers(self):
         return [p.center for p in self.points]
@@ -172,19 +165,21 @@ class PetalLoop(Loop):
 class StepCounts:
     """Tracker steps accepted and rejected, summed over the paths tracked."""
 
-    def __init__(self):
-        self.accepted = 0
-        self.rejected = 0
+    def __init__(self, accepted: int = 0, rejected: int = 0):
+        self.accepted = accepted
+        self.rejected = rejected
 
     def __repr__(self):
         return f"StepCounts(accepted={self.accepted}, rejected={self.rejected})"
 
 
 class MonodromyAction:
-    """Base point, labeled roots, generator permutations, and the group."""
+    """Base point, labeled roots, generator permutations, and the group,
+    with the tracker (the float image of the curve) that later
+    continuations of the labeled roots reuse."""
 
     def __init__(self, polynomial, singular: SingularSet, base_point, roots,
-                 loops, generators, group: PermGroup,
+                 loops, generators, group: PermGroup, tracker=None,
                  steps: StepCounts | None = None):
         self.polynomial = polynomial
         self.singular = singular  # the set the loops were built around
@@ -194,7 +189,9 @@ class MonodromyAction:
         self.generators = [tuple(g) for g in generators]
         self.group = group
         self.transitive = group.is_transitive() if roots else True
-        self.steps = steps  # the tracker's work, not part of the report
+        self.tracker = tracker
+        # the monodromy's own tracker steps, not part of the report
+        self.steps = steps
 
     def orbits(self):
         return self.group.orbits()
@@ -231,14 +228,9 @@ def singular_points(P: BivariatePolynomial,
     if P.degree_y() < 2:
         raise SquareFreeRequired("need degree >= 2 in y")
     locator = singular_locator(P)
-    return SingularSet(_locator_roots(locator, tol), P, locator)
-
-
-def _locator_roots(locator, tol):
-    if locator.degree() < 1:
-        return []
-    pairs = complex_roots(locator, tol, accept=max(tol, LOCATOR_TOL))
-    return [enc for enc, _ in pairs]
+    pairs = [] if locator.degree() < 1 \
+        else complex_roots(locator, tol, accept=max(tol, LOCATOR_TOL))
+    return SingularSet([enc for enc, _ in pairs])
 
 
 # --- loop construction --------------------------------------------------------
@@ -452,10 +444,11 @@ def _magnitude(ys):
 
 class _Tracker:
     """Predictor-corrector continuation of all n branches of P(x, y) = 0
-    along a path of segments and arcs, in plain complex arithmetic."""
+    along a path of segments and arcs, in plain complex arithmetic.  It
+    holds the float image of P, its rows and those of dP/dx, built once per
+    monodromy computation, and counts the steps of every path it tracks."""
 
-    def __init__(self, P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
-                 counts: StepCounts | None = None):
+    def __init__(self, P: BivariatePolynomial, tol: float):
         # x-coefficients of each y-power, highest first in both
         self.rows = [[complex(c) for c in reversed(row.coeffs)]
                      for row in reversed(P.rows)]
@@ -463,7 +456,7 @@ class _Tracker:
         self.rows_x = [[complex(c) for c in reversed(dPx.coefficient_y(j).coeffs)]
                        for j in range(P.degree_y(), -1, -1)]
         self.tol = tol
-        self.counts = StepCounts() if counts is None else counts
+        self.counts = StepCounts()
         self._x = self._cs = None
 
     def coefficients(self, x):
@@ -575,27 +568,14 @@ class _Tracker:
         return ys
 
 
-def base_roots(P: BivariatePolynomial, base: complex):
-    """Labeled roots at the base point: sorted by (-Re, Im)."""
-    import numpy as np  # only here: an algebraic request pays for numpy
-
-    cs = _Tracker(P).coefficients(complex(base))
-    if abs(cs[0]) < 1e-300:
-        raise SingularOnPath(f"leading coefficient vanishes at {base:.6g}")
-    return sorted(np.roots(cs), key=lambda r: (-r.real, r.imag))
-
-
-def continue_roots(P: BivariatePolynomial, loop: Loop, start_roots,
-                   tol: float = CONTINUATION_TOL,
-                   counts: StepCounts | None = None):
+def continue_roots(tracker: _Tracker, loop: Loop, start_roots):
     """Track all branches around the loop; return the permutation.
 
     The result sigma maps tracked-branch index i to the label sigma[i] of
-    the start root where branch i lands.  The tracker's steps are added to
-    ``counts`` when given.
+    the start root where branch i lands.
     """
     start = [complex(y) for y in start_roots]
-    end = _Tracker(P, tol, counts).track(loop.pieces, start)
+    end = tracker.track(loop.pieces, start)
     return match_end_roots(end, start, _min_separation(start) / 3.0)
 
 
@@ -620,26 +600,26 @@ def match_end_roots(end, start, margin):
     return tuple(sigma)
 
 
-def track_to_point(P: BivariatePolynomial, singular: SingularSet,
-                   base: complex, start_roots, target: complex,
-                   tol: float = CONTINUATION_TOL):
-    """Continue the labeled roots from base to target.
+def track_to_point(action: MonodromyAction, target: complex):
+    """Continue the action's labeled roots from its base point to target,
+    on its tracker.
 
     The path is the straight segment with short detour arcs around singular
     disks; branch values at the target follow the continuation of the
     labels along that specific path.
     """
-    centers = singular.centers()
+    base = action.base_point
+    centers = action.singular.centers()
     radii = [min(_clearance(centers, k, base), 0.05 * max(1.0, abs(base)))
              for k in range(len(centers))]
     obstacles = list(zip(centers, radii))
-    path = _segment_with_detours(complex(base), complex(target), obstacles,
+    path = _segment_with_detours(base, complex(target), obstacles,
                                  short_arcs=True)
-    return _Tracker(P, tol).track(path, start_roots)
+    return action.tracker.track(path, action.roots)
 
 
 def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
-                    base=None) -> MonodromyAction:
+                    root_tol: float = ROOT_TOL, base=None) -> MonodromyAction:
     """Monodromy action of the curve P(x, y) = 0.
 
     The group is generated by one permutation per singular point; for
@@ -649,35 +629,42 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
     snapshot at each spoke; each spoke once, down to its circle entry; and
     each circle from its entry, by continue_roots.  The entry values carry
     the base labels, so a circle's end matching is its loop's generator.
+    The singular set is certified once, at ``root_tol``, and serves the
+    report too; one tracker, tracking at ``tol``, serves every path.  The
+    base roots are labeled in the order (-Re, Im).
     """
+    import numpy as np  # only here: an algebraic request pays for numpy
+
     P = P.primitive_y()
-    singular = singular_points(P, min(tol, 1e-10))
+    singular = singular_points(P, root_tol)
     if base is None:
         base = auto_base_point(singular)
     loops = generate_loops(singular, base)
-    roots = base_roots(P, base)
-    steps = StepCounts()
-    tracker = _Tracker(P, tol, steps)
+    tracker = _Tracker(P, tol)
+    cs = tracker.coefficients(complex(base))
+    if abs(cs[0]) < 1e-300:
+        raise SingularOnPath(f"leading coefficient vanishes at {base:.6g}")
+    roots = sorted(np.roots(cs), key=lambda r: (-r.real, r.imag))
     generators = []
     values = roots
     for loop, highway in highway_legs(loops, base):
         values = tracker.track([highway], values)
         entry = tracker.track(loop.spoke, values)
         circle = Loop(loop.circle.start, [loop.circle], loop.singular_index)
-        generators.append(continue_roots(P, circle, entry, tol, steps))
+        generators.append(continue_roots(tracker, circle, entry))
     group = PermGroup(max(P.degree_y(), 1), generators)
+    steps = StepCounts(tracker.counts.accepted, tracker.counts.rejected)
     return MonodromyAction(P, singular, base, roots, loops, generators, group,
-                           steps)
+                           tracker, steps)
 
 
-def loop_at_infinity_permutation(P: BivariatePolynomial, singular, roots,
-                                 base=None, tol: float = CONTINUATION_TOL,
+def loop_at_infinity_permutation(action: MonodromyAction,
                                  clockwise: bool = False):
     """Permutation along one large circle around all singular points."""
-    loop = big_circle_loop(singular, base)
+    loop = big_circle_loop(action.singular, action.base_point)
     if clockwise:
         loop = loop.reversed()
-    return continue_roots(P, loop, roots, tol)
+    return continue_roots(action.tracker, loop, action.roots)
 
 
 def ordered_product(perms):

@@ -163,10 +163,13 @@ class _ChainNode:
             node = node.stab
         return p
 
-    def add_gen(self, p):
+    def add_gen(self, p) -> bool:
+        """Extend the chain by p; False when p is already in the group."""
         p = self.sift(p)
-        if p != identity(self.n):
-            self._add_new(p)
+        if p == identity(self.n):
+            return False
+        self._add_new(p)
+        return True
 
     def _add_new(self, p):
         if self.point is None:
@@ -259,14 +262,19 @@ class PermGroup:
 
     # --- Schreier-Sims ----------
 
+    @staticmethod
+    def _with_chain(root: _ChainNode, generators) -> "PermGroup":
+        """The group of ``generators``, ``root`` grown by them in order."""
+        group = PermGroup(root.n, generators)
+        group._chain, group._order = root.levels(), root.order()
+        return group
+
     def _build_chain(self):
-        if self._chain is not None:
-            return
-        root = _ChainNode(self.degree)
-        for g in self.generators:
-            root.add_gen(g)
-        self._chain = root.levels()
-        self._order = root.order()
+        if self._chain is None:
+            root = _ChainNode(self.degree)
+            for g in self.generators:
+                root.add_gen(g)
+            self._chain, self._order = root.levels(), root.order()
 
     def order(self) -> int:
         self._build_chain()
@@ -346,25 +354,25 @@ class PermGroup:
                 if schreier != identity(n):
                     gens.add(schreier)
         gens = sorted(gens)
-        if len(gens) > 8:
-            gens = _reduce_generators(n, gens)
-        return PermGroup(n, gens)
+        if len(gens) <= 8:
+            return PermGroup(n, gens)
+        # drop generators already generated by the earlier ones
+        root = _ChainNode(n)
+        return PermGroup._with_chain(root, [g for g in gens
+                                            if root.add_gen(g)])
 
     def normal_closure(self, elements) -> "PermGroup":
-        """Smallest subgroup containing ``elements`` normalized by self."""
-        n = self.degree
+        """Smallest subgroup containing ``elements`` normalized by self; one
+        stabilizer chain grows as the generators are accepted."""
+        root = _ChainNode(self.degree)
         closure_gens = []
-        group = PermGroup(n, [])
         queue = [tuple(e) for e in elements]
         while queue:
             g = queue.pop()
-            if g == identity(n) or group.contains(g):
-                continue
-            closure_gens.append(g)
-            group = PermGroup(n, closure_gens)
-            for h in self.generators:
-                queue.append(conjugate(g, h))
-        return group
+            if root.add_gen(g):
+                closure_gens.append(g)
+                queue.extend(conjugate(g, h) for h in self.generators)
+        return PermGroup._with_chain(root, closure_gens)
 
     def derived_subgroup(self) -> "PermGroup":
         comms = [commutator(a, b)
@@ -386,17 +394,6 @@ class PermGroup:
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].is_trivial()
-
-
-def _reduce_generators(degree: int, gens):
-    """Drop generators already generated by the earlier ones."""
-    kept = []
-    group = PermGroup(degree, [])
-    for g in gens:
-        if not group.contains(g):
-            kept.append(g)
-            group = PermGroup(degree, kept)
-    return kept
 
 
 # --- k-solvability -----------------------------------------------------------

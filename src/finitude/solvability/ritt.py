@@ -227,8 +227,8 @@ def _chebyshev_detect(f: UnivariatePolynomial):
     squarefree = disc_t.squarefree_part()
     if squarefree.degree() != 2:
         return None
-    roots, residual = exact_gaussian_roots(squarefree)
-    if residual.degree() > 0 or len(roots) != 2:
+    roots, rest = exact_gaussian_roots([(squarefree, 1)])
+    if rest:
         return None
     values = sorted((r for r, _ in roots),
                     key=lambda g: (g.re, g.im))

@@ -262,15 +262,10 @@ def _sample_points(action, count):
             for k in range(count)]
 
 
-def _sample_roots(P, action, points):
+def _sample_roots(action, points):
     import numpy as np
 
-    out = []
-    for x in points:
-        vals = track_to_point(P, action.singular, action.base_point,
-                              action.roots, x)
-        out.append(np.asarray(vals))
-    return out
+    return [np.asarray(track_to_point(action, x)) for x in points]
 
 
 def _fit_rational(xs, vals, max_degree=16, holdout=6):
@@ -367,7 +362,7 @@ def _cyclic_tower(P: BivariatePolynomial, action):
         raise UnsupportedGroup("cyclic-order group without a full cycle")
     zeta = cmath.exp(2j * math.pi / n)
     points = _sample_points(action, 44)
-    samples = _sample_roots(P, action, points)
+    samples = _sample_roots(action, points)
     sigma, orbit = _select_generator(sigma, n, samples, zeta)
 
     def resolvents(vals):
@@ -405,7 +400,7 @@ def _dihedral_tower(P: BivariatePolynomial, action):
         raise UnsupportedGroup("dihedral group without a full cycle")
     zeta = cmath.exp(2j * math.pi / n)
     points = _sample_points(action, 52)
-    samples = _sample_roots(P, action, points)
+    samples = _sample_roots(action, points)
     sigma, orbit = _select_generator(sigma, n, samples, zeta)
     sigma_inv = inverse(sigma)
     tau = None

@@ -235,6 +235,18 @@ class TestGaussianRational:
         z = GaussianRational(0, 2)  # (1+i)^2 = 2i
         assert exact_nth_root(z, 2) ** 2 == z
 
+    def test_exact_nth_root_out_of_float_range(self):
+        # exact whatever the size: no value outside double range is
+        # converted to a float
+        big = GaussianRational(Fraction(2 * 10 ** 200 - 1, 3), 10 ** 190)
+        assert exact_nth_root(big * big, 2) == big
+        assert exact_nth_root(big * big + 1, 2) is None
+        assert exact_nth_root(big ** 5, 5) ** 5 == big ** 5
+        assert exact_nth_root(GaussianRational(10 ** 600 + 1), 3) is None
+        assert exact_nth_root(GaussianRational(Fraction(-27, 10 ** 30)),
+                              3) == GaussianRational(Fraction(-3, 10 ** 10))
+        assert exact_nth_root(GaussianRational(-4), 4) ** 4 == -4
+
 
 def _random_expression(rng, names, depth=4):
     """A seeded random expression tree over ``names`` as (text, value): the
@@ -1020,6 +1032,23 @@ class TestComplexRoots:
         assert [round(e.center.real, 12) for e, _ in pairs] == [
             -1.414213562373, 1.414213562373]
         assert all(0 < e.radius <= 1e-8 * abs(e.center) for e, _ in pairs)
+
+    @pytest.mark.parametrize("expr", ["x^2 - 10^400", "10^400*x^2 - 1"])
+    def test_roots_beyond_double_range_raise(self, expr):
+        # scaled into double range, the other end coefficient underflows:
+        # no root is dropped and no infinite radius is built
+        with pytest.raises(IterationLimitExceeded):
+            complex_roots(parse_univariate(expr))
+
+    def test_gaussian_rational_roots_by_leading_coefficient(self):
+        # 7 times the centre of 10000019/7 rounds to 10000019, which a
+        # continued-fraction guess with denominators up to 1e12 misses
+        p = parse_univariate("(7*x - 10000019)^2*(x^2 - 2)*(3*x - 1 - 2*i)")
+        found, rest = roots.exact_gaussian_roots(squarefree_factorization(p))
+        assert found == [(GaussianRational(Fraction(1, 3), Fraction(2, 3)), 1),
+                         (GaussianRational(Fraction(10000019, 7)), 2)]
+        assert [(round(e.center.real, 9), m) for e, m in rest] == \
+            [(-1.414213562, 1), (1.414213562, 1)]
 
     def test_disjoint_enclosures(self):
         pairs = complex_roots(parse_univariate("x^5 - x"), 1e-12)

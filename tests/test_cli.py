@@ -13,10 +13,11 @@ import pytest
 from finitude import errors, fuchsian, monodromy
 from finitude.algebra import (GaussianRational, UnivariatePolynomial,
                               gaussvec, parse_rational, parse_univariate,
-                              poly)
+                              poly, roots)
 from finitude.cli import build_parser, main
 from finitude.config import Settings
 from finitude.differential import liouville
+from finitude.permgroups import PermGroup
 from finitude.solvability import ritt_decompose
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -53,7 +54,9 @@ class TestExitCodes:
         (["puiseux", "--point", "0", "--order", "3", "--",
           "2*x^2*y^2 + 2*x^2*y + 3*x^2 + 3*x*y^2 - x*y + y^3"],
          "NumericBreakdown"),
-    ], ids=["puiseux"])
+        # residues beyond double range: a valid input, not a usage error
+        (["integrate", "--", "1/(x^2 - 10^400)"], "IterationLimitExceeded"),
+    ], ids=["puiseux", "integrate-out-of-range"])
     def test_numeric_failure_is_2(self, argv, error):
         code, _out, err = run(argv)
         assert code == 2
@@ -71,6 +74,34 @@ class TestExitCodes:
         assert code == 2
         data = json.loads(out)
         assert reason in data["undecided"] and "witnesses" not in data
+
+    @pytest.mark.parametrize("coefficients, witness, skipped", [
+        # the pole 10000019/7 is read as 7 times the centre rounded
+        (["0", "-98/(7*x-10000019)^2"], "(2)/(x - 10000019/7)", None),
+        # the candidate of degree 23 is skipped, not an abort of the search
+        (["0", "-(12*11)/x^2"], "(12)/(x)",
+         "required polynomial degree 23 exceeds bound 10"),
+        # 1 + 4 b2 = (2*10^200 - 1)^2 has its square root taken exactly
+        (["0", "-(10^400-10^200)/x^2"], f"({10 ** 200})/(x)",
+         f"required polynomial degree {2 * 10 ** 200 - 1} exceeds"),
+    ], ids=["gaussian-pole", "skipped-candidate", "huge-square-root"])
+    def test_ode_witness_found(self, coefficients, witness, skipped):
+        code, out, _ = run(["--json", "ode", "2", "--", *coefficients])
+        assert code == 0
+        data = json.loads(out)
+        assert witness in data["witnesses"]
+        if skipped is None:
+            assert "skipped" not in data
+        else:
+            assert skipped in data["skipped"]
+
+    def test_huge_chebyshev_conjugate_decomposes(self):
+        # T_3(10^200 x): the n-th root of 10^600 is never taken in floats
+        code, out, _ = run(["--json", "decompose", "--",
+                            "4*10^600*x^3 - 3*10^200*x"])
+        assert code == 0
+        verdict = json.loads(out)["invertible_by_radicals"]
+        assert verdict["classification"] == ["chebyshev"]
 
     @pytest.mark.parametrize("expr", [
         "(110052 - 233085*x)/(x^2 + 8*x - 4)",
@@ -320,6 +351,63 @@ class TestWorkPerRequest:
         assert data["k_radicals"] == data["radicals"]
         assert "monodromy" not in data
 
+    def test_singular_set_is_certified_once(self, monkeypatch):
+        # the loops and the report share the certification at root_tol
+        certified = count_calls(monkeypatch, "complex_roots",
+                                roots.complex_roots)
+        code, out, _ = run(["--json", "algebraic", "--", "y^5 + y - x"])
+        assert code == 1
+        assert len(json.loads(out)["monodromy"]["singular_points"]) == 4
+        assert [args[1] for args, _kwargs in certified] == \
+            [Settings().root_tol]
+
+    def test_one_tracker_per_monodromy(self, monkeypatch, tmp_path):
+        # the tower samples reuse the monodromy's tracker, and so track at
+        # continuation_tol
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("continuation_tol = 1e-9\n")
+        trackers = count_calls(monkeypatch, "__init__",
+                               monodromy._Tracker.__init__, monodromy._Tracker)
+        samples = count_calls(monkeypatch, "track_to_point",
+                              monodromy.track_to_point)
+        code, out, _ = run(["--json", "--config", str(cfg), "algebraic",
+                            "--tower", "--",
+                            "y^5 - 5*x*y^2 - 5*x*y - x^2 - x"])
+        assert code == 0 and json.loads(out)["radicals"]["certificate"]
+        assert samples and len(trackers) == 1
+        assert trackers[0][0][2] == 1e-9
+
+    def test_residues_are_certified_once(self, monkeypatch):
+        # each square-free class of R(t) is certified once, at root_tol;
+        # a rational residue is recognised by one exact evaluation
+        certified = count_calls(monkeypatch, "complex_roots",
+                                roots.complex_roots)
+        divisions = count_calls(monkeypatch, "divmod",
+                                UnivariatePolynomial.divmod,
+                                UnivariatePolynomial)
+        recognitions = count_inside(monkeypatch, "exact_gaussian_roots",
+                                    roots.exact_gaussian_roots, divisions)
+        f = parse_rational("2*x/(x^4-2) + 1/(x^2-3)")
+        form = liouville.integrate_rational(f)
+        assert [b.modulus.format("t") for b in form.blocks] == \
+            ["t^2 - 1/12", "t^2 - 1/8"]
+        moduli = [b.modulus for b in form.blocks]
+        assert not [args for args, _kwargs in certified if args[0] in moduli]
+        assert recognitions == [0]
+        assert form.derivative() == f
+
+    def test_one_chain_per_normal_closure(self, monkeypatch):
+        # the closure's stabilizer chain grows by add_gen; no group is
+        # rebuilt for each generator it accepts
+        groups = count_calls(monkeypatch, "__init__", PermGroup.__init__,
+                             PermGroup)
+        closures = count_inside(monkeypatch, "normal_closure",
+                                PermGroup.normal_closure, groups, PermGroup)
+        code, _, _ = run(["--json", "algebraic", "--k", "4", "--",
+                          "y^5 + y - x"])
+        assert code == 1
+        assert closures and set(closures) == {1}
+
     def test_one_ritt_decomposition(self, monkeypatch):
         chains = count_calls(monkeypatch, "ritt_decompose", ritt_decompose)
         code, out, _ = run(["--json", "decompose", "--", "x^6"])
@@ -493,10 +581,9 @@ CONSUMERS = {
     "continuation_tol": (1e-9, [(["algebraic", "--", "y^3-x"],
                                  monodromy, "monodromy_group")]),
     "root_tol": (1e-11, [(["algebraic", "--", "y^3-x"],
-                          monodromy.SingularSet, "recertify"),
+                          monodromy, "monodromy_group"),
                          (["integrate", "--", "1/(x^3-2)"],
-                          liouville.AlgebraicResidueBlock,
-                          "residue_enclosures")]),
+                          liouville, "integrate_rational")]),
     "fuchsian_tol": (1e-9, [(["fuchsian", FIXTURE],
                              fuchsian, "system_monodromy")]),
 }

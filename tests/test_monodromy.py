@@ -12,10 +12,10 @@ from finitude.algebra import (BivariatePolynomial, UnivariatePolynomial,
                               parse_bivariate)
 from finitude.algebra.roots import ComplexInterval
 from finitude.errors import PathCollision, SquareFreeRequired
-from finitude.monodromy import (SingularSet, auto_base_point, continue_roots,
-                                generate_loops, loop_at_infinity_permutation,
-                                match_end_roots, monodromy_group,
-                                ordered_product, singular_points)
+from finitude.monodromy import (SingularSet, continue_roots, generate_loops,
+                                loop_at_infinity_permutation, match_end_roots,
+                                monodromy_group, ordered_product,
+                                singular_points)
 from finitude.permgroups import cycle_type, cycles_string, inverse
 
 
@@ -40,13 +40,18 @@ class TestSingularPoints:
         with pytest.raises(SquareFreeRequired):
             singular_points(parse_bivariate("(y - x)^2"))
 
-    def test_recertify_matches_a_fresh_certification(self):
+    @pytest.mark.parametrize("root_tol", [1e-12, 1e-11])
+    def test_action_certifies_at_root_tol(self, monkeypatch, root_tol):
+        # the loops and the report share one certification, at root_tol
         P = parse_bivariate("y^4 + x*y + x^3 + 1")
-        coarse = singular_points(P, 1e-10)
-        fine = coarse.recertify(1e-12)
-        fresh = singular_points(P, 1e-12)
-        assert fine.locator == coarse.locator == fresh.locator
-        assert [(p.center, p.radius) for p in fine.points] == \
+        calls = []
+        monkeypatch.setattr(monodromy, "singular_points",
+                            lambda *args: calls.append(args)
+                            or singular_points(*args))
+        act = monodromy_group(P, root_tol=root_tol)
+        fresh = singular_points(P, root_tol)
+        assert [args[1] for args in calls] == [root_tol]
+        assert [(p.center, p.radius) for p in act.singular.points] == \
             [(p.center, p.radius) for p in fresh.points]
 
     def test_action_keeps_its_singular_set(self):
@@ -92,14 +97,12 @@ class TestContinuation:
             assert cycle_type(act.generators[0]) == (n,)
 
     def test_contractible_loop_identity(self):
-        P = parse_bivariate("y^2 - x")
-        s = singular_points(P)
-        from finitude.monodromy import Loop, Segment, base_roots
-        base = auto_base_point(s)
-        roots = base_roots(P, base)
+        from finitude.monodromy import Loop, Segment
+        act = monodromy_group(parse_bivariate("y^2 - x"))
+        base = act.base_point
         square = [base, base + 0.5, base + 0.5 + 0.5j, base + 0.5j, base]
         sides = [Segment(a, b) for a, b in zip(square, square[1:])]
-        sigma = continue_roots(P, Loop(base, sides, -1), roots)
+        sigma = continue_roots(act.tracker, Loop(base, sides, -1), act.roots)
         assert sigma == tuple(range(2))
 
 
@@ -202,9 +205,7 @@ class TestProductRelation:
         act = monodromy_group(P)
         if not act.generators:
             return
-        s = singular_points(P)
-        big_cw = loop_at_infinity_permutation(P, s, act.roots,
-                                              clockwise=True)
+        big_cw = loop_at_infinity_permutation(act, clockwise=True)
         assert ordered_product(act.generators) == inverse(big_cw)
 
     def test_point_just_above_the_base_ray(self, monkeypatch):
@@ -214,14 +215,13 @@ class TestProductRelation:
         exact = singular_points(P)
         moved = SingularSet(
             [ComplexInterval(p.center + (1e-30j if p.center.real > 0 else 0),
-                             p.radius) for p in exact.points],
-            P, exact.locator)
+                             p.radius) for p in exact.points])
         assert sorted(c.imag for c in moved.centers()) == [0.0, 1e-30]
         monkeypatch.setattr(monodromy, "singular_points",
                             lambda *_args, **_kwargs: moved)
         act = monodromy_group(P)
-        big_cw = loop_at_infinity_permutation(P, moved, act.roots,
-                                              clockwise=True)
+        assert act.singular is moved
+        big_cw = loop_at_infinity_permutation(act, clockwise=True)
         assert ordered_product(act.generators) == inverse(big_cw)
 
 

@@ -24,7 +24,9 @@ Run from the root of a source checkout.  The comparison set is
   requests whose witnesses have two poles and two outside the witness
   search, a curve whose subresultant sequence skips four degrees at its
   end, radical towers of two dihedral curves and a cyclic one, an
-  ``ode 3`` request (the order-n path), and malformed inputs that exit 64.
+  ``ode 3`` request (the order-n path), a curve with x-content, rational
+  residues in two classes, inputs with huge exact roots or roots beyond
+  double range, and malformed inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -113,6 +115,19 @@ FRONT_END = [
     ["algebraic", "--tower", "--", "32*y^6-48*y^4+18*y^2-1-x"],
     ["algebraic", "--tower", "--", "y^5 - 5*x*y^2 - 5*x*y - x^2 - x"],
     ["ode", "3", "--", "0", "1/x", "x^2"],
+    # a curve with x-content, whose report lists a singular point that its
+    # loops do not use; rational residues in two classes (the order of
+    # the log terms)
+    ["algebraic", "--", "(x-1)*(y^2-x)"],
+    ["integrate", "--", "1/(x-1) + 1/(x-2) + 2/(x-3)"],
+    # a Gaussian-rational pole of large numerator, a witness search with a
+    # candidate beyond the degree bound, huge exact square and cube roots,
+    # and roots beyond double range
+    ["ode", "2", "--", "0", "-98/(7*x-10000019)^2"],
+    ["ode", "2", "--", "0", "-(12*11)/x^2"],
+    ["ode", "2", "--", "0", "-(10^400-10^200)/x^2"],
+    ["decompose", "--", "4*10^600*x^3 - 3*10^200*x"],
+    ["integrate", "--", "1/(x^2 - 10^400)"],
     ["decompose", "--", "(x^2+1)^3/8"],
     ["decompose", "--", "(x^2-1)/(x-1)"],
     ["puiseux", "--", "(y^2 - x)/(2*i)"],
