@@ -1,6 +1,6 @@
 """Exact polynomial/rational arithmetic, parsing, and certified numerics."""
 
-from .gaussian import GaussianRational, exact_nth_root, rationalize, rationalize_complex
+from .gaussian import GaussianRational, exact_nth_root
 from .parse import (parse_bivariate, parse_expression, parse_rational,
                     parse_univariate)
 from .poly import (BivariatePolynomial, RationalFunction,
@@ -9,7 +9,7 @@ from .poly import (BivariatePolynomial, RationalFunction,
 from .roots import ComplexInterval, complex_roots
 
 __all__ = [
-    "GaussianRational", "exact_nth_root", "rationalize", "rationalize_complex",
+    "GaussianRational", "exact_nth_root",
     "parse_expression", "parse_bivariate", "parse_rational", "parse_univariate",
     "UnivariatePolynomial", "BivariatePolynomial", "RationalFunction",
     "resultant_y", "discriminant_y", "squarefree_factorization",

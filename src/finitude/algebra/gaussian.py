@@ -372,14 +372,3 @@ def exact_nth_root(z: GaussianRational, n: int) -> GaussianRational | None:
                 break
             v = nxt
     return None
-
-
-def rationalize(value: float, max_denominator: int = 10**12) -> Fraction:
-    """Nearest small-denominator rational to a float (caller must verify)."""
-    return Fraction(value).limit_denominator(max_denominator)
-
-
-def rationalize_complex(value: complex,
-                        max_denominator: int = 10**12) -> GaussianRational:
-    return GaussianRational(rationalize(value.real, max_denominator),
-                            rationalize(value.imag, max_denominator))

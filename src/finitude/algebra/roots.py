@@ -374,10 +374,13 @@ def refine_root(p: UnivariatePolynomial, z: complex):
 
 def _gaussian_root(ints, z: complex):
     """The Gaussian-rational root of p, with Gaussian-integer coefficients
-    ``ints``, that the double z approximates, or None.  With L = lc(p), L r
-    is a Gaussian integer for each root r (Z[i] is integrally closed), so
-    L z is rounded to one, w, which is right while |L r| < 2^52; w/L is
-    accepted when L^n p(w/L), by integer Horner, vanishes."""
+    ``ints``, that the double z approximates, or None.  A linear p has the
+    root -a_0/a_1 as it stands.  Otherwise, with L = lc(p), L r is a
+    Gaussian integer for each root r (Z[i] is integrally closed), so L z is
+    rounded to one, w, which is right while |L r| < 2^52; w/L is accepted
+    when L^n p(w/L), by integer Horner, vanishes."""
+    if len(ints) == 2:
+        return -GaussianRational(*ints[0]) / GaussianRational(*ints[1])
     lr, li = ints[-1]
     xr, xi, t = _dyadic(z)
     wr = _round_div(lr * xr - li * xi, t)

@@ -9,9 +9,8 @@ radicals (Cardano's paired cube roots, Ferrari's nested square roots) be
 written as plain trees.
 
 Serialization follows the parser grammar extended with "root(m, expr)"; the
-imaginary unit prints as the name i.  Constants are exact Gaussian rationals;
-an expression whose numeric constants could not be rationalized is flagged
-``exact = False`` and keeps float coefficients.
+imaginary unit prints as the name i.  Constants are exact Gaussian rationals,
+or complex floats, which flag the expression ``exact = False``.
 """
 
 from __future__ import annotations

@@ -204,16 +204,15 @@ def _power_detect(f: UnivariatePolynomial):
                           (GaussianRational(1), -beta))
 
 
-def _critical_value_poly(f: UnivariatePolynomial) -> UnivariatePolynomial:
-    """disc_x(f(x) - t) as an exact polynomial in t."""
+def inverse_curve(f: UnivariatePolynomial) -> BivariatePolynomial:
+    """The curve f(y) - x = 0 defining the inverse function of f."""
     rows = []
     for j, c in enumerate(f.coeffs):
         if j == 0:
-            rows.append(UnivariatePolynomial([c, GaussianRational(-1)]))
+            rows.append(UnivariatePolynomial([c, -1]))
         else:
             rows.append(UnivariatePolynomial([c]))
-    curve = BivariatePolynomial(rows)  # variables: (t, x-as-y)
-    return discriminant_y(curve)
+    return BivariatePolynomial(rows)
 
 
 def _chebyshev_detect(f: UnivariatePolynomial):
@@ -221,7 +220,7 @@ def _chebyshev_detect(f: UnivariatePolynomial):
     n = f.degree()
     if n < 3:
         return None
-    disc_t = _critical_value_poly(f)
+    disc_t = discriminant_y(inverse_curve(f))  # zero at critical values
     if disc_t.degree() < 1:
         return None
     squarefree = disc_t.squarefree_part()

@@ -4,10 +4,9 @@ Exact closed forms cover degree <= 4 (quadratic formula, Cardano with the
 paired cube root written as C - p/(3C), Ferrari via the resolvent cubic) and
 binomial curves A(x) y^n + B(x).  Regular cyclic and dihedral monodromy of
 higher degree goes through Lagrange resolvents: the invariants q = r_1^n and
-t_j = r_j / r_1^j are single valued, hence rational functions, recovered
-numerically from continuation samples and rationalized where exact
-recognition succeeds; otherwise the tower keeps floating coefficients and is
-flagged inexact.
+t_j = r_j / r_1^j are single valued, hence rational functions, fitted
+numerically to continuation samples; those towers keep the fit's floating
+coefficients and are flagged inexact.
 
 Every emitted tree evaluates, under the principal-branch convention, to some
 root of P(x, .) at every non-singular x; a root-of-unity factor pins the
@@ -21,12 +20,10 @@ import math
 import random
 from fractions import Fraction
 
-from ..algebra.gaussian import rationalize_complex
-from ..algebra.poly import (BivariatePolynomial, RationalFunction,
-                            UnivariatePolynomial)
+from ..algebra.poly import BivariatePolynomial, RationalFunction
 from ..errors import UnsupportedGroup
 from ..monodromy import MonodromyAction, monodromy_group, track_to_point
-from ..permgroups import compose, cycle_type, inverse
+from ..permgroups import compose, full_cycles, inverse
 from . import radexpr as rx
 
 MATCH_TOL = 1e-8
@@ -37,8 +34,8 @@ def radical_tower(P: BivariatePolynomial, action: MonodromyAction = None):
 
     Raises UnsupportedGroup for solvable monodromy outside the constructive
     scope (degree <= 4, binomial, cyclic, dihedral).  The returned tree's
-    ``exact`` flag is False when coefficient rationalization failed and
-    floating coefficients were kept.
+    ``exact`` flag is False for the cyclic and dihedral towers of degree
+    >= 5, whose fitted invariants keep floating coefficients.
     """
     P = P.primitive_y()
     n = P.degree_y()
@@ -63,8 +60,10 @@ def radical_tower(P: BivariatePolynomial, action: MonodromyAction = None):
     order = action.group.order()
     if order == n and action.transitive:
         return _cyclic_tower(P, action)
-    if order == 2 * n and action.transitive and _find_full_cycle(action.group):
-        return _dihedral_tower(P, action)
+    if order == 2 * n and action.transitive:
+        cycles = full_cycles(action.group)
+        if cycles:
+            return _dihedral_tower(P, action, cycles[0])
     raise UnsupportedGroup(
         f"solvable group of order {order} at degree {n} is outside the "
         "constructive tower scope")
@@ -214,14 +213,6 @@ def _quartic_tower(P: BivariatePolynomial, action):
 # --- resolvent towers (cyclic / dihedral) ---------------------------------------
 
 
-def _find_full_cycle(group):
-    n = group.degree
-    for g in group.elements(10**5):
-        if cycle_type(g) == (n,):
-            return g
-    return None
-
-
 def _perm_power(p, m):
     out = tuple(range(len(p)))
     for _ in range(m):
@@ -300,28 +291,6 @@ def _fit_rational(xs, vals, max_degree=16, holdout=6):
     return None
 
 
-def _rationalize_fit(num, den):
-    """Try exact Gaussian-rational recognition of a fitted rational function."""
-    lead_idx = max(range(len(den)), key=lambda k: abs(den[k]))
-    lead = den[lead_idx]
-    num = [c / lead for c in num]
-    den = [c / lead for c in den]
-    exact_num = []
-    exact_den = []
-    for c in num:
-        g = rationalize_complex(c, 10**9)
-        if abs(complex(g) - c) > 1e-9 * max(1.0, abs(c)):
-            return None
-        exact_num.append(g)
-    for c in den:
-        g = rationalize_complex(c, 10**9)
-        if abs(complex(g) - c) > 1e-9 * max(1.0, abs(c)):
-            return None
-        exact_den.append(g)
-    return RationalFunction(UnivariatePolynomial(exact_num),
-                            UnivariatePolynomial(exact_den))
-
-
 def _float_poly_expr(coeffs):
     parts = []
     for k, c in enumerate(coeffs):
@@ -342,10 +311,9 @@ def _invariant_expr(xs, vals):
     if fit is None:
         return None
     num, den = fit
-    exact = _rationalize_fit(num, den)
-    if exact is not None:
-        return rx.from_rational(exact)
-    return rx.div(_float_poly_expr(num), _float_poly_expr(den))
+    lead = max(den, key=abs)
+    return rx.div(_float_poly_expr([c / lead for c in num]),
+                  _float_poly_expr([c / lead for c in den]))
 
 
 def _trailing_sum_expr(P: BivariatePolynomial):
@@ -357,13 +325,13 @@ def _trailing_sum_expr(P: BivariatePolynomial):
 
 def _cyclic_tower(P: BivariatePolynomial, action):
     n = P.degree_y()
-    sigma = _find_full_cycle(action.group)
-    if sigma is None:
+    cycles = full_cycles(action.group)
+    if not cycles:
         raise UnsupportedGroup("cyclic-order group without a full cycle")
     zeta = cmath.exp(2j * math.pi / n)
     points = _sample_points(action, 44)
     samples = _sample_roots(action, points)
-    sigma, orbit = _select_generator(sigma, n, samples, zeta)
+    sigma, orbit = _select_generator(cycles[0], n, samples, zeta)
 
     def resolvents(vals):
         return [sum(zeta ** (-j * k) * vals[orbit[k]] for k in range(n))
@@ -390,14 +358,11 @@ def _cyclic_tower(P: BivariatePolynomial, action):
     return _pick_matching(candidates, action.base_point, action.roots[0])
 
 
-def _dihedral_tower(P: BivariatePolynomial, action):
+def _dihedral_tower(P: BivariatePolynomial, action, sigma):
     import numpy as np
 
     n = P.degree_y()
     group = action.group
-    sigma = _find_full_cycle(group)
-    if sigma is None:
-        raise UnsupportedGroup("dihedral group without a full cycle")
     zeta = cmath.exp(2j * math.pi / n)
     points = _sample_points(action, 52)
     samples = _sample_roots(action, points)

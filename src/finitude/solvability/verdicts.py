@@ -14,7 +14,7 @@ from ..errors import (FinitudeError, ReducibleInput, SearchBudgetExceeded,
                       UnsupportedGroup)
 from ..monodromy import MonodromyAction, monodromy_group
 from ..permgroups import cycles_string, is_k_solvable
-from .ritt import classify_primitive, ritt_decompose
+from .ritt import classify_primitive, inverse_curve, ritt_decompose
 from .towers import radical_tower
 
 
@@ -129,17 +129,6 @@ def k_radicals_verdict(P: BivariatePolynomial, k: int,
     return Verdict(VerdictStatus.NOT_REPRESENTABLE,
                    f"monodromy group is not {k}-solvable", group=group,
                    witness=[str(step) for step in chain])
-
-
-def inverse_curve(f: UnivariatePolynomial) -> BivariatePolynomial:
-    """The curve f(y) - x = 0 defining the inverse function of f."""
-    rows = []
-    for j, c in enumerate(f.coeffs):
-        if j == 0:
-            rows.append(UnivariatePolynomial([c, -1]))
-        else:
-            rows.append(UnivariatePolynomial([c]))
-    return BivariatePolynomial(rows)
 
 
 def invertible_by_radicals(f: UnivariatePolynomial) -> Verdict:

@@ -1,14 +1,18 @@
 """CLI contract: exit codes, JSON reports, corpus driver."""
 
+import ast
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
 
+import mpmath
 import pytest
+import sympy
 
 from finitude import errors, fuchsian, monodromy
 from finitude.algebra import (GaussianRational, UnivariatePolynomial,
@@ -32,6 +36,42 @@ def run(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# sample points for identities in x: away from the real axis and from 0
+SAMPLE_X = (complex(0.31, 0.47), complex(-0.83, 0.29), complex(1.37, -0.61))
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _evaluate(node, x):
+    """A certificate's syntax tree at x in mpmath, with principal roots:
+    root(m, z) = exp(log(z)/m)."""
+    if isinstance(node, ast.Constant):
+        return mpmath.mpf(repr(node.value))
+    if isinstance(node, ast.Name):
+        return {"x": x, "i": mpmath.mpc(0, 1)}[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_evaluate(node.operand, x)
+    if isinstance(node, ast.Call) and node.func.id == "root":
+        m, z = node.args[0].value, _evaluate(node.args[1], x)
+        return mpmath.exp(mpmath.log(z) / m) if z else z
+    if isinstance(node.op, ast.Pow):
+        return _evaluate(node.left, x) ** node.right.value
+    return _ARITHMETIC[type(node.op)](_evaluate(node.left, x),
+                                      _evaluate(node.right, x))
+
+
+def certificate_residual(curve, certificate, x):
+    """|P(x, y(x))| relative to the sum of its terms' sizes, at 50 digits."""
+    X, Y = sympy.symbols("x y")
+    P = sympy.Poly(sympy.sympify(curve.replace("^", "**")), X, Y)
+    tree = ast.parse(certificate.replace("^", "**"), mode="eval").body
+    with mpmath.workdps(50):
+        xm = mpmath.mpc(x)
+        y = _evaluate(tree, xm)
+        terms = [int(c) * xm ** i * y ** j for (i, j), c in P.terms()]
+        return float(abs(sum(terms)) / sum(abs(t) for t in terms))
 
 
 class TestExitCodes:
@@ -84,7 +124,11 @@ class TestExitCodes:
         # 1 + 4 b2 = (2*10^200 - 1)^2 has its square root taken exactly
         (["0", "-(10^400-10^200)/x^2"], f"({10 ** 200})/(x)",
          f"required polynomial degree {2 * 10 ** 200 - 1} exceeds"),
-    ], ids=["gaussian-pole", "skipped-candidate", "huge-square-root"])
+        # a pole beyond the double grid: a linear factor's root is exact
+        (["0", "-2/(x-100000000000000000001)^2"],
+         "(2)/(x - 100000000000000000001)", None),
+    ], ids=["gaussian-pole", "skipped-candidate", "huge-square-root",
+            "huge-linear-pole"])
     def test_ode_witness_found(self, coefficients, witness, skipped):
         code, out, _ = run(["--json", "ode", "2", "--", *coefficients])
         assert code == 0
@@ -103,20 +147,22 @@ class TestExitCodes:
         verdict = json.loads(out)["invertible_by_radicals"]
         assert verdict["classification"] == ["chebyshev"]
 
-    @pytest.mark.parametrize("expr", [
-        "(110052 - 233085*x)/(x^2 + 8*x - 4)",
-        "(6*x^6 + 3*x^5 + 6*x^3 + 8*x^2 - 5*x + 4)/(x^2 + 8*x - 4)",
-    ], ids=["integrate-proper", "integrate-improper"])
-    def test_large_residues_are_certified(self, expr):
+    @pytest.mark.parametrize("expr, enclosures", [
+        ("(110052 - 233085*x)/(x^2 + 8*x - 4)", 2),
+        ("(6*x^6 + 3*x^5 + 6*x^3 + 8*x^2 - 5*x + 4)/(x^2 + 8*x - 4)", 2),
+        # the residue 10^20 + 1 is beyond the double grid, but the root of
+        # a linear factor is exact as it stands: a log term, no enclosure
+        ("(10^20+1)/(x-1)", 0),
+    ], ids=["integrate-proper", "integrate-improper", "integrate-linear"])
+    def test_large_residues_are_certified(self, expr, enclosures):
         # residues near -1.2e5 and 1.0e5: a double cannot hold them to an
         # absolute 1e-12, but their radii are relative to their size
         code, out, _ = run(["--json", "integrate", "--", expr])
         assert code == 0
         data = json.loads(out)
         assert data["derivative_verified"] is True
-        (block,) = [log for log in data["liouville_form"]["logs"]
-                    if "lambda_enclosures" in log]
-        assert len(block["lambda_enclosures"]) == 2
+        assert sum(len(log.get("lambda_enclosures", ()))
+                   for log in data["liouville_form"]["logs"]) == enclosures
 
     @pytest.mark.parametrize("expr, degree", [
         ("(8 - 3*x)/(x^9 + 4*x^8 - x^7 + 2*x^6 + 9*x^5 - 4*x^4 + 7*x^3"
@@ -168,6 +214,31 @@ class TestReports:
         assert data["radicals"]["status"] == "Representable"
         assert data["settings"]["continuation_tol"] == 1e-10
         assert "elapsed_seconds" in data
+
+    @pytest.mark.parametrize("curve, exact", [
+        ("y^3 - x", True),
+        # the first Cardano and Ferrari curves of TestTowers
+        ("y^3 + (2*x^2 + 2*x + 3)*y^2 + (2*x^2 + 3*x - 1)*y + 2*x^2 - x + 1",
+         True),
+        ("y^4 + (x - 1)*y^3 + (-3*x^2 + 2*x + 3)*y^2"
+         " + (-2*x^2 - 2*x - 1)*y - x^2 + x", True),
+        # fitted resolvent invariants: the dihedral T_5 and T_6 and the
+        # cyclic y = rho + rho^2, rho^5 = x
+        ("16*y^5-20*y^3+5*y-x", False),
+        ("32*y^6-48*y^4+18*y^2-1-x", False),
+        ("y^5 - 5*x*y^2 - 5*x*y - x^2 - x", False),
+    ], ids=["binomial", "cardano", "ferrari", "chebyshev-5", "chebyshev-6",
+            "cyclic-5"])
+    def test_tower_certificate_is_a_root(self, curve, exact):
+        # an exact certificate is a root to the working precision; a fitted
+        # one says it is not exact and is a root to the fit's accuracy
+        code, out, _ = run(["--json", "algebraic", "--tower", "--", curve])
+        assert code == 0
+        radicals = json.loads(out)["radicals"]
+        assert radicals["certificate_exact"] is exact
+        worst = max(certificate_residual(curve, radicals["certificate"], x)
+                    for x in SAMPLE_X)
+        assert worst < (1e-40 if exact else 1e-8)
 
     def test_idempotent_modulo_timing(self):
         _, out1, _ = run(["--json", "algebraic", "y^4-x"])

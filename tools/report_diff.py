@@ -26,7 +26,9 @@ Run from the root of a source checkout.  The comparison set is
   end, radical towers of two dihedral curves and a cyclic one, an
   ``ode 3`` request (the order-n path), a curve with x-content, rational
   residues in two classes, inputs with huge exact roots or roots beyond
-  double range, and malformed inputs that exit 64.
+  double range, an ``integrate`` and an ``ode 2`` request whose huge
+  root, past the double grid, is that of a linear factor, and malformed
+  inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -131,6 +133,9 @@ FRONT_END = [
     ["decompose", "--", "(x^2+1)^3/8"],
     ["decompose", "--", "(x^2-1)/(x-1)"],
     ["puiseux", "--", "(y^2 - x)/(2*i)"],
+    # the root 10^20 + 1 of a linear factor, read exactly
+    ["integrate", "--", "(10^20+1)/(x-1)"],
+    ["ode", "2", "--", "0", "-2/(x-100000000000000000001)^2"],
     # rejected: exit 64
     ["algebraic", "--", "y/x"],
     ["algebraic", "--", "z + 1"],
