@@ -374,13 +374,10 @@ def refine_root(p: UnivariatePolynomial, z: complex):
 
 def _gaussian_root(ints, z: complex):
     """The Gaussian-rational root of p, with Gaussian-integer coefficients
-    ``ints``, that the double z approximates, or None.  A linear p has the
-    root -a_0/a_1 as it stands.  Otherwise, with L = lc(p), L r is a
-    Gaussian integer for each root r (Z[i] is integrally closed), so L z is
-    rounded to one, w, which is right while |L r| < 2^52; w/L is accepted
-    when L^n p(w/L), by integer Horner, vanishes."""
-    if len(ints) == 2:
-        return -GaussianRational(*ints[0]) / GaussianRational(*ints[1])
+    ``ints``, that the double z approximates, or None.  With L = lc(p), L r
+    is a Gaussian integer for each root r (Z[i] is integrally closed), so
+    L z is rounded to one, w, which is right while |L r| < 2^52; w/L is
+    accepted when L^n p(w/L), by integer Horner, vanishes."""
     lr, li = ints[-1]
     xr, xi, t = _dyadic(z)
     wr = _round_div(lr * xr - li * xi, t)
@@ -401,12 +398,23 @@ def exact_gaussian_roots(factors, tol: float = 1e-10):
     multiplicity) pairs as ``squarefree_factorization`` returns them, each
     certified once at ``tol``: (roots, rest), the (GaussianRational,
     multiplicity) pairs and the (ComplexInterval, multiplicity) pairs of
-    the other roots, each in the order of ``complex_roots``."""
-    roots, rest = [], []
-    for ints, enc, mult in _enclosures(factors, tol, tol):
-        root = _gaussian_root(ints, enc.center)
-        if root is None:
-            rest.append((enc, mult))
+    the other roots, each in the order of ``complex_roots``.  A linear
+    factor's root -a_0/a_1 is read as it stands, with no root finding, so
+    it need not lie in double range."""
+    found, others = [], []
+    for factor, mult in factors:
+        if factor.degree() == 1:
+            a0, a1 = factor.coeffs
+            root = -a0 / a1
+            found.append(((root.re, root.im), root, mult))
         else:
-            roots.append((root, mult))
+            others.append((factor, mult))
+    for ints, enc, mult in _enclosures(others, tol, tol):
+        root = _gaussian_root(ints, enc.center)
+        found.append(((enc.center.real, enc.center.imag),
+                      enc if root is None else root, mult))
+    roots, rest = [], []
+    for _key, root, mult in sorted(found, key=lambda item: item[0]):
+        (rest if isinstance(root, ComplexInterval) else roots).append(
+            (root, mult))
     return roots, rest

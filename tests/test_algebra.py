@@ -1043,10 +1043,22 @@ class TestComplexRoots:
     def test_gaussian_rational_roots_by_leading_coefficient(self):
         # 7 times the centre of 10000019/7 rounds to 10000019, which a
         # continued-fraction guess with denominators up to 1e12 misses
-        p = parse_univariate("(7*x - 10000019)^2*(x^2 - 2)*(3*x - 1 - 2*i)")
+        p = parse_univariate(
+            "(7*x - 10000019)^2*(x - 5)^2*(x^2 - 2)*(3*x - 1 - 2*i)")
         found, rest = roots.exact_gaussian_roots(squarefree_factorization(p))
         assert found == [(GaussianRational(Fraction(1, 3), Fraction(2, 3)), 1),
+                         (GaussianRational(5), 2),
                          (GaussianRational(Fraction(10000019, 7)), 2)]
+        assert [(round(e.center.real, 9), m) for e, m in rest] == \
+            [(-1.414213562, 1), (1.414213562, 1)]
+
+    def test_linear_factor_root_needs_no_double_range(self):
+        # x - 10^400 scaled into double range underflows, but its root is
+        # read as it stands, in order among the certified ones
+        p = parse_univariate("(x - 10^400)^2*(x^2 - 2)*(x + 10^400)^3")
+        found, rest = roots.exact_gaussian_roots(squarefree_factorization(p))
+        assert found == [(GaussianRational(-10 ** 400), 3),
+                         (GaussianRational(10 ** 400), 2)]
         assert [(round(e.center.real, 9), m) for e, m in rest] == \
             [(-1.414213562, 1), (1.414213562, 1)]
 

@@ -116,19 +116,25 @@ class TestExitCodes:
         assert reason in data["undecided"] and "witnesses" not in data
 
     @pytest.mark.parametrize("coefficients, witness, skipped", [
-        # the pole 10000019/7 is read as 7 times the centre rounded
+        # the linear factor 7x - 10000019 gives its pole 10000019/7 exactly
         (["0", "-98/(7*x-10000019)^2"], "(2)/(x - 10000019/7)", None),
+        # in a quadratic factor the pole 10000019/7 is read as 7 times the
+        # centre rounded
+        (["0", "-14/((7*x-10000019)*(x-1))"],
+         "(2*x - 10000026/7)/(x^2 - 10000026/7*x + 10000019/7)", None),
         # the candidate of degree 23 is skipped, not an abort of the search
         (["0", "-(12*11)/x^2"], "(12)/(x)",
          "required polynomial degree 23 exceeds bound 10"),
         # 1 + 4 b2 = (2*10^200 - 1)^2 has its square root taken exactly
         (["0", "-(10^400-10^200)/x^2"], f"({10 ** 200})/(x)",
          f"required polynomial degree {2 * 10 ** 200 - 1} exceeds"),
-        # a pole beyond the double grid: a linear factor's root is exact
+        # poles beyond the double grid, and beyond double range: a linear
+        # factor's root is read with no root finding
         (["0", "-2/(x-100000000000000000001)^2"],
          "(2)/(x - 100000000000000000001)", None),
-    ], ids=["gaussian-pole", "skipped-candidate", "huge-square-root",
-            "huge-linear-pole"])
+        (["0", "-2/(x-10^400)^2"], f"(2)/(x - {10 ** 400})", None),
+    ], ids=["gaussian-pole", "gaussian-pole-pair", "skipped-candidate",
+            "huge-square-root", "huge-linear-pole", "linear-pole-out-of-range"])
     def test_ode_witness_found(self, coefficients, witness, skipped):
         code, out, _ = run(["--json", "ode", "2", "--", *coefficients])
         assert code == 0
@@ -161,8 +167,12 @@ class TestExitCodes:
         assert code == 0
         data = json.loads(out)
         assert data["derivative_verified"] is True
-        assert sum(len(log.get("lambda_enclosures", ()))
-                   for log in data["liouville_form"]["logs"]) == enclosures
+        logs = data["liouville_form"]["logs"]
+        blocks = [log["lambda_enclosures"] for log in logs
+                  if "lambda_enclosures" in log]
+        assert [len(b) for b in blocks] == ([enclosures] if enclosures else [])
+        if not enclosures:
+            assert [log["lambda"] for log in logs] == ["100000000000000000001"]
 
     @pytest.mark.parametrize("expr, degree", [
         ("(8 - 3*x)/(x^9 + 4*x^8 - x^7 + 2*x^6 + 9*x^5 - 4*x^4 + 7*x^3"
