@@ -375,22 +375,40 @@ def refine_root(p: UnivariatePolynomial, z: complex):
 def _gaussian_root(ints, z: complex):
     """The Gaussian-rational root of p, with Gaussian-integer coefficients
     ``ints``, that the double z approximates, or None.  With L = lc(p), L r
-    is a Gaussian integer for each root r (Z[i] is integrally closed), so
-    L z is rounded to one, w, which is right while |L r| < 2^52; w/L is
-    accepted when L^n p(w/L), by integer Horner, vanishes."""
+    is a Gaussian integer for each root r (Z[i] is integrally closed): a
+    root of the monic q(u) = L^(n-1) p(u/L) in Z[i].  L z is rounded to a
+    Gaussian integer w, which is right while |L r| < 2^52; past that, Newton
+    steps on q, each rounded to Z[i], run from there until an iterate is a
+    root or stops moving.  w/L is accepted when q(w), by integer Horner,
+    vanishes."""
     lr, li = ints[-1]
     xr, xi, t = _dyadic(z)
     wr = _round_div(lr * xr - li * xi, t)
     wi = _round_div(lr * xi + li * xr, t)
-    pr, pi = lr, li
-    kr, ki = 1, 0  # L^(n-k) at the coefficient of t^k
+    q, kr, ki = [(1, 0)], 1, 0  # L^(n-1-k) at the coefficient of u^k
     for a, b in reversed(ints[:-1]):
+        q.append((a * kr - b * ki, a * ki + b * kr))
         kr, ki = kr * lr - ki * li, kr * li + ki * lr
-        pr, pi = (pr * wr - pi * wi + a * kr - b * ki,
-                  pr * wi + pi * wr + a * ki + b * kr)
-    if pr or pi:
-        return None
-    return GaussianRational(wr, wi) / GaussianRational(lr, li)
+    bits = max(abs(wr), abs(wi)).bit_length()
+    newton = bits.bit_length() + 2 if bits > 52 else 0  # correct bits double
+    for step in range(newton + 1):
+        pr = pi = dr = di = 0
+        for a, b in q:
+            dr, di = dr * wr - di * wi + pr, dr * wi + di * wr + pi
+            pr, pi = pr * wr - pi * wi + a, pr * wi + pi * wr + b
+        if pr == 0 and pi == 0:
+            return GaussianRational(wr, wi) / GaussianRational(lr, li)
+        slope = dr * dr + di * di
+        if step == newton or slope == 0:
+            break
+        # w - q/q' = (w q' - q)/q', rounded to Z[i]
+        nr, ni = wr * dr - wi * di - pr, wr * di + wi * dr - pi
+        nxt = (_round_div(nr * dr + ni * di, slope),
+               _round_div(ni * dr - nr * di, slope))
+        if nxt == (wr, wi):
+            break
+        wr, wi = nxt
+    return None
 
 
 def exact_gaussian_roots(factors, tol: float = 1e-10):

@@ -200,9 +200,11 @@ def cmd_fuchsian(args, settings) -> int:
     report.add("verdict", verdict.to_json())
     lines = [f"system: {system!r}",
              f"loop condition estimates: "
-             f"{[f'{c:.3g}' for c in mono.condition_estimates]}",
-             f"verdict: {verdict.status}",
-             f"  {verdict.reason}"]
+             f"{[f'{c:.3g}' for c in mono.condition_estimates]}"]
+    if mono.ill_conditioned:
+        lines.append(f"ill-conditioned loops {mono.ill_conditioned}: "
+                     f"cond(M) >= 2^53, beyond double precision")
+    lines += [f"verdict: {verdict.status}", f"  {verdict.reason}"]
     _emit(report, args.json, lines)
     return _status_exit(verdict.status)
 

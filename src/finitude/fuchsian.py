@@ -2,10 +2,13 @@
 
 A Fuchsian system Y' = (sum_k A_k/(x - p_k)) Y is transported along the
 loop tree of the scalar monodromy module by Taylor series in steps of half
-the distance to the nearest pole.  A scalar Cauchy majorant bounds each
-truncated tail, the steps of a piece sharing ``fuchsian_tol``; each loop's
-``truncation_bound`` propagates these bounds to the 2-norm of the error of
-its matrix, to first order (round-off is not in it).
+the distance to the nearest pole.  Every step of every piece of the tree
+runs through one coefficient recurrence, each step summing to its own
+piece's order.  A scalar Cauchy majorant bounds each truncated tail, the
+steps of a piece sharing ``fuchsian_tol``; each loop's ``truncation_bound``
+propagates these bounds to the 2-norm of the error of its matrix, to first
+order (round-off is not in it), and a matrix whose condition number reaches
+2^53 is flagged as beyond double precision.
 The residue matrices are tested for simultaneous triangularizability by
 McCoy's criterion in trace form: the traces of every word of the algebra
 they generate against every commutator of two of them vanish, to one
@@ -46,7 +49,8 @@ class FuchsianSystem:
         self.dimension = self.matrices[0].shape[0] if self.matrices else 0
         # what the transport reads: [A_1 ... A_r] and the ||A_k||_2
         self.stacked = np.hstack(self.matrices) if self.matrices else None
-        self.norms = [float(np.linalg.norm(m, 2)) for m in self.matrices]
+        self.norms = (np.linalg.svd(np.array(self.matrices), compute_uv=False)
+                      [:, 0].tolist() if self.matrices else [])
 
     def singular_set(self) -> SingularSet:
         encl = [ComplexInterval(p, 1e-14) for p in self.poles]
@@ -66,25 +70,37 @@ class FuchsianSystem:
                 f"poles={[f'{p:.3g}' for p in self.poles]})")
 
 
-class MonodromyMatrices:
-    """One invertible matrix per generator loop, identity-normalized."""
+# cond(M) times the unit round-off 2^-53 at 1 or more: the computed M_k may
+# have no correct digit
+COND_LIMIT = 2.0 ** 53
 
-    def __init__(self, base_point, loops, matrices, truncation_bounds):
+
+class MonodromyMatrices:
+    """One invertible matrix per generator loop, identity-normalized, with
+    its 2-norm condition number and truncation bound; ``ill_conditioned``
+    lists the loops whose matrix double precision cannot hold."""
+
+    def __init__(self, base_point, loops, matrices, truncation_bounds,
+                 condition_estimates):
         self.base_point = complex(base_point)
         self.loops = list(loops)
         self.matrices = [np.asarray(m) for m in matrices]
-        self.condition_estimates = [float(np.linalg.cond(m))
-                                    for m in self.matrices]
         self.truncation_bounds = list(truncation_bounds)
+        self.condition_estimates = list(condition_estimates)
+        self.ill_conditioned = [k for k, c in enumerate(condition_estimates)
+                                if c >= COND_LIMIT]
 
     def report(self):
-        return {
+        report = {
             "base_point": [self.base_point.real, self.base_point.imag],
             "matrices": [[[[v.real, v.imag] for v in row] for row in m]
                          for m in self.matrices],
             "condition_estimates": self.condition_estimates,
             "truncation_bound": self.truncation_bounds,
         }
+        if self.ill_conditioned:
+            report["ill_conditioned"] = self.ill_conditioned
+        return report
 
 
 # --- Taylor transport ----------------------------------------------------
@@ -97,6 +113,7 @@ STEP_FRACTION = 0.5
 POLE_FLOOR = 1e-9
 MAX_STEPS = 10_000  # per piece
 MAX_ORDER = 400
+_ORDER_BLOCK = 8  # orders between two tests of the series tails
 
 
 def _step_points(system: FuchsianSystem, piece):
@@ -117,84 +134,148 @@ def _step_points(system: FuchsianSystem, piece):
     return points
 
 
-def _majorant_order(norms, ratios, tol):
-    """Order N and tail bound B <= tol of a truncated step series.
+def _majorant_orders(norms, ratios, tols):
+    """Order N and tail bound B <= tol of each piece's truncated step series,
+    ``ratios`` holding the e_k of each piece as a row (one column per pole)
+    and ``tols`` the tol of each piece.
 
     The matrix recurrence run on the norms a_k = ||A_k|| and the ratios
     e_k >= |h/(c - p_k)| gives t_m >= ||T_m h^m||.  Once m + 1 > g =
     sum a_k e_k/(r - e_k), for any r in (max e_k, 1), induction gives
     t_j <= tau r^(j-m) for all j >= m, tau = max(t_m, sum a_k w_k/(m + 1 - g)),
-    so the terms from order N on sum to at most B = tau/(1 - r).
+    so the terms from order N on sum to at most B = tau/(1 - r).  The scalar
+    recurrence runs for all pieces at once, its sums over the poles taken
+    in pole order; the test is made every _ORDER_BLOCK orders, on the t_m
+    kept since the last one.
     """
-    r = (1.0 + max(ratios)) / 2.0
-    g = sum(a * e / (r - e) for a, e in zip(norms, ratios))
-    t, w = 1.0, [0.0] * len(norms)
-    for m in range(MAX_ORDER):
-        if m + 1 > g:
-            bound = t * max(1.0, m / (m + 1 - g)) / (1.0 - r)  # sum a w = m t
-            if bound <= tol:
-                return m, bound
-        w = [e * (t + wk) for e, wk in zip(ratios, w)]
-        t = sum(a * wk for a, wk in zip(norms, w)) / (m + 1)
+    e = ratios.T  # poles x pieces
+    a = np.array(norms)[:, None]
+    r = (1.0 + e.max(axis=0)) / 2.0
+    orders = np.full(len(tols), -1)
+    bounds = np.zeros(len(tols))
+    history = np.empty((_ORDER_BLOCK, len(tols)))
+    t, w = np.ones(len(tols)), np.zeros_like(e)
+    # huge residues overflow t on the way to IterationLimitExceeded
+    with np.errstate(all="ignore"):
+        g = np.add.reduce(a * e / (r - e), axis=0)
+        for m in range(MAX_ORDER):
+            history[m % _ORDER_BLOCK] = t
+            if m % _ORDER_BLOCK == _ORDER_BLOCK - 1 or m == MAX_ORDER - 1:
+                low = m - m % _ORDER_BLOCK
+                ms = np.arange(low, m + 1)[:, None]
+                tail = (history[:m + 1 - low]
+                        * np.maximum(1.0, ms / (ms + 1 - g))  # sum a w = m t
+                        / (1.0 - r))
+                done = (ms + 1 > g) & (tail <= tols) & (orders < 0)
+                found = done.any(axis=0)
+                first = done.argmax(axis=0)[found]
+                orders[found] = low + first
+                bounds[found] = tail[first, found]
+                if orders.min() >= 0:
+                    return orders, bounds
+            w = e * (t + w)
+            t = np.add.reduce(a * w, axis=0) / (m + 1)
     raise IterationLimitExceeded(
         f"transport series needs more than {MAX_ORDER} terms")
 
 
-def integrate_along(system: FuchsianSystem, piece, tol: float = FUCHSIAN_TOL):
-    """Transfer matrix of Y' = A(x) Y along one path piece, and a bound on
-    the 2-norm of its truncation error.
+def integrate_along(system: FuchsianSystem, pieces, tol: float = FUCHSIAN_TOL):
+    """Transfer matrix of Y' = A(x) Y along each path piece, and a bound on
+    the 2-norm of its truncation error: one (transfer, bound) per piece.
 
     A step from c to c + h sums Y(c + t) = sum T_m t^m, T_0 = I.  With
     d_k = c - p_k, W_k <- (T_m - W_k)/d_k and T_{m+1} = sum A_k W_k/(m + 1)
     give the next coefficient.  The recurrence runs on T_m h^m for all
-    steps of the piece at once, until each step's tail is within
-    tol/steps; those bounds are propagated through the steps' product.
+    steps of all pieces at once, and each step sums its own piece's orders,
+    until each step's tail is within tol/steps of its piece; those bounds
+    are propagated through the steps' product.  A failure is raised for the
+    first piece, in the given order, that fails.
     """
     n = system.dimension
-    if piece.length == 0 or not system.poles:
-        return np.eye(n, dtype=complex), 0.0
-    points = np.array(_step_points(system, piece))
-    centers = points[:-1, None]
-    ratios = (points[1:, None] - centers) / (centers - np.array(system.poles))
-    steps, count = len(centers), len(system.poles)
-    order, step_bound = _majorant_order(
-        system.norms, np.abs(ratios).max(axis=0).tolist(), tol / steps)
-    # T_m h^m of step s is T[:, s n:(s + 1) n] and its W_k is
-    # W[k n:(k + 1) n, s n:(s + 1) n]: one matmul by [A_1 ... A_r]/(m + 1)
-    # gives the next term of every step
-    stacked = system.stacked / np.arange(1, order)[:, None, None]
-    T = np.tile(np.eye(n, dtype=complex), steps)
+    results = [None] * len(pieces)
+    moving, points, failure = [], [], None
+    for j, piece in enumerate(pieces):
+        if piece.length == 0 or not system.poles:
+            results[j] = (np.eye(n, dtype=complex), 0.0)
+            continue
+        try:
+            points.append(_step_points(system, piece))
+        except (SingularOnPath, IterationLimitExceeded) as exc:
+            failure = exc  # raised once the pieces before it pass
+            break
+        moving.append(j)
+    if not moving:
+        if failure is not None:
+            raise failure
+        return results
+    steps = np.array([len(p) - 1 for p in points])
+    first = np.concatenate([[0], np.cumsum(steps)[:-1]])
+    centers = np.array([c for p in points for c in p[:-1]])
+    ends = np.array([c for p in points for c in p[1:]])
+    ratios = ((ends - centers)[:, None]
+              / (centers[:, None] - np.array(system.poles)))
+    orders, step_bounds = _majorant_orders(
+        system.norms, np.maximum.reduceat(np.abs(ratios), first, axis=0),
+        tol / steps)
+    if failure is not None:
+        raise failure
+    # the steps as columns, by descending order of their piece: at order m
+    # the steps still summing are a prefix.  T_m h^m of column s is
+    # T[:, s n:(s + 1) n] and its W_k is W[k n:(k + 1) n, s n:(s + 1) n]:
+    # one matmul by [A_1 ... A_r]/(m + 1) gives the next term of every column
+    owner = np.repeat(np.arange(len(points)), steps)
+    columns = np.argsort(-orders[owner], kind="stable")
+    active = np.searchsorted(-orders[owner][columns],
+                             -np.arange(1, orders.max())).tolist()
+    count, width = len(system.poles), len(columns)
+    stacked = system.stacked / np.arange(1, orders.max())[:, None, None]
+    T = np.tile(np.eye(n, dtype=complex), width)
     total = T.copy()
-    W = np.zeros((count * n, steps * n), dtype=complex)
-    blocks = W.reshape(count, n, steps, n)
-    ratios = ratios.T[:, None, :, None]
-    for m in range(order - 1):
-        np.subtract(T.reshape(n, steps, n), blocks, out=blocks)
-        blocks *= ratios
-        np.matmul(stacked[m], W, out=T)
-        total += T
-    total = total.reshape(n, steps, n).transpose(1, 0, 2)
-    transfer = total[0]
-    for step in total[1:]:
-        transfer = step @ transfer
+    W = np.zeros((count * n, width * n), dtype=complex)
+    blocks = W.reshape(count, n, width, n)
+    terms = T.reshape(n, width, n)
+    ratios = ratios[columns].T[:, None, :, None]
+    for m, live in enumerate(active):
+        block, cut = blocks[:, :, :live], live * n
+        np.subtract(terms[:, :live], block, out=block)
+        block *= ratios[:, :, :live]
+        np.matmul(stacked[m], W[:, :cut], out=T[:, :cut])
+        total[:, :cut] += T[:, :cut]
+    sums = np.empty((width, n, n), dtype=complex)  # back in step order
+    sums[columns] = total.reshape(n, width, n).transpose(1, 0, 2)
     # prod(||F_j|| + b) - prod(||F_j||) bounds the error of the product
-    norms = np.linalg.svd(total, compute_uv=False)[:, 0]
-    bound = float(np.prod(norms)
-                  * np.expm1(np.sum(np.log1p(step_bound / norms))))
-    return transfer, bound
+    norms = np.linalg.svd(sums, compute_uv=False)[:, 0]
+    logs = np.log1p(step_bounds[owner] / norms)
+    bounds = (np.multiply.reduceat(norms, first)
+              * np.expm1(np.add.reduceat(logs, first))).tolist()
+    for j, start, size, bound in zip(moving, first.tolist(), steps.tolist(),
+                                     bounds):
+        transfer = sums[start]
+        for step in sums[start + 1:start + size]:
+            transfer = step @ transfer
+        results[j] = (transfer, bound)
+    return results
 
 
-def transport(system: FuchsianSystem, pieces, tol: float = FUCHSIAN_TOL,
-              start=None):
-    """Transfer matrix and its error bound along the bridged pieces, after
-    ``start`` (the identity by default), as the branch tracker walks them."""
-    M, bound = start or (np.eye(system.dimension, dtype=complex), 0.0)
-    for piece in bridged(pieces):
-        F, e_F = integrate_along(system, piece, tol)
-        bound = (np.linalg.norm(F, 2) * bound
-                 + e_F * (np.linalg.norm(M, 2) + bound))
+def _multiply(M, transfers, measured):
+    """F_j ... F_1 M for the transfers (F_j, e_j) in order, and one link
+    (e_j, i, i + 1) per transfer: F_j is measured[i] and the matrix it
+    multiplies measured[i + 1]."""
+    links = []
+    for F, e in transfers:
+        links.append((e, len(measured), len(measured) + 1))
+        measured += [F, M]
         M = F @ M
-    return M, bound
+    return M, links
+
+
+def _chain_bound(links, norms):
+    """The first-order error bound of a product from the identity along its
+    links: b <- ||F|| b + e (||M|| + b), the norms read from ``norms``."""
+    bound = 0.0
+    for e, f, m in links:
+        bound = norms[f] * bound + e * (norms[m] + bound)
+    return bound
 
 
 def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
@@ -211,31 +292,56 @@ def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
     The loop tree is walked as monodromy_group walks it, so
     M_k = E_k^-1 C_k E_k with E_k from the base to the circle entry and C_k
     once around the circle, and its truncation bound is, to first order,
-    ||E^-1|| (e_E (||M|| + ||C||) + e_C ||E||).
+    ||E^-1|| (e_E (||M|| + ||C||) + e_C ||E||).  Every piece of the tree is
+    transported by one integrate_along call; the products follow in walk
+    order, and every norm comes from one SVD call after them.
     """
+    n = system.dimension
     singular = system.singular_set()
     if base is None:
         base = auto_base_point(singular)
     loops = generate_loops(singular, base)
-    mats, bounds = [], []
-    highway = None
-    for loop, leg in highway_legs(loops, base):
-        highway = transport(system, [leg], tol, highway)
-        E, e_E = transport(system, loop.spoke, tol, highway)
-        C, e_C = integrate_along(system, loop.circle, tol)
-        M = np.linalg.solve(E, C @ E)
-        sigma = np.linalg.svd(E, compute_uv=False)
-        mats.append(M)
-        bounds.append(float((e_E * (np.linalg.norm(M, 2) + np.linalg.norm(C, 2))
-                             + e_C * sigma[0]) / sigma[-1]))
-    return MonodromyMatrices(base, loops, mats, bounds)
+    walk = [(leg, list(bridged(loop.spoke)), loop.circle)
+            for loop, leg in highway_legs(loops, base)]
+    transfers = iter(integrate_along(
+        system, [piece for leg, spoke, circle in walk
+                 for piece in (leg, *spoke, circle)], tol))
+    # measured: every matrix a bound reads the norm of; a loop's E, C and
+    # M_k follow its links there
+    measured, highway, walked = [], [], []
+    M = np.eye(n, dtype=complex)
+    for _leg, spoke, _circle in walk:
+        M, links = _multiply(M, [next(transfers)], measured)
+        highway += links
+        E, links = _multiply(M, [next(transfers) for _ in spoke], measured)
+        C, e_C = next(transfers)
+        walked.append((highway + links, e_C, len(measured)))
+        measured += [E, C, np.linalg.solve(E, C @ E)]
+    if not walked:  # no poles
+        return MonodromyMatrices(base, loops, [], [], [])
+    sigma = np.linalg.svd(np.array(measured), compute_uv=False)
+    norms = sigma[:, 0].tolist()
+    bounds = []
+    for links, e_C, at in walked:
+        s_E, s_C, s_M = sigma[at:at + 3]
+        bounds.append(float((_chain_bound(links, norms) * (s_M[0] + s_C[0])
+                             + e_C * s_E[0]) / s_E[-1]))
+    s_M = sigma[[at + 2 for _links, _e, at in walked]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s_M[:, 0] / s_M[:, -1]  # np.linalg.cond, from the same SVD
+    cond[np.isnan(cond)] = np.inf
+    return MonodromyMatrices(base, loops,
+                             [measured[at + 2] for _links, _e, at in walked],
+                             bounds, cond.tolist())
 
 
 def monodromy_at_infinity(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
                           base=None) -> np.ndarray:
     """The matrix of one big counterclockwise circle around all poles."""
     loop = big_circle_loop(system.singular_set(), base)
-    return transport(system, loop.pieces, tol)[0]
+    return _multiply(np.eye(system.dimension, dtype=complex),
+                     integrate_along(system, list(bridged(loop.pieces)), tol),
+                     [])[0]
 
 
 # --- simultaneous triangularization -----------------------------------------

@@ -153,14 +153,20 @@ class TestExitCodes:
         verdict = json.loads(out)["invertible_by_radicals"]
         assert verdict["classification"] == ["chebyshev"]
 
-    @pytest.mark.parametrize("expr, enclosures", [
-        ("(110052 - 233085*x)/(x^2 + 8*x - 4)", 2),
-        ("(6*x^6 + 3*x^5 + 6*x^3 + 8*x^2 - 5*x + 4)/(x^2 + 8*x - 4)", 2),
+    @pytest.mark.parametrize("expr, enclosures, lambdas", [
+        ("(110052 - 233085*x)/(x^2 + 8*x - 4)", 2, None),
+        ("(6*x^6 + 3*x^5 + 6*x^3 + 8*x^2 - 5*x + 4)/(x^2 + 8*x - 4)", 2,
+         None),
         # the residue 10^20 + 1 is beyond the double grid, but the root of
         # a linear factor is exact as it stands: a log term, no enclosure
-        ("(10^20+1)/(x-1)", 0),
-    ], ids=["integrate-proper", "integrate-improper", "integrate-linear"])
-    def test_large_residues_are_certified(self, expr, enclosures):
+        ("(10^20+1)/(x-1)", 0, ["100000000000000000001"]),
+        # residues of t^2 - L^-1, L = 4 (10^20 + 1)^2: L r = +-2 (10^20 + 1)
+        # is past the double grid, and Newton in Z[i] reaches it
+        ("1/(x^2-(10^20+1)^2)", 0,
+         ["-1/200000000000000000002", "1/200000000000000000002"]),
+    ], ids=["integrate-proper", "integrate-improper", "integrate-linear",
+            "integrate-quadratic"])
+    def test_large_residues_are_certified(self, expr, enclosures, lambdas):
         # residues near -1.2e5 and 1.0e5: a double cannot hold them to an
         # absolute 1e-12, but their radii are relative to their size
         code, out, _ = run(["--json", "integrate", "--", expr])
@@ -171,8 +177,8 @@ class TestExitCodes:
         blocks = [log["lambda_enclosures"] for log in logs
                   if "lambda_enclosures" in log]
         assert [len(b) for b in blocks] == ([enclosures] if enclosures else [])
-        if not enclosures:
-            assert [log["lambda"] for log in logs] == ["100000000000000000001"]
+        if lambdas is not None:
+            assert [log["lambda"] for log in logs] == lambdas
 
     @pytest.mark.parametrize("expr, degree", [
         ("(8 - 3*x)/(x^9 + 4*x^8 - x^7 + 2*x^6 + 9*x^5 - 4*x^4 + 7*x^3"
@@ -321,6 +327,25 @@ class TestReports:
         assert code == 0
         data = json.loads(out)
         assert data["verdict"]["status"] == "Representable"
+
+    def test_fuchsian_flags_ill_conditioned_matrices(self, tmp_path):
+        # cond(M_k) about 1.6e16 on both loops, past 2^53: the report says
+        # so, and the verdict, from the residues, keeps its value
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "poles": [[0, 0], [2, 0]],
+            "matrices": [[[[0, 3], [1, 0]], [[0, 0], [0, -3]]],
+                         [[[0, -3], [0, 0]], [[1, 0], [0, 3]]]]}))
+        code, out, _ = run(["--json", "fuchsian", str(path)])
+        assert code == 1
+        data = json.loads(out)
+        assert data["monodromy"]["ill_conditioned"] == [0, 1]
+        assert data["verdict"]["status"] == "NotRepresentable"
+        code, out, _ = run(["fuchsian", str(path)])
+        assert code == 1
+        assert "ill-conditioned loops [0, 1]" in out
+        code, out, _ = run(["--json", "fuchsian", FIXTURE])
+        assert "ill_conditioned" not in json.loads(out)["monodromy"]
 
     def test_config_override(self, tmp_path):
         cfg = tmp_path / "settings.cfg"
@@ -488,6 +513,15 @@ class TestWorkPerRequest:
                           "y^5 + y - x"])
         assert code == 1
         assert closures and set(closures) == {1}
+
+    def test_one_transport_per_fuchsian_request(self, monkeypatch):
+        # every piece of the loop tree goes through one series recurrence
+        transports = count_calls(monkeypatch, "integrate_along",
+                                 fuchsian.integrate_along)
+        code, out, _ = run(["--json", "fuchsian", FIXTURE])
+        assert code == 0
+        assert len(json.loads(out)["monodromy"]["matrices"]) == 2
+        assert len(transports) == 1
 
     def test_one_ritt_decomposition(self, monkeypatch):
         chains = count_calls(monkeypatch, "ritt_decompose", ritt_decompose)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from finitude import fuchsian
 from finitude.errors import (IterationLimitExceeded, NumericFailure,
                              SingularOnPath)
-from finitude.fuchsian import (FuchsianSystem, integrate_along,
+from finitude.fuchsian import (MAX_ORDER, FuchsianSystem, integrate_along,
                                monodromy_at_infinity,
                                simultaneous_triangularizable,
                                small_norm_verdict, system_monodromy)
-from finitude.monodromy import Arc, Segment
+from finitude.monodromy import (Arc, Segment, auto_base_point, bridged,
+                                generate_loops, highway_legs)
 from finitude.solvability.verdicts import VerdictStatus
 
 E = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -22,6 +24,23 @@ F = np.array([[0, 0], [1, 0]], dtype=complex)
 def random_matrix(rng, n, scale=0.3):
     return scale * (rng.standard_normal((n, n))
                     + 1j * rng.standard_normal((n, n)))
+
+
+def scalar_majorant(norms, ratios, tol):
+    """The order and tail bound of one piece's series, by the scalar
+    recurrence that fuchsian._majorant_orders runs for many pieces at once;
+    None past MAX_ORDER."""
+    r = (1.0 + max(ratios)) / 2.0
+    g = sum(a * e / (r - e) for a, e in zip(norms, ratios))
+    t, w = 1.0, [0.0] * len(norms)
+    for m in range(MAX_ORDER):
+        if m + 1 > g:
+            bound = t * max(1.0, m / (m + 1 - g)) / (1.0 - r)
+            if bound <= tol:
+                return m, bound
+        w = [e * (t + wk) for e, wk in zip(ratios, w)]
+        t = sum(a * wk for a, wk in zip(norms, w)) / (m + 1)
+    return None
 
 
 class TestSystemMonodromy:
@@ -152,7 +171,7 @@ class TestTaylorTransport:
     def test_segment_through_a_pole_fails(self):
         system = FuchsianSystem([0.0], [0.3 * E])
         with pytest.raises(SingularOnPath):
-            integrate_along(system, Segment(-1.0, 1.0))
+            integrate_along(system, [Segment(-1.0, 1.0)])
         assert issubclass(SingularOnPath, NumericFailure)
 
     def test_spectrum_is_the_exponential_of_the_residue_spectrum(self):
@@ -181,10 +200,54 @@ class TestTaylorTransport:
                 checked += 1
         assert checked == 27
 
+    def test_one_call_matches_one_call_per_piece(self):
+        """Every piece of the loop tree in one batch, against a batch of
+        one: systems of 2 to 4 poles and dimension 2 to 4."""
+        rng = np.random.default_rng(17)
+        poles = self.POLES + [0.4 - 1.1j]
+        checked = 0
+        for k in range(9):
+            n, count = 2 + k % 3, 2 + k // 3
+            system = FuchsianSystem(
+                poles[:count], [random_matrix(rng, n) for _ in range(count)])
+            base = auto_base_point(system.singular_set())
+            loops = generate_loops(system.singular_set(), base)
+            pieces = [piece for loop, leg in highway_legs(loops, base)
+                      for piece in (leg, *bridged(loop.spoke), loop.circle)]
+            for piece, (F, bound) in zip(pieces,
+                                         integrate_along(system, pieces)):
+                ((G, alone),) = integrate_along(system, [piece])
+                assert (np.linalg.norm(F - G, 2) <= 1e-13 * np.linalg.cond(G)
+                        * np.linalg.norm(G, 2))
+                assert bound == pytest.approx(alone, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked >= 9 * 4
+
+    def test_majorant_matches_the_scalar_recurrence(self):
+        rng = np.random.default_rng(5)
+        for count in (1, 2, 3, 4):
+            norms = rng.uniform(0.0, 2.0, count).tolist()
+            ratios = rng.uniform(0.01, 0.5, (20, count))
+            tols = 10.0 ** -rng.uniform(8.0, 14.0, 20)
+            orders, bounds = fuchsian._majorant_orders(norms, ratios, tols)
+            assert [(int(m), float(b)) for m, b in zip(orders, bounds)] == \
+                [scalar_majorant(norms, row, tol)
+                 for row, tol in zip(ratios.tolist(), tols.tolist())]
+
+    def test_first_failure_in_walk_order_is_raised(self):
+        # the arc's series needs more than MAX_ORDER terms; the segment
+        # runs through the pole
+        system = FuchsianSystem([0.0], [1e6 * np.eye(2)])
+        arc, segment = Arc(0.0, 1.0, 0.0, 2 * np.pi), Segment(-1.0, 1.0)
+        with pytest.raises(IterationLimitExceeded):
+            integrate_along(system, [arc, segment])
+        with pytest.raises(SingularOnPath):
+            integrate_along(system, [segment, arc])
+
     def test_huge_residue_fails(self):
         system = FuchsianSystem([0.0], [1e6 * np.eye(2)])
         with pytest.raises(IterationLimitExceeded):
-            integrate_along(system, Arc(0.0, 1.0, 0.0, 2 * np.pi))
+            integrate_along(system, [Arc(0.0, 1.0, 0.0, 2 * np.pi)])
         assert issubclass(IterationLimitExceeded, NumericFailure)
 
 

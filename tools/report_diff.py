@@ -27,15 +27,19 @@ Run from the root of a source checkout.  The comparison set is
   ``ode 3`` request (the order-n path), a curve with x-content, rational
   residues in two classes, inputs with huge exact roots or roots beyond
   double range, an ``integrate`` and an ``ode 2`` request whose huge
-  root, past the double grid, is that of a linear factor, and malformed
-  inputs that exit 64.
+  root, past the double grid, is that of a linear factor, an ``integrate``
+  request whose Gaussian-rational residues, past the double grid, are the
+  roots of a quadratic factor, and malformed inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
 another; the two processes run side by side.  Every request whose exit
 code, stderr or report differs is printed with the paths of the differing
-report fields; ``elapsed_seconds`` is ignored.  The exit code is 1 when
-any request differs.  Nothing under ``bench/`` is written.
+report fields; ``elapsed_seconds`` is ignored.  A last summary gives one
+line per field path, list indices collapsed, whose differences are all
+between finite numbers: their count and the largest relative change
+|b - a| / max(|a|, |b|).  The exit code is 1 when any request differs.
+Nothing under ``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -136,6 +142,9 @@ FRONT_END = [
     # the root 10^20 + 1 of a linear factor, read exactly
     ["integrate", "--", "(10^20+1)/(x-1)"],
     ["ode", "2", "--", "0", "-2/(x-100000000000000000001)^2"],
+    # residues +-1/(2 (10^20 + 1)) of a quadratic factor, past the double
+    # grid, found by Newton in Z[i]
+    ["integrate", "--", "1/(x^2-(10^20+1)^2)"],
     # rejected: exit 64
     ["algebraic", "--", "y/x"],
     ["algebraic", "--", "z + 1"],
@@ -219,6 +228,15 @@ def differences(a, b, path=""):
     return [] if a == b else [(path or ".", a, b)]
 
 
+def _relative_change(a, b):
+    """|b - a| / max(|a|, |b|) for two different finite numbers, else None."""
+    numbers = [v for v in (a, b) if isinstance(v, (int, float))
+               and not isinstance(v, bool) and math.isfinite(v)]
+    if len(numbers) < 2:
+        return None
+    return abs(b - a) / max(abs(a), abs(b))
+
+
 def _short(value, limit=160):
     text = json.dumps(value)
     return text if len(text) <= limit else text[:limit] + "..."
@@ -259,6 +277,7 @@ def main(argv=None):
             with open(out, encoding="utf-8") as handle:
                 results.append(json.load(handle))
     differing = 0
+    changes = {}  # collapsed path -> relative changes (None: not numeric)
     for argv, x, y in zip(requests, *results):
         found = differences(x, y)
         if found:
@@ -266,6 +285,12 @@ def main(argv=None):
             print(" ".join(argv))
             for path, a, b in found:
                 print(f"  {path}: {_short(a)} -> {_short(b)}")
+                changes.setdefault(re.sub(r"\[\d+\]", "[]", path), []).append(
+                    _relative_change(a, b))
+    for path, rel in sorted(changes.items()):
+        if None not in rel:
+            print(f"{path}: {len(rel)} numeric differences, largest "
+                  f"relative change {max(rel):.2g}")
     print(f"{differing} of {len(requests)} reports differ")
     return 1 if differing else 0
 
