@@ -1,12 +1,12 @@
 """Exact polynomial/rational arithmetic, parsing, and certified numerics."""
 
-from .gaussian import GaussianRational, exact_nth_root
+from .gaussian import GaussianRational
 from .parse import (parse_bivariate, parse_expression, parse_rational,
                     parse_univariate)
 from .poly import (BivariatePolynomial, RationalFunction,
                    UnivariatePolynomial, discriminant_y, resultant_y,
                    squarefree_factorization)
-from .roots import ComplexInterval, complex_roots
+from .roots import ComplexInterval, complex_roots, exact_nth_root
 
 __all__ = [
     "GaussianRational", "exact_nth_root",

@@ -150,9 +150,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self._a == 1 and not self._b and self._d == 1
 
-    def is_real(self) -> bool:
-        return not self._b
-
     def is_integer(self) -> bool:
         return not self._b and self._d == 1
 
@@ -325,50 +322,3 @@ class GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-
-
-def exact_nth_root(z: GaussianRational, n: int) -> GaussianRational | None:
-    """Some exact n-th root of ``z`` in Q(i), or None if none exists.
-
-    With z = (a + bi)/d, a root is v/d for a Gaussian integer v with
-    v^n = w = (a + bi) d^(n-1) (Z[i] is integrally closed).  A square root,
-    the principal one, is exact: |v|^2 = |w|, and ``math.isqrt`` gives the
-    parts of v.  For n >= 3 each n-th root of w is guessed in doubles
-    from w scaled by a power of two into range and rounded to a Gaussian
-    integer; Newton's iteration, each iterate rounded too, runs from there
-    until an iterate is verified exactly or stops moving.
-    """
-    if z.is_zero():
-        return ZERO
-    if n == 1:
-        return z
-    d = z._d
-    wr, wi = z._a * d ** (n - 1), z._b * d ** (n - 1)
-    if n == 2:
-        m = math.isqrt(wr * wr + wi * wi)
-        u, v = math.isqrt((m + wr) // 2), math.isqrt((m - wr) // 2)
-        if m * m != wr * wr + wi * wi or 2 * u * u != m + wr \
-                or 2 * v * v != m - wr:
-            return None
-        return GaussianRational(Fraction(u, d),
-                                Fraction(v if wi >= 0 else -v, d))
-    bits = max(abs(wr), abs(wi)).bit_length()
-    s = max(0, (bits - 900) // n + 1)
-    guess = complex(wr / (1 << n * s), wi / (1 << n * s)) ** (1.0 / n)
-    w = GaussianRational(wr, wi)
-    for k in range(n):
-        c = guess * complex(math.cos(2 * math.pi * k / n),
-                            math.sin(2 * math.pi * k / n))
-        v = GaussianRational(round(c.real) << s, round(c.imag) << s)
-        for _ in range(bits.bit_length() + 2):  # the correct bits double
-            power = v ** n
-            if power == w:
-                return v / d
-            if v.is_zero():  # an iterate of no root, since w != 0
-                break
-            nxt = v - (power - w) / (v ** (n - 1) * n)
-            nxt = GaussianRational(round(nxt.re), round(nxt.im))
-            if nxt == v:
-                break
-            v = nxt
-    return None

@@ -1,30 +1,29 @@
-"""Certified numeric root finding.
+"""Certified numeric root finding, and exact roots by one Newton iteration.
 
 Strategy: exact square-free decomposition first, so every root that the
 iteration sees is simple.  A simultaneous Aberth-Ehrlich iteration in
-doubles, seeded on Bini's circles, approximates all roots of a factor.  Each
-approximation is then finished exactly on the factor's Gaussian-integer
-coefficients: it is rounded to the 53-bit grid of its own magnitude (the
-spacing of doubles at its larger part), p and p' are evaluated there by
-integer Horner, and exact Newton steps, each rounded back to that grid, run
-until the point stops moving (at most ``_EXACT_STEPS``).  A converged centre
-is the root rounded to its grid, whatever the seed.  Its radius
+doubles, seeded on Bini's circles, approximates all roots of a factor (of
+p(2^s u), with 2^s balancing the end coefficients, where these span more
+than double range).
+
+Every exact answer about a root comes from one exact Newton iteration on
+Gaussian-integer coefficients, each step rounded to the caller's grid.
+``_finish`` certifies an Aberth approximation on the 53-bit grid of its
+own magnitude (the spacing of doubles at its larger part), so a converged
+centre is the root rounded to its grid, whatever the seed.  Its radius
 n |p(c)/p'(c)|, computed from the exact values and rounded up, is a true
-inclusion radius for square-free p (Rump, JCAM 2003): p(c) is exact, so no
-rounding error hides in it.  Where doubles cannot resolve a cluster, so that
-the enclosures overlap or stay too wide, Aberth sweeps once more with p'/p
-taken from exact values before the centres are finished again.
+inclusion radius for square-free p (Rump, JCAM 2003).  Where doubles
+cannot resolve a cluster, so that the enclosures overlap or stay too wide,
+Aberth sweeps once more with p'/p taken from exact values.  The
+Gaussian-rational roots of a factor (``exact_gaussian_roots``) and the
+n-th roots of a Gaussian rational (``exact_nth_root``) come from the
+iteration on Z[i], and ``refine_root`` carries one root past double
+precision on the grid of spacing 2^-REFINE_BITS.
 
 For a real factor, a centre whose disk reaches the real axis is moved onto
 it and finished again, and the roots below the axis are the conjugates of
 those above; pairwise disjoint disks then make each real centre enclose a
 real root, and conjugate pairs come out as exact conjugates.
-
-``exact_gaussian_roots`` recognises the Gaussian-rational roots among the
-certified ones, each by one exact evaluation on its square-free factor.
-
-``refine_root`` carries one root past double precision: Newton on the exact
-Q(i) coefficients, each iterate rounded to a fixed dyadic grid.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from fractions import Fraction
 
 from ..config import ROOT_TOL
 from ..errors import IterationLimitExceeded, ZeroPolynomial
+from . import gaussvec
 from .gaussian import GaussianRational
 from .poly import UnivariatePolynomial, squarefree_factorization
 
@@ -85,14 +85,6 @@ def value_and_slope(cs, z):
     return p, d
 
 
-def _gaussian_integers(p: UnivariatePolynomial):
-    """The coefficients of p times the lcm of their denominators, as
-    (re, im) integer pairs, lowest power first."""
-    parts = [(c.re, c.im) for c in p.coeffs]
-    den = math.lcm(*(q.denominator for pair in parts for q in pair))
-    return [(int(re * den), int(im * den)) for re, im in parts]
-
-
 def _bini_seeds(cs):
     """Starting points for Aberth, ``cs`` lowest power first (Bini, Numer.
     Algorithms 13, 1996): one circle per edge of the upper convex hull of
@@ -135,7 +127,8 @@ def _log_slope(desc, rev, z):
 def _exact_log_slope(ints, z):
     """p'(z)/p(z) from exact values, correctly rounded, or None at an exact
     zero of p."""
-    pr, pi, dr, di, t, _wr, _wi = _exact_values(ints, z)
+    xr, xi, t = _dyadic(z)
+    pr, pi, dr, di = _horner(ints, xr, xi, t)
     size = pr * pr + pi * pi
     if size == 0:
         return None
@@ -186,69 +179,93 @@ def _round_div(n: int, d: int) -> int:
     return q
 
 
-def _on_grid(a: int, b: int, den: int) -> complex:
+def _grid53(a: int, b: int, den: int):
     """(a + bi)/den, den > 0, with both parts rounded to the spacing of
-    doubles at the larger part: that part is correctly rounded, and the
+    doubles at the larger part, as (X, Y, T) for (X + iY)/T with T the
+    least power of two: the larger part is correctly rounded, and the
     other one is kept only to the same absolute precision."""
     m = max(abs(a), abs(b))
     if m == 0:
-        return 0j
+        return 0, 0, 1
     e = m.bit_length() - den.bit_length()  # 2^e <= m/den < 2^(e+1) ...
     if (m << max(0, -e)) < (den << max(0, e)):
         e -= 1                             # ... after this correction
     shift = 52 - e
-    if shift >= 0:
-        x, y = _round_div(a << shift, den), _round_div(b << shift, den)
-    else:
-        x, y = _round_div(a, den << -shift), _round_div(b, den << -shift)
-    return complex(math.ldexp(x, -shift), math.ldexp(y, -shift))
+    if shift <= 0:
+        den <<= -shift
+        return _round_div(a, den) << -shift, _round_div(b, den) << -shift, 1
+    x, y = _round_div(a << shift, den), _round_div(b << shift, den)
+    if (x | y) & 1:
+        return x, y, 1 << shift
+    k = min(shift, ((x | y) & -(x | y)).bit_length() - 1)  # common twos
+    return x >> k, y >> k, 1 << (shift - k)
 
 
-def _exact_values(ints, z: complex):
-    """Horner on the Gaussian integers ``ints`` at the double point z =
-    W/T, exactly: P = T^n p(z) and D = T^(n-1) p'(z) as (re, im) integer
-    pairs, and T."""
-    wr, wi, t = _dyadic(z)
+def _gaussian_grid(a: int, b: int, den: int):
+    """(a + bi)/den, den > 0, rounded to Z[i], as (X, Y, 1)."""
+    return _round_div(a, den), _round_div(b, den), 1
+
+
+def _horner(ints, xr: int, xi: int, t: int):
+    """Horner on the Gaussian integers ``ints``, (re, im) pairs lowest
+    power first, at (xr + i xi)/t, exactly: T^n p and T^(n-1) p' as the
+    integers (pr, pi, dr, di)."""
     pr, pi = ints[-1]
     dr = di = 0
     tk = 1
-    for a, b in reversed(ints[:-1]):
-        dr, di = dr * wr - di * wi + pr, dr * wi + di * wr + pi
+    for a, b in ints[-2::-1]:
+        dr, di = dr * xr - di * xi + pr, dr * xi + di * xr + pi
         tk *= t
-        pr, pi = pr * wr - pi * wi + a * tk, pr * wi + pi * wr + b * tk
-    return pr, pi, dr, di, t, wr, wi
+        pr, pi = pr * xr - pi * xi + a * tk, pr * xi + pi * xr + b * tk
+    return pr, pi, dr, di
+
+
+def _newton(ints, point, steps: int, to_grid):
+    """Exact Newton on the Gaussian integers ``ints`` from ``point`` =
+    (X, Y, T) for (X + iY)/T, each iterate (A + iB)/den rounded by
+    ``to_grid(A, B, den)``, until an exact zero, a zero slope, a fixed
+    point or ``steps`` steps: the last point, T^n p there as (pr, pi), and
+    |T^(n-1) p'|^2 there."""
+    for step in range(steps + 1):
+        xr, xi, t = point
+        pr, pi, dr, di = _horner(ints, xr, xi, t)
+        slope = dr * dr + di * di
+        if (pr == 0 and pi == 0) or slope == 0 or step == steps:
+            break
+        # x - p/p' = (X D - P) / (D T)
+        nr, ni = xr * dr - xi * di - pr, xr * di + xi * dr - pi
+        nxt = to_grid(nr * dr + ni * di, ni * dr - nr * di, slope * t)
+        if nxt == point:
+            break
+        point = nxt
+    return point, pr, pi, slope
 
 
 def _upper_sqrt(num: int, den: int) -> float:
-    """A float no smaller than sqrt(num/den)."""
-    try:
-        q = num / den  # correctly rounded
-    except OverflowError:
+    """A float no smaller than sqrt(num/den) for num, den >= 0, inf where
+    den = 0 < num.  A ratio far from 1 is scaled by 4^e first, so that it
+    neither under- nor overflows."""
+    if num == 0 or den == 0:
+        return 0.0 if num == 0 else math.inf
+    e = (num.bit_length() - den.bit_length()) // 2  # 1/2 < num/den/4^e < 4
+    if abs(e) < 500:  # num/den is in range as it stands
+        e = 0
+    elif e > 1022:
         return math.inf
-    return math.nextafter(math.sqrt(math.nextafter(q, math.inf)), math.inf)
+    q = num / (den << 2 * e) if e >= 0 else (num << -2 * e) / den
+    root = math.nextafter(math.sqrt(math.nextafter(q, math.inf)), math.inf)
+    # exact down to the normal range, whose floor bounds what is below it
+    return max(math.ldexp(root, e), 2.0 ** -1022)
 
 
 def _finish(ints, z: complex):
     """The grid point that exact Newton reaches from z, and the radius
     n |p/p'| there rounded up (inf where p' vanishes)."""
+    (x, y, t), pr, pi, slope = _newton(ints, _grid53(*_dyadic(z)),
+                                       _EXACT_STEPS, _grid53)
     n = len(ints) - 1
-    w = _on_grid(*_dyadic(z))
-    for step in range(_EXACT_STEPS + 1):
-        pr, pi, dr, di, t, wr, wi = _exact_values(ints, w)
-        if pr == 0 and pi == 0:
-            return w, 0.0
-        slope = dr * dr + di * di
-        if slope == 0:
-            return w, math.inf
-        if step == _EXACT_STEPS:
-            break
-        # w - p/p' = (W D - P) / (D T)
-        nr, ni = wr * dr - wi * di - pr, wr * di + wi * dr - pi
-        nxt = _on_grid(nr * dr + ni * di, ni * dr - nr * di, slope * t)
-        if nxt == w:
-            break
-        w = nxt
-    return w, _upper_sqrt(n * n * (pr * pr + pi * pi), slope * t * t)
+    return complex(x / t, y / t), _upper_sqrt(n * n * (pr * pr + pi * pi),
+                                              slope * t * t)
 
 
 def _enclose(ints, approx, tol: float):
@@ -292,13 +309,28 @@ def _factor_roots(ints, tol: float, accept: float):
     """Certified enclosures of the roots of one square-free factor, given
     by its Gaussian-integer coefficients ``ints``.  Where double evaluation
     cannot resolve a cluster to ``tol``, Aberth sweeps again with exact
-    evaluation, and those enclosures need only meet ``accept``."""
-    shift = max(max(abs(a), abs(b)).bit_length() for a, b in ints) - 1
-    cs = [complex(a / (1 << shift), b / (1 << shift)) for a, b in ints]
+    evaluation, and those enclosures need only meet ``accept``.  Aberth
+    runs on p(2^s u), 2^s balancing the end coefficients, where these span
+    more than double range."""
+    n = len(ints) - 1
+    sizes = [max(abs(a), abs(b)).bit_length() for a, b in ints]
+    scaled, s = ints, 0
+    if max(sizes) - min(filter(None, sizes)) > 1022:  # past normal range
+        low = next(k for k, size in enumerate(sizes) if size)
+        s = round((sizes[low] - sizes[n]) / (n - low))
+        lift = -min(s, 0) * n  # 2^lift p(2^s u) has integer coefficients
+        scaled = [(a << s * k + lift, b << s * k + lift)
+                  for k, (a, b) in enumerate(ints)]
+    shift = max(max(abs(a), abs(b)) for a, b in scaled).bit_length() - 1
+    cs = [complex(a / (1 << shift), b / (1 << shift)) for a, b in scaled]
     desc = cs[::-1]
     approx = _aberth(lambda z: _log_slope(desc, cs, z), _bini_seeds(cs))
-    if len(approx) != len(ints) - 1:  # a coefficient underflowed to 0
+    # a coefficient underflowed to 0, or a root leaves doubles' normal range
+    if len(approx) != n or s and not all(
+            -1021 <= math.frexp(abs(z))[1] + s <= 1024 for z in approx if z):
         raise IterationLimitExceeded("roots out of double range")
+    approx = [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s))
+              for z in approx]
     try:
         return _enclose(ints, approx, tol)
     except IterationLimitExceeded:
@@ -312,7 +344,7 @@ def _enclosures(factors, tol: float, accept: float):
     (real, imaginary) parts."""
     out = []
     for factor, mult in factors:
-        ints = _gaussian_integers(factor)
+        ints = list(zip(*gaussvec.clear(factor.coeffs)[1:]))
         out += [(ints, enc, mult) for enc in _factor_roots(ints, tol, accept)]
     return sorted(out, key=lambda item: (item[1].center.real,
                                          item[1].center.imag))
@@ -339,75 +371,91 @@ def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL,
             in _enclosures(squarefree_factorization(p), tol, accept)]
 
 
-def _round_to_grid(c: GaussianRational) -> GaussianRational:
-    scale = 1 << REFINE_BITS
-    return GaussianRational(Fraction(round(c.re * scale), scale),
-                            Fraction(round(c.im * scale), scale))
-
-
 def refine_root(p: UnivariatePolynomial, z: complex):
     """A Q(i) point on the grid of spacing 2^-REFINE_BITS next to the root
     of ``p`` that ``z`` approximates, or None when ``z`` is not one.
 
-    Newton runs in exact arithmetic, each iterate rounded to the grid, until
-    it stops moving; for a simple root the result is within one spacing of
-    it.  When the first step exceeds 1e-6 * max(1, |z|), ``z`` is taken to be
-    no root of ``p`` and None is returned.
+    Exact Newton, each iterate rounded to the grid, runs until it stops
+    moving; for a simple root the result is within one spacing of it.  When
+    the first step exceeds 1e-6 * max(1, |z|), ``z`` is taken to be no root
+    of ``p`` and None is returned.
     """
-    z = complex(z)
-    dp = p.derivative()
-    bound = Fraction(1e-6) * max(1, Fraction(abs(z)))
-    c = _round_to_grid(GaussianRational.coerce(z))
-    for k in range(_REFINE_STEPS):
-        slope = dp(c)
-        if slope.is_zero():
-            return None
-        step = p(c) / slope
-        if k == 0 and step.re ** 2 + step.im ** 2 > bound ** 2:
-            return None
-        nxt = _round_to_grid(c - step)
-        if nxt == c:
-            break
-        c = nxt
-    return c
+    ints = list(zip(*gaussvec.clear(p.coeffs)[1:]))
+    scale = 1 << REFINE_BITS
+
+    def to_grid(a, b, den):
+        return (_round_div(a << REFINE_BITS, den),
+                _round_div(b << REFINE_BITS, den), scale)
+
+    start = to_grid(*_dyadic(z))
+    pr, pi, dr, di = _horner(ints, *start)  # the first step is P / (T D)
+    slope = dr * dr + di * di
+    if slope == 0 or Fraction(pr * pr + pi * pi, slope * scale * scale) \
+            > (Fraction(1e-6) * max(1, Fraction(abs(z)))) ** 2:
+        return None
+    (xr, xi, _t), _pr, _pi, slope = _newton(ints, start, _REFINE_STEPS,
+                                            to_grid)
+    if slope == 0:
+        return None
+    return GaussianRational(Fraction(xr, scale), Fraction(xi, scale))
 
 
 def _gaussian_root(ints, z: complex):
     """The Gaussian-rational root of p, with Gaussian-integer coefficients
     ``ints``, that the double z approximates, or None.  With L = lc(p), L r
     is a Gaussian integer for each root r (Z[i] is integrally closed): a
-    root of the monic q(u) = L^(n-1) p(u/L) in Z[i].  L z is rounded to a
-    Gaussian integer w, which is right while |L r| < 2^52; past that, Newton
-    steps on q, each rounded to Z[i], run from there until an iterate is a
-    root or stops moving.  w/L is accepted when q(w), by integer Horner,
-    vanishes."""
+    root of the monic q(u) = L^(n-1) p(u/L) in Z[i].  L z rounded to Z[i]
+    is that root while |L r| < 2^52; past that, Newton steps on q, each
+    rounded to Z[i], run from there."""
     lr, li = ints[-1]
     xr, xi, t = _dyadic(z)
-    wr = _round_div(lr * xr - li * xi, t)
-    wi = _round_div(lr * xi + li * xr, t)
+    wr, wi, _t = _gaussian_grid(lr * xr - li * xi, lr * xi + li * xr, t)
     q, kr, ki = [(1, 0)], 1, 0  # L^(n-1-k) at the coefficient of u^k
     for a, b in reversed(ints[:-1]):
         q.append((a * kr - b * ki, a * ki + b * kr))
         kr, ki = kr * lr - ki * li, kr * li + ki * lr
     bits = max(abs(wr), abs(wi)).bit_length()
-    newton = bits.bit_length() + 2 if bits > 52 else 0  # correct bits double
-    for step in range(newton + 1):
-        pr = pi = dr = di = 0
-        for a, b in q:
-            dr, di = dr * wr - di * wi + pr, dr * wi + di * wr + pi
-            pr, pi = pr * wr - pi * wi + a, pr * wi + pi * wr + b
+    steps = bits.bit_length() + 2 if bits > 52 else 0  # correct bits double
+    (wr, wi, _t), pr, pi, _slope = _newton(q[::-1], (wr, wi, 1), steps,
+                                           _gaussian_grid)
+    if pr or pi:
+        return None
+    return GaussianRational(wr, wi) / GaussianRational(lr, li)
+
+
+def exact_nth_root(z: GaussianRational, n: int) -> GaussianRational | None:
+    """Some exact n-th root of ``z`` in Q(i), or None if none exists.
+
+    With z = (a + bi)/d, a root is v/d for a Gaussian integer v with
+    v^n = w = (a + bi) d^(n-1) (Z[i] is integrally closed).  A square root,
+    the principal one, is exact: |v|^2 = |w|, and ``math.isqrt`` gives the
+    parts of v.  For n >= 3 each n-th root of w is guessed in doubles
+    from w scaled by a power of two into range, and exact Newton on
+    u^n - w, each iterate rounded to Z[i], runs from there.
+    """
+    if z.is_zero() or n == 1:
+        return z
+    d = z._d
+    wr, wi = z._a * d ** (n - 1), z._b * d ** (n - 1)
+    if n == 2:
+        m = math.isqrt(wr * wr + wi * wi)
+        u, v = math.isqrt((m + wr) // 2), math.isqrt((m - wr) // 2)
+        if m * m != wr * wr + wi * wi or 2 * u * u != m + wr \
+                or 2 * v * v != m - wr:
+            return None
+        return GaussianRational(u, v if wi >= 0 else -v) / d
+    bits = max(abs(wr), abs(wi)).bit_length()
+    s = max(0, (bits - 900) // n + 1)
+    guess = complex(wr / (1 << n * s), wi / (1 << n * s)) ** (1.0 / n)
+    ints = [(-wr, -wi)] + [(0, 0)] * (n - 1) + [(1, 0)]
+    for k in range(n):
+        c = guess * complex(math.cos(2 * math.pi * k / n),
+                            math.sin(2 * math.pi * k / n))
+        start = (round(c.real) << s, round(c.imag) << s, 1)
+        (vr, vi, _t), pr, pi, _slope = _newton(  # the correct bits double
+            ints, start, bits.bit_length() + 1, _gaussian_grid)
         if pr == 0 and pi == 0:
-            return GaussianRational(wr, wi) / GaussianRational(lr, li)
-        slope = dr * dr + di * di
-        if step == newton or slope == 0:
-            break
-        # w - q/q' = (w q' - q)/q', rounded to Z[i]
-        nr, ni = wr * dr - wi * di - pr, wr * di + wi * dr - pi
-        nxt = (_round_div(nr * dr + ni * di, slope),
-               _round_div(ni * dr - nr * di, slope))
-        if nxt == (wr, wi):
-            break
-        wr, wi = nxt
+            return GaussianRational(vr, vi) / d
     return None
 
 

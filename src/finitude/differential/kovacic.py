@@ -16,11 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ..algebra.gaussian import GaussianRational, exact_nth_root
+from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import (RationalFunction, UnivariatePolynomial,
                             series_inverse, series_mul,
                             squarefree_factorization)
-from ..algebra.roots import exact_gaussian_roots
+from ..algebra.roots import exact_gaussian_roots, exact_nth_root
 from ..errors import BoundExceeded
 from .jets import LinearODE, verify_exp_integral_witness
 

@@ -13,10 +13,10 @@ else is Other.
 
 from __future__ import annotations
 
-from ..algebra.gaussian import GaussianRational, exact_nth_root
+from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import (BivariatePolynomial, UnivariatePolynomial,
                             discriminant_y)
-from ..algebra.roots import exact_gaussian_roots
+from ..algebra.roots import exact_gaussian_roots, exact_nth_root
 from ..errors import DegreeTooLow
 
 _GAUSSIAN_UNITS = [GaussianRational(1), GaussianRational(-1),

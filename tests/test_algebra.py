@@ -95,7 +95,7 @@ def _check_scalar(g, ref):
     assert str(g) == _ref_str(re, im)
     assert repr(g) == f"GaussianRational({re!r}, {im!r})"
     assert g.is_zero() == (re == 0 and im == 0)
-    assert g.is_real() == (im == 0)
+    assert (g.im == 0) == (im == 0)
     assert g.is_integer() == (im == 0 and re.denominator == 1)
     assert g.is_one() == (re == 1 and im == 0)
 
@@ -114,7 +114,7 @@ class TestGaussianRational:
         for _ in range(100):
             a = rand_gauss(rng)
             assert a.conjugate().conjugate() == a
-            assert (a * a.conjugate()).is_real()
+            assert (a * a.conjugate()).im == 0
 
     def test_against_fraction_pairs(self):
         """Every operation against a plain (Fraction, Fraction) reference,
@@ -246,6 +246,14 @@ class TestGaussianRational:
         assert exact_nth_root(GaussianRational(Fraction(-27, 10 ** 30)),
                               3) == GaussianRational(Fraction(-3, 10 ** 10))
         assert exact_nth_root(GaussianRational(-4), 4) ** 4 == -4
+        # seeded Gaussian integers up to 10^300: v^n is a power, v^n + 1 not
+        rng = random.Random(32)
+        for n in range(3, 10):
+            for digits in (1, 20, 100, 300):
+                v = GaussianRational(rng.randint(-10 ** digits, 10 ** digits),
+                                     rng.randint(-10 ** digits, 10 ** digits))
+                assert exact_nth_root(v ** n, n) ** n == v ** n
+                assert exact_nth_root(v ** n + 1, n) is None
 
 
 def _random_expression(rng, names, depth=4):
@@ -1016,7 +1024,7 @@ class TestComplexRoots:
         # exact Newton from perturbed starting points reaches the same
         # rounded root
         p = parse_univariate("x^3 - 2*x + i")
-        ints = roots._gaussian_integers(p)
+        ints = list(zip(*gaussvec.clear(p.coeffs)[1:]))
         for enc, _ in complex_roots(p):
             for nudge in (1e-9, -3e-10j, 2e-12 + 2e-12j):
                 assert roots._finish(ints, enc.center + nudge)[0] \
@@ -1033,12 +1041,22 @@ class TestComplexRoots:
             -1.414213562373, 1.414213562373]
         assert all(0 < e.radius <= 1e-8 * abs(e.center) for e, _ in pairs)
 
-    @pytest.mark.parametrize("expr", ["x^2 - 10^400", "10^400*x^2 - 1"])
+    @pytest.mark.parametrize("expr", ["x^2 - 10^700", "10^700*x^2 - 1"])
     def test_roots_beyond_double_range_raise(self, expr):
-        # scaled into double range, the other end coefficient underflows:
-        # no root is dropped and no infinite radius is built
+        # roots +-10^350 and +-10^-350: no root is dropped and no infinite
+        # radius is built
         with pytest.raises(IterationLimitExceeded):
             complex_roots(parse_univariate(expr))
+
+    @pytest.mark.parametrize("expr, root", [
+        ("x^2 - 10^400", 1e200), ("10^400*x^2 - 1", 1e-200)],
+        ids=["x^2 - 10^400", "10^400*x^2 - 1"])
+    def test_coefficients_beyond_double_range(self, expr, root):
+        # the coefficients span more than double range, the roots do not:
+        # Aberth runs on p(2^s u), and the radii fall below sqrt(2^-1074)
+        pairs = complex_roots(parse_univariate(expr))
+        assert [(e.center, m) for e, m in pairs] == [(-root, 1), (root, 1)]
+        assert all(0 < e.radius <= 1e-15 * root for e, _ in pairs)
 
     def test_gaussian_rational_roots_by_leading_coefficient(self):
         # 7 times the centre of 10000019/7 rounds to 10000019, which a

@@ -95,7 +95,7 @@ class TestExitCodes:
           "2*x^2*y^2 + 2*x^2*y + 3*x^2 + 3*x*y^2 - x*y + y^3"],
          "NumericBreakdown"),
         # residues beyond double range: a valid input, not a usage error
-        (["integrate", "--", "1/(x^2 - 10^400)"], "IterationLimitExceeded"),
+        (["integrate", "--", "1/(x^2 - 10^700)"], "IterationLimitExceeded"),
     ], ids=["puiseux", "integrate-out-of-range"])
     def test_numeric_failure_is_2(self, argv, error):
         code, _out, err = run(argv)
@@ -164,8 +164,11 @@ class TestExitCodes:
         # is past the double grid, and Newton in Z[i] reaches it
         ("1/(x^2-(10^20+1)^2)", 0,
          ["-1/200000000000000000002", "1/200000000000000000002"]),
+        # residues of 4 10^400 t^2 - 1, whose coefficients span more than
+        # double range: +-5e-201, with radii far below 2^-537
+        ("1/(x^2 - 10^400)", 0, [f"-1/{2 * 10 ** 200}", f"1/{2 * 10 ** 200}"]),
     ], ids=["integrate-proper", "integrate-improper", "integrate-linear",
-            "integrate-quadratic"])
+            "integrate-quadratic", "integrate-wide-span"])
     def test_large_residues_are_certified(self, expr, enclosures, lambdas):
         # residues near -1.2e5 and 1.0e5: a double cannot hold them to an
         # absolute 1e-12, but their radii are relative to their size

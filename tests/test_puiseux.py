@@ -1,13 +1,15 @@
 """Newton polygons and Puiseux expansions."""
 
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from finitude import puiseux
 from finitude.algebra import parse_bivariate
 from finitude.algebra.gaussian import GaussianRational
-from finitude.algebra.poly import singular_locator
+from finitude.algebra.poly import UnivariatePolynomial, singular_locator
 from finitude.algebra.roots import REFINE_BITS, refine_root
 from finitude.errors import NonExactCenter, OrderTooSmall
 from finitude.monodromy import monodromy_group, singular_points
@@ -173,6 +175,25 @@ class TestExactCenter:
             step = locator(c) / slope(c)
             assert step.re ** 2 + step.im ** 2 < spacing ** 2, z
         assert refine_root(locator, 0.3 + 0.2j) is None
+        # seeded polynomials: within one spacing of mpmath's 60-digit roots
+        rng = random.Random(169)
+        for _ in range(20):
+            coeffs = [GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+                      for _ in range(rng.randint(3, 8))]
+            coeffs.append(GaussianRational(1))
+            p = UnivariatePolynomial(coeffs)
+            with mpmath.workdps(60):
+                exact = mpmath.polyroots(
+                    [mpmath.mpc(int(c.re), int(c.im)) for c in coeffs[::-1]],
+                    maxsteps=200, extraprec=200)
+                for r in exact:
+                    c = refine_root(p, complex(r))
+                    assert c is not None, (coeffs, r)
+                    error = mpmath.mpc(*(mpmath.mpf(q.numerator)
+                                         / q.denominator
+                                         for q in (c.re, c.im))) - r
+                    assert abs(error) <= mpmath.mpf(2) ** -REFINE_BITS, \
+                        (coeffs, r)
 
     def test_one_locator_per_expansion(self, monkeypatch):
         # the expansion and every residual share one exact center

@@ -25,11 +25,12 @@ Run from the root of a source checkout.  The comparison set is
   search, a curve whose subresultant sequence skips four degrees at its
   end, radical towers of two dihedral curves and a cyclic one, an
   ``ode 3`` request (the order-n path), a curve with x-content, rational
-  residues in two classes, inputs with huge exact roots or roots beyond
-  double range, an ``integrate`` and an ``ode 2`` request whose huge
-  root, past the double grid, is that of a linear factor, an ``integrate``
-  request whose Gaussian-rational residues, past the double grid, are the
-  roots of a quadratic factor, and malformed inputs that exit 64.
+  residues in two classes, inputs with huge exact roots (a fifth root
+  among them), coefficients beyond double range or roots beyond it, an
+  ``integrate`` and an ``ode 2`` request whose huge root, past the double
+  grid, is that of a linear factor, an ``integrate`` request whose
+  Gaussian-rational residues, past the double grid, are the roots of a
+  quadratic factor, and malformed inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -136,6 +137,10 @@ FRONT_END = [
     ["ode", "2", "--", "0", "-(10^400-10^200)/x^2"],
     ["decompose", "--", "4*10^600*x^3 - 3*10^200*x"],
     ["integrate", "--", "1/(x^2 - 10^400)"],
+    ["integrate", "--", "1/(x^2 - 10^700)"],
+    # T_5(10^130 x): the exact fifth root of a w of more than 900 bits
+    # starts from a guess at w scaled into double range
+    ["decompose", "--", "16*10^650*x^5 - 20*10^390*x^3 + 5*10^130*x"],
     ["decompose", "--", "(x^2+1)^3/8"],
     ["decompose", "--", "(x^2-1)/(x-1)"],
     ["puiseux", "--", "(y^2 - x)/(2*i)"],
