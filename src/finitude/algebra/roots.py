@@ -163,12 +163,13 @@ def _aberth(log_slope, z):
     return z
 
 
-def _dyadic(z: complex):
-    """Integers X, Y and a power of two T with z = (X + iY)/T."""
+def _dyadic(z: complex, s: int = 0):
+    """Integers X, Y and a power of two T with z 2^s = (X + iY)/T."""
     a, da = z.real.as_integer_ratio()
     b, db = z.imag.as_integer_ratio()
     t = max(da, db)
-    return a * (t // da), b * (t // db), t
+    x, y = a * (t // da), b * (t // db)
+    return (x << s, y << s, t) if s >= 0 else (x, y, t << -s)
 
 
 def _round_div(n: int, d: int) -> int:
@@ -305,13 +306,11 @@ def _enclose(ints, approx, tol: float):
     return enclosures
 
 
-def _factor_roots(ints, tol: float, accept: float):
-    """Certified enclosures of the roots of one square-free factor, given
-    by its Gaussian-integer coefficients ``ints``.  Where double evaluation
-    cannot resolve a cluster to ``tol``, Aberth sweeps again with exact
-    evaluation, and those enclosures need only meet ``accept``.  Aberth
-    runs on p(2^s u), 2^s balancing the end coefficients, where these span
-    more than double range."""
+def _approximations(ints):
+    """Aberth approximations in doubles of all roots of one square-free
+    factor, given by its Gaussian-integer coefficients ``ints``, and s: the
+    roots of p(2^s u), 2^s balancing the end coefficients where these span
+    more than double range, else s = 0 and the roots of p."""
     n = len(ints) - 1
     sizes = [max(abs(a), abs(b)).bit_length() for a, b in ints]
     scaled, s = ints, 0
@@ -325,9 +324,24 @@ def _factor_roots(ints, tol: float, accept: float):
     cs = [complex(a / (1 << shift), b / (1 << shift)) for a, b in scaled]
     desc = cs[::-1]
     approx = _aberth(lambda z: _log_slope(desc, cs, z), _bini_seeds(cs))
-    # a coefficient underflowed to 0, or a root leaves doubles' normal range
-    if len(approx) != n or s and not all(
-            -1021 <= math.frexp(abs(z))[1] + s <= 1024 for z in approx if z):
+    if len(approx) != n:  # a coefficient underflowed to 0
+        raise IterationLimitExceeded("roots out of double range")
+    return approx, s
+
+
+def _out_of_range(approx, s) -> bool:
+    """Whether some root z 2^s leaves doubles' normal range."""
+    return bool(s) and not all(-1021 <= math.frexp(abs(z))[1] + s <= 1024
+                               for z in approx if z)
+
+
+def _factor_roots(ints, approx, s, tol: float, accept: float):
+    """Certified enclosures of the roots of one square-free factor, given
+    by its Gaussian-integer coefficients ``ints``, from ``_approximations``.
+    Where double evaluation cannot resolve a cluster to ``tol``, Aberth
+    sweeps again with exact evaluation, and those enclosures need only
+    meet ``accept``."""
+    if _out_of_range(approx, s):
         raise IterationLimitExceeded("roots out of double range")
     approx = [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s))
               for z in approx]
@@ -336,18 +350,6 @@ def _factor_roots(ints, tol: float, accept: float):
     except IterationLimitExceeded:
         approx = _aberth(lambda z: _exact_log_slope(ints, z), approx)
         return _enclose(ints, approx, accept)
-
-
-def _enclosures(factors, tol: float, accept: float):
-    """(cleared coefficients, enclosure, multiplicity) of each root of the
-    (square-free factor, multiplicity) pairs, sorted by the centres'
-    (real, imaginary) parts."""
-    out = []
-    for factor, mult in factors:
-        ints = list(zip(*gaussvec.clear(factor.coeffs)[1:]))
-        out += [(ints, enc, mult) for enc in _factor_roots(ints, tol, accept)]
-    return sorted(out, key=lambda item: (item[1].center.real,
-                                         item[1].center.imag))
 
 
 def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL,
@@ -367,8 +369,13 @@ def complex_roots(p: UnivariatePolynomial, tol: float = ROOT_TOL,
     if p.is_zero():
         raise ZeroPolynomial("root finding on the zero polynomial")
     accept = tol if accept is None else accept
-    return [(enc, mult) for _ints, enc, mult
-            in _enclosures(squarefree_factorization(p), tol, accept)]
+    out = []
+    for factor, mult in squarefree_factorization(p):
+        ints = list(zip(*gaussvec.clear(factor.coeffs)[1:]))
+        out += [(enc, mult) for enc
+                in _factor_roots(ints, *_approximations(ints), tol, accept)]
+    return sorted(out, key=lambda item: (item[0].center.real,
+                                         item[0].center.imag))
 
 
 def refine_root(p: UnivariatePolynomial, z: complex):
@@ -400,15 +407,16 @@ def refine_root(p: UnivariatePolynomial, z: complex):
     return GaussianRational(Fraction(xr, scale), Fraction(xi, scale))
 
 
-def _gaussian_root(ints, z: complex):
+def _gaussian_root(ints, point):
     """The Gaussian-rational root of p, with Gaussian-integer coefficients
-    ``ints``, that the double z approximates, or None.  With L = lc(p), L r
-    is a Gaussian integer for each root r (Z[i] is integrally closed): a
-    root of the monic q(u) = L^(n-1) p(u/L) in Z[i].  L z rounded to Z[i]
-    is that root while |L r| < 2^52; past that, Newton steps on q, each
-    rounded to Z[i], run from there."""
+    ``ints``, that ``point`` = (X, Y, T), the dyadic z = (X + iY)/T,
+    approximates, or None.  With L = lc(p), L r is a Gaussian integer for
+    each root r (Z[i] is integrally closed): a root of the monic
+    q(u) = L^(n-1) p(u/L) in Z[i].  L z rounded to Z[i] is that root while
+    |L r| < 2^52; past that, Newton steps on q, each rounded to Z[i], run
+    from there."""
     lr, li = ints[-1]
-    xr, xi, t = _dyadic(z)
+    xr, xi, t = point
     wr, wi, _t = _gaussian_grid(lr * xr - li * xi, lr * xi + li * xr, t)
     q, kr, ki = [(1, 0)], 1, 0  # L^(n-1-k) at the coefficient of u^k
     for a, b in reversed(ints[:-1]):
@@ -466,19 +474,29 @@ def exact_gaussian_roots(factors, tol: float = 1e-10):
     multiplicity) pairs and the (ComplexInterval, multiplicity) pairs of
     the other roots, each in the order of ``complex_roots``.  A linear
     factor's root -a_0/a_1 is read as it stands, with no root finding, so
-    it need not lie in double range."""
-    found, others = [], []
+    it need not lie in double range.  Nor need the roots of a factor whose
+    approximations, scaled back, leave double range: Newton in Z[i] runs
+    from each of them scaled back exactly, and the factor is accepted when
+    every one reaches a distinct exact root."""
+    found = []
     for factor, mult in factors:
         if factor.degree() == 1:
             a0, a1 = factor.coeffs
             root = -a0 / a1
             found.append(((root.re, root.im), root, mult))
-        else:
-            others.append((factor, mult))
-    for ints, enc, mult in _enclosures(others, tol, tol):
-        root = _gaussian_root(ints, enc.center)
-        found.append(((enc.center.real, enc.center.imag),
-                      enc if root is None else root, mult))
+            continue
+        ints = list(zip(*gaussvec.clear(factor.coeffs)[1:]))
+        approx, s = _approximations(ints)
+        if _out_of_range(approx, s):
+            exact = {_gaussian_root(ints, _dyadic(z, s)) for z in approx}
+            if None in exact or len(exact) < len(approx):
+                raise IterationLimitExceeded("roots out of double range")
+            found += [((root.re, root.im), root, mult) for root in exact]
+            continue
+        for enc in _factor_roots(ints, approx, s, tol, tol):
+            root = _gaussian_root(ints, _dyadic(enc.center))
+            found.append(((enc.center.real, enc.center.imag),
+                          enc if root is None else root, mult))
     roots, rest = [], []
     for _key, root, mult in sorted(found, key=lambda item: item[0]):
         (rest if isinstance(root, ComplexInterval) else roots).append(

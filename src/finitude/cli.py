@@ -94,7 +94,7 @@ def cmd_algebraic(args, settings) -> int:
     else:
         report.add("monodromy", action.report(singular))
         lines += [f"singular points: "
-                  f"{[_fmt_complex(p.center) for p in singular.points]}",
+                  f"{[_fmt_complex(p.center) for p in singular]}",
                   f"group order: {action.group.order()}  "
                   f"transitive: {action.transitive}"]
     verdict = failure or radicals_verdict(

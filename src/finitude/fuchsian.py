@@ -1,14 +1,16 @@
 """Numeric monodromy of Fuchsian systems and simultaneous triangularization.
 
-A Fuchsian system Y' = (sum_k A_k/(x - p_k)) Y is transported along the
-loop tree of the scalar monodromy module by Taylor series in steps of half
-the distance to the nearest pole.  Every step of every piece of the tree
-runs through one coefficient recurrence, each step summing to its own
-piece's order.  A scalar Cauchy majorant bounds each truncated tail, the
-steps of a piece sharing ``fuchsian_tol``; each loop's ``truncation_bound``
-propagates these bounds to the 2-norm of the error of its matrix, to first
-order (round-off is not in it), and a matrix whose condition number reaches
-2^53 is flagged as beyond double precision.
+A Fuchsian system Y' = (sum_k A_k/(x - p_k)) Y is transported by Taylor
+series, in steps of half the distance to the nearest pole, along the loop
+tree that the scalar monodromy module builds around the poles: its edges,
+one loop per pole, are a highway leg, a spoke and a circle each.  Every
+step of every piece of the tree runs through one coefficient recurrence,
+each step summing to its own piece's order.  A scalar Cauchy majorant
+bounds each truncated tail, the steps of a piece sharing ``fuchsian_tol``;
+each loop's ``truncation_bound`` propagates these bounds to the 2-norm of
+the error of its matrix, to first order (round-off is not in it), and a
+matrix whose condition number reaches 2^53 is flagged as beyond double
+precision.
 The residue matrices are tested for simultaneous triangularizability by
 McCoy's criterion in trace form: the traces of every word of the algebra
 they generate against every commutator of two of them vanish, to one
@@ -21,14 +23,14 @@ no formula to evaluate.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .config import FUCHSIAN_TOL
 from .errors import IterationLimitExceeded, SingularOnPath
-from .monodromy import (SingularSet, auto_base_point, big_circle_loop,
-                        bridged, generate_loops, highway_legs)
-from .algebra.roots import ComplexInterval
+from .monodromy import (auto_base_point, big_circle_loop, bridged,
+                        generate_loops)
 from .solvability.verdicts import Verdict, VerdictStatus
 
 
@@ -43,7 +45,7 @@ class FuchsianSystem:
         if len(set(self.poles)) != len(self.poles):
             raise ValueError("pole locations must be pairwise distinct")
         dims = {m.shape for m in self.matrices}
-        if len(dims) > 1 or any(m.shape[0] != m.shape[1]
+        if len(dims) > 1 or any(m.ndim != 2 or m.shape[0] != m.shape[1]
                                 for m in self.matrices):
             raise ValueError("residue matrices must be square, same size")
         self.dimension = self.matrices[0].shape[0] if self.matrices else 0
@@ -52,22 +54,42 @@ class FuchsianSystem:
         self.norms = (np.linalg.svd(np.array(self.matrices), compute_uv=False)
                       [:, 0].tolist() if self.matrices else [])
 
-    def singular_set(self) -> SingularSet:
-        encl = [ComplexInterval(p, 1e-14) for p in self.poles]
-        return SingularSet(encl)
-
     @staticmethod
     def from_json(data) -> "FuchsianSystem":
-        poles = [complex(re, im) for re, im in data["poles"]]
-        matrices = []
-        for rows in data["matrices"]:
-            matrices.append([[complex(re, im) for re, im in row]
-                             for row in rows])
+        """The system of {"poles": [p, ...], "matrices": [[[a, ...], ...],
+        ...]}, every pole and entry a [re, im] pair of finite numbers;
+        ValueError names the first fault of any other input."""
+        if not isinstance(data, dict):
+            raise ValueError("a Fuchsian system is a JSON object")
+        for key in ("poles", "matrices"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+        poles = [_number(p) for p in _items(data["poles"], "poles")]
+        matrices = [[[_number(v) for v in _items(row, "a matrix row")]
+                     for row in _items(rows, "a matrix")]
+                    for rows in _items(data["matrices"], "matrices")]
         return FuchsianSystem(poles, matrices)
 
     def __repr__(self):
         return (f"FuchsianSystem(N={self.dimension}, "
                 f"poles={[f'{p:.3g}' for p in self.poles]})")
+
+
+def _items(value, what):
+    """``value``, the JSON list ``what``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {value!r:.60}")
+    return value
+
+
+def _number(pair):
+    """re + i im of a [re, im] pair of finite JSON numbers."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in pair)):
+        raise ValueError(f"expected a [re, im] pair of finite numbers, "
+                         f"not {pair!r:.60}")
+    return complex(*pair)
 
 
 # cond(M) times the unit round-off 2^-53 at 1 or more: the computed M_k may
@@ -289,31 +311,30 @@ def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
     counterclockwise circle around all poles (same travel convention as the
     scalar ordered product: rightmost factor is traveled first).
 
-    The loop tree is walked as monodromy_group walks it, so
-    M_k = E_k^-1 C_k E_k with E_k from the base to the circle entry and C_k
-    once around the circle, and its truncation bound is, to first order,
+    The edges of the loop tree are walked as monodromy_group walks them,
+    so M_k = E_k^-1 C_k E_k, with E_k along the legs so far and the k-th
+    spoke, from the base to the circle entry, and C_k once around the
+    circle.  Its truncation bound is, to first order,
     ||E^-1|| (e_E (||M|| + ||C||) + e_C ||E||).  Every piece of the tree is
     transported by one integrate_along call; the products follow in walk
     order, and every norm comes from one SVD call after them.
     """
     n = system.dimension
-    singular = system.singular_set()
     if base is None:
-        base = auto_base_point(singular)
-    loops = generate_loops(singular, base)
-    walk = [(leg, list(bridged(loop.spoke)), loop.circle)
-            for loop, leg in highway_legs(loops, base)]
+        base = auto_base_point(system.poles)
+    loops = generate_loops(system.poles, base)
     transfers = iter(integrate_along(
-        system, [piece for leg, spoke, circle in walk
-                 for piece in (leg, *spoke, circle)], tol))
+        system, [piece for loop in loops
+                 for piece in (loop.leg, *loop.spoke, loop.circle)], tol))
     # measured: every matrix a bound reads the norm of; a loop's E, C and
     # M_k follow its links there
     measured, highway, walked = [], [], []
     M = np.eye(n, dtype=complex)
-    for _leg, spoke, _circle in walk:
+    for loop in loops:
         M, links = _multiply(M, [next(transfers)], measured)
         highway += links
-        E, links = _multiply(M, [next(transfers) for _ in spoke], measured)
+        E, links = _multiply(M, [next(transfers) for _ in loop.spoke],
+                             measured)
         C, e_C = next(transfers)
         walked.append((highway + links, e_C, len(measured)))
         measured += [E, C, np.linalg.solve(E, C @ E)]
@@ -338,10 +359,11 @@ def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
 def monodromy_at_infinity(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
                           base=None) -> np.ndarray:
     """The matrix of one big counterclockwise circle around all poles."""
-    loop = big_circle_loop(system.singular_set(), base)
+    if base is None:
+        base = auto_base_point(system.poles)
+    pieces = list(bridged(big_circle_loop(system.poles, base)))
     return _multiply(np.eye(system.dimension, dtype=complex),
-                     integrate_along(system, list(bridged(loop.pieces)), tol),
-                     [])[0]
+                     integrate_along(system, pieces, tol), [])[0]
 
 
 # --- simultaneous triangularization -----------------------------------------

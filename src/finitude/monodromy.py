@@ -21,11 +21,14 @@ Conventions (fixed so reruns are bit-identical):
   circle), ties broken by descending modulus; circles are traversed
   counterclockwise;
 * detours around blocking disks always go counterclockwise;
-* branches are tracked along a tree: the highway circle once, in loop
-  order, then each spoke once, from the highway to its circle entry, then
-  each clearance circle from its entry.  A loop is its pieces, segments
-  and arcs; arcs and circles are stepped by angle, with the step size left
-  to the step controller.  The Fuchsian transport walks the same tree;
+* the loops are the edges of one tree (``generate_loops``), each a
+  highway leg from the previous spoke, a spoke down to its clearance
+  circle, and the circle.  Branches are tracked along the legs in loop
+  order, down each spoke once and around each circle from its entry; the
+  way back is never walked, since the entry values carry the base labels.
+  The pieces are segments and arcs; arcs and circles are stepped by
+  angle, with the step size left to the step controller.  The Fuchsian
+  transport walks the same edges;
 * the ordered product of the generators (rightmost factor applied first,
   as in function composition) equals the permutation of one big
   counterclockwise circle around all singular points -- equivalently, the
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 from .algebra.poly import BivariatePolynomial, singular_locator
 from .algebra.roots import complex_roots, value_and_slope
@@ -52,22 +56,6 @@ MAX_ARC_STEP = math.pi / 4
 # Widest relative radius accepted for a singular point that root finding
 # cannot separate to the requested tolerance.
 LOCATOR_TOL = 1e-8
-
-
-class SingularSet:
-    """Certified enclosures of the singular points of a curve."""
-
-    def __init__(self, points):
-        self.points = list(points)  # ComplexInterval, deduplicated
-
-    def centers(self):
-        return [p.center for p in self.points]
-
-    def __len__(self):
-        return len(self.points)
-
-    def __repr__(self):
-        return f"SingularSet({[p.center for p in self.points]})"
 
 
 # --- paths ---------------------------------------------------------------------
@@ -125,41 +113,16 @@ def _arc(center, radius, a0, a1, ccw=True) -> Arc:
     return Arc(center, radius, a0, a1)
 
 
-class Loop:
-    """Closed path from the base point encircling one singular point, as
-    the ``pieces`` (segments and arcs) the branches are tracked along; a
-    gap between consecutive pieces is bridged by a chord."""
+class TreeEdge(NamedTuple):
+    """One edge of the loop tree, the loop around one singular point: the
+    highway ``leg`` from the previous edge's spoke (from the base, for the
+    first edge), the ``spoke`` pieces down to the clearance ``circle``, and
+    the circle, counterclockwise from its entry."""
 
-    def __init__(self, base_point: complex, pieces, singular_index: int):
-        self.base_point = complex(base_point)
-        self.pieces = list(pieces)
-        self.singular_index = singular_index
-
-    def reversed(self) -> "Loop":
-        return Loop(self.base_point,
-                    [p.reversed() for p in reversed(self.pieces)],
-                    self.singular_index)
-
-
-class PetalLoop(Loop):
-    """A loop of generate_loops: out along the ``highway`` arc and the
-    ``spoke`` pieces to its clearance ``circle``, once around the circle,
-    and back the same way.  monodromy_group and the Fuchsian transport
-    walk these three parts of the tree (highway_legs); the whole loop's
-    ``pieces`` are built only when read."""
-
-    def __init__(self, base_point, singular_index, highway: Arc, spoke,
-                 circle: Arc):
-        self.base_point = complex(base_point)
-        self.singular_index = singular_index
-        self.highway = highway
-        self.spoke = list(spoke)
-        self.circle = circle
-
-    @property
-    def pieces(self):
-        out = [self.highway, *self.spoke, self.circle]
-        return out + [p.reversed() for p in reversed(out[:-1])]
+    singular_index: int
+    leg: Arc
+    spoke: list
+    circle: Arc
 
 
 class StepCounts:
@@ -178,11 +141,11 @@ class MonodromyAction:
     with the tracker (the float image of the curve) that later
     continuations of the labeled roots reuse."""
 
-    def __init__(self, polynomial, singular: SingularSet, base_point, roots,
+    def __init__(self, polynomial, singular, base_point, roots,
                  loops, generators, group: PermGroup, tracker=None,
                  steps: StepCounts | None = None):
         self.polynomial = polynomial
-        self.singular = singular  # the set the loops were built around
+        self.singular = singular  # the enclosures the loops were built around
         self.base_point = complex(base_point)
         self.roots = [complex(r) for r in roots]
         self.loops = list(loops)
@@ -196,7 +159,7 @@ class MonodromyAction:
     def orbits(self):
         return self.group.orbits()
 
-    def report(self, singular: SingularSet | None = None):
+    def report(self, singular=None):
         data = {
             "base_point": [self.base_point.real, self.base_point.imag],
             "generators": [cycles_string(g) for g in self.generators],
@@ -205,7 +168,7 @@ class MonodromyAction:
         }
         if singular is not None:
             data["singular_points"] = [[p.center.real, p.center.imag]
-                                       for p in singular.points]
+                                       for p in singular]
         return data
 
     def __repr__(self):
@@ -216,9 +179,9 @@ class MonodromyAction:
 # --- singular points ---------------------------------------------------------
 
 
-def singular_points(P: BivariatePolynomial,
-                    tol: float = ROOT_TOL) -> SingularSet:
-    """Certified enclosures of all roots of lc_y(P) * disc_y(P).
+def singular_points(P: BivariatePolynomial, tol: float = ROOT_TOL):
+    """Certified enclosures (ComplexInterval) of all roots of
+    lc_y(P) * disc_y(P), in the order of ``complex_roots``.
 
     Ill-conditioned locator roots (nearly coincident singular points) whose
     enclosures stay wider than ``tol`` after the exact sweeps are accepted
@@ -230,14 +193,14 @@ def singular_points(P: BivariatePolynomial,
     locator = singular_locator(P)
     pairs = [] if locator.degree() < 1 \
         else complex_roots(locator, tol, accept=max(tol, LOCATOR_TOL))
-    return SingularSet([enc for enc, _ in pairs])
+    return [enc for enc, _ in pairs]
 
 
 # --- loop construction --------------------------------------------------------
 
 
-def auto_base_point(singular: SingularSet) -> complex:
-    radius = max((abs(c) for c in singular.centers()), default=0.0)
+def auto_base_point(centers) -> complex:
+    radius = max((abs(c) for c in centers), default=0.0)
     return complex(1.0 + 2.0 * radius, 0.0)
 
 
@@ -303,10 +266,11 @@ def _dist_to_ray(z, theta, r_lo, r_hi):
     return abs(w - t)
 
 
-def generate_loops(singular: SingularSet, base=None):
-    """One counterclockwise loop per singular point, highway construction.
+def generate_loops(centers, base):
+    """The loop tree around the singular points ``centers``, highway
+    construction: one TreeEdge per point, in loop order.
 
-    Every loop runs from the base along the circle of radius |base| (the
+    Each loop runs from the base along the circle of radius |base| (the
     highway) to the singular point's radial spoke, descends to its
     clearance circle, winds counterclockwise once, and retraces.  A spoke
     blocked by another disk skirts it on a counterclockwise detour arc that
@@ -315,14 +279,12 @@ def generate_loops(singular: SingularSet, base=None):
     the base direction (a point on the base direction closes the sweep, its
     highway being the full circle), ties broken by descending modulus; with
     this order the ordered product of the generators (rightmost applied
-    first) equals the counterclockwise circle around everything.
+    first) equals the counterclockwise circle around everything.  The
+    edges keep the highway only as legs, each from the previous spoke to
+    its own, and each spoke with its gaps bridged, so that the legs,
+    spokes and circles, walked in order, are the tree.
     """
-    centers = singular.centers()
-    if base is None:
-        base = auto_base_point(singular)
     base = complex(base)
-    if not centers:
-        return []
     R = abs(base)
     spoke = {k: (cmath.phase(c) if abs(c) > 0 else 0.0)
              for k, c in enumerate(centers)}
@@ -361,38 +323,26 @@ def generate_loops(singular: SingularSet, base=None):
     # attaches the farther point's petal first
     order = sorted(range(len(centers)),
                    key=lambda k: (sweeps[k][0], -abs(centers[k]), k))
-    loops = []
+    edges, angle = [], base_angle
     for k in order:
         c, r, phi = centers[k], radii[k], spoke[k]
         outer = R * cmath.exp(1j * phi)
         inner = c + r * cmath.exp(1j * phi)
         obstacles = [(centers[j], radii[j])
                      for j in range(len(centers)) if j != k]
-        spoke_pieces = _segment_with_detours(outer, inner, obstacles)
-        highway = _arc(0.0, R, base_angle, base_angle + sweeps[k][1],
-                       ccw=True)
-        a0 = cmath.phase(spoke_pieces[-1].end - c)
-        circle = _arc(c, r, a0, a0 + 2 * math.pi, ccw=True)
-        loops.append(PetalLoop(base, k, highway, spoke_pieces, circle))
-    return loops
+        pieces = list(bridged(_segment_with_detours(outer, inner, obstacles)))
+        end = _arc(0.0, R, base_angle, base_angle + sweeps[k][1],
+                   ccw=True).a1
+        a0 = cmath.phase(pieces[-1].end - c)
+        edges.append(TreeEdge(k, Arc(0.0, R, angle, end), pieces,
+                              _arc(c, r, a0, a0 + 2 * math.pi, ccw=True)))
+        angle = end
+    return edges
 
 
-def highway_legs(loops, base):
-    """The highway of the loop tree cut at the spokes: each loop with the
-    arc from the previous loop's spoke (from the base, for the first) to
-    its own."""
-    angle = cmath.phase(complex(base))
-    for loop in loops:
-        highway = loop.highway
-        yield loop, Arc(highway.center, highway.radius, angle, highway.a1)
-        angle = highway.a1
-
-
-def big_circle_loop(singular: SingularSet, base=None) -> Loop:
-    """A counterclockwise circle enclosing every singular point, based at base."""
-    centers = singular.centers()
-    if base is None:
-        base = auto_base_point(singular)
+def big_circle_loop(centers, base):
+    """The pieces of a path from base once counterclockwise around a circle
+    enclosing every singular point, and back."""
     base = complex(base)
     radius = abs(base)  # centered at 0; base rule keeps all points inside
     if any(abs(c) >= radius * 0.999 for c in centers):
@@ -400,8 +350,7 @@ def big_circle_loop(singular: SingularSet, base=None) -> Loop:
     a0 = cmath.phase(base)
     circle = _arc(0.0, radius, a0, a0 + 2 * math.pi, ccw=True)
     # walk out radially, circle, walk back
-    return Loop(base, [Segment(base, circle.start), circle,
-                       Segment(circle.start, base)], -1)
+    return [Segment(base, circle.start), circle, Segment(circle.start, base)]
 
 
 # --- branch tracking -----------------------------------------------------------
@@ -568,14 +517,15 @@ class _Tracker:
         return ys
 
 
-def continue_roots(tracker: _Tracker, loop: Loop, start_roots):
-    """Track all branches around the loop; return the permutation.
+def continue_roots(tracker: _Tracker, pieces, start_roots):
+    """Track all branches along the closed path ``pieces``; return the
+    permutation.
 
     The result sigma maps tracked-branch index i to the label sigma[i] of
     the start root where branch i lands.
     """
     start = [complex(y) for y in start_roots]
-    end = tracker.track(loop.pieces, start)
+    end = tracker.track(pieces, start)
     return match_end_roots(end, start, _min_separation(start) / 3.0)
 
 
@@ -609,7 +559,7 @@ def track_to_point(action: MonodromyAction, target: complex):
     labels along that specific path.
     """
     base = action.base_point
-    centers = action.singular.centers()
+    centers = [p.center for p in action.singular]
     radii = [min(_clearance(centers, k, base), 0.05 * max(1.0, abs(base)))
              for k in range(len(centers))]
     obstacles = list(zip(centers, radii))
@@ -625,10 +575,11 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
     The group is generated by one permutation per singular point; for
     reducible curves the action is intransitive and orbit data is exposed
     on the returned object rather than refused.  The branches are tracked
-    along the tree of the loops: the highway once, in loop order, with a
-    snapshot at each spoke; each spoke once, down to its circle entry; and
-    each circle from its entry, by continue_roots.  The entry values carry
-    the base labels, so a circle's end matching is its loop's generator.
+    along the edges of the loop tree, in loop order: each highway leg, from
+    the values at the end of the one before; each spoke once, down to its
+    circle entry; and each circle from its entry, by continue_roots.  The
+    entry values carry the base labels, so a circle's end matching is its
+    loop's generator.
     The singular set is certified once, at ``root_tol``, and serves the
     report too; one tracker, tracking at ``tol``, serves every path.  The
     base roots are labeled in the order (-Re, Im).
@@ -637,9 +588,10 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
 
     P = P.primitive_y()
     singular = singular_points(P, root_tol)
+    centers = [p.center for p in singular]
     if base is None:
-        base = auto_base_point(singular)
-    loops = generate_loops(singular, base)
+        base = auto_base_point(centers)
+    loops = generate_loops(centers, base)
     tracker = _Tracker(P, tol)
     cs = tracker.coefficients(complex(base))
     if abs(cs[0]) < 1e-300:
@@ -647,11 +599,10 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
     roots = sorted(np.roots(cs), key=lambda r: (-r.real, r.imag))
     generators = []
     values = roots
-    for loop, highway in highway_legs(loops, base):
-        values = tracker.track([highway], values)
+    for loop in loops:
+        values = tracker.track([loop.leg], values)
         entry = tracker.track(loop.spoke, values)
-        circle = Loop(loop.circle.start, [loop.circle], loop.singular_index)
-        generators.append(continue_roots(tracker, circle, entry))
+        generators.append(continue_roots(tracker, [loop.circle], entry))
     group = PermGroup(max(P.degree_y(), 1), generators)
     steps = StepCounts(tracker.counts.accepted, tracker.counts.rejected)
     return MonodromyAction(P, singular, base, roots, loops, generators, group,
@@ -661,10 +612,11 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
 def loop_at_infinity_permutation(action: MonodromyAction,
                                  clockwise: bool = False):
     """Permutation along one large circle around all singular points."""
-    loop = big_circle_loop(action.singular, action.base_point)
+    pieces = big_circle_loop([p.center for p in action.singular],
+                             action.base_point)
     if clockwise:
-        loop = loop.reversed()
-    return continue_roots(action.tracker, loop, action.roots)
+        pieces = [piece.reversed() for piece in reversed(pieces)]
+    return continue_roots(action.tracker, pieces, action.roots)
 
 
 def ordered_product(perms):

@@ -266,10 +266,10 @@ def test_criterion_9_puiseux_monodromy_consistency():
             continue
         sing = singular_points(P)
         for loop, gen in zip(action.loops, action.generators):
-            center = sing.points[loop.singular_index].center
+            center = sing[loop.singular_index].center
             ram = ramification_multiset(P, center)
             assert ram == cycle_type(gen), (P.format(), center)
-        for enc in sing.points:
+        for enc in sing:
             for s in puiseux_expand(P, enc.center, order=3, exact=False):
                 assert residual_error(P, s) <= 1e-10
         checked += 1

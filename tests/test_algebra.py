@@ -1080,6 +1080,22 @@ class TestComplexRoots:
         assert [(round(e.center.real, 9), m) for e, m in rest] == \
             [(-1.414213562, 1), (1.414213562, 1)]
 
+    def test_quadratic_factor_roots_beyond_double_range(self):
+        # the roots (3 + 4i) 10^350 and -10^351/7 of one quadratic factor
+        # leave double range, and Newton in Z[i] runs from its scaled
+        # approximations scaled back exactly
+        p = parse_univariate("(x - (3+4*i)*10^350)*(7*x + 10^351)*(x - 1)^2")
+        found, rest = roots.exact_gaussian_roots(squarefree_factorization(p))
+        assert found == [(GaussianRational(Fraction(-10 ** 351, 7)), 1),
+                         (GaussianRational(1), 2),
+                         (GaussianRational(3 * 10 ** 350, 4 * 10 ** 350), 1)]
+        assert rest == []
+        # a root that is not Gaussian rational has no enclosure there
+        with pytest.raises(IterationLimitExceeded,
+                           match="roots out of double range"):
+            roots.exact_gaussian_roots(squarefree_factorization(
+                parse_univariate("x^2 - 2*10^700")))
+
     def test_disjoint_enclosures(self):
         pairs = complex_roots(parse_univariate("x^5 - x"), 1e-12)
         encs = [e for e, _ in pairs]

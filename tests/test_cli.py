@@ -94,8 +94,10 @@ class TestExitCodes:
         (["puiseux", "--point", "0", "--order", "3", "--",
           "2*x^2*y^2 + 2*x^2*y + 3*x^2 + 3*x*y^2 - x*y + y^3"],
          "NumericBreakdown"),
-        # residues beyond double range: a valid input, not a usage error
-        (["integrate", "--", "1/(x^2 - 10^700)"], "IterationLimitExceeded"),
+        # irrational residues beyond double range: a valid input, not a
+        # usage error
+        (["integrate", "--", "1/(x^2 - 2*10^700)"],
+         "IterationLimitExceeded: roots out of double range"),
     ], ids=["puiseux", "integrate-out-of-range"])
     def test_numeric_failure_is_2(self, argv, error):
         code, _out, err = run(argv)
@@ -133,8 +135,11 @@ class TestExitCodes:
         (["0", "-2/(x-100000000000000000001)^2"],
          "(2)/(x - 100000000000000000001)", None),
         (["0", "-2/(x-10^400)^2"], f"(2)/(x - {10 ** 400})", None),
+        # the poles +-10^350 of a quadratic factor, beyond double range
+        (["0", "-2/(x^2-10^700)"], f"(2*x)/(x^2 - {10 ** 700})", None),
     ], ids=["gaussian-pole", "gaussian-pole-pair", "skipped-candidate",
-            "huge-square-root", "huge-linear-pole", "linear-pole-out-of-range"])
+            "huge-square-root", "huge-linear-pole", "linear-pole-out-of-range",
+            "quadratic-poles-out-of-range"])
     def test_ode_witness_found(self, coefficients, witness, skipped):
         code, out, _ = run(["--json", "ode", "2", "--", *coefficients])
         assert code == 0
@@ -167,8 +172,14 @@ class TestExitCodes:
         # residues of 4 10^400 t^2 - 1, whose coefficients span more than
         # double range: +-5e-201, with radii far below 2^-537
         ("1/(x^2 - 10^400)", 0, [f"-1/{2 * 10 ** 200}", f"1/{2 * 10 ** 200}"]),
+        # residues +-1/(2 10^350) and +-i/(2 10^350), beyond double range:
+        # Newton in Z[i] runs from the scaled approximations scaled back
+        ("1/(x^2 - 10^700)", 0, [f"-1/{2 * 10 ** 350}", f"1/{2 * 10 ** 350}"]),
+        ("1/(x^2 + 10^700)", 0,
+         [f"-1/{2 * 10 ** 350}*i", f"1/{2 * 10 ** 350}*i"]),
     ], ids=["integrate-proper", "integrate-improper", "integrate-linear",
-            "integrate-quadratic", "integrate-wide-span"])
+            "integrate-quadratic", "integrate-wide-span",
+            "integrate-out-of-range", "integrate-gaussian-out-of-range"])
     def test_large_residues_are_certified(self, expr, enclosures, lambdas):
         # residues near -1.2e5 and 1.0e5: a double cannot hold them to an
         # absolute 1e-12, but their radii are relative to their size
@@ -349,6 +360,23 @@ class TestReports:
         assert "ill-conditioned loops [0, 1]" in out
         code, out, _ = run(["--json", "fuchsian", FIXTURE])
         assert "ill_conditioned" not in json.loads(out)["monodromy"]
+
+    @pytest.mark.parametrize("system, fault", [
+        ({"poles": [[0, 0]]}, "missing key 'matrices'"),
+        ([1, 2], "JSON object"),
+        ({"poles": [[0]], "matrices": [[[[1, 0]]]]}, "pair"),
+        ({"poles": [[0, 0]], "matrices": [[[["a", 0]]]]}, "pair"),
+        ({"poles": [[0, 0]], "matrices": [[[[10 ** 400, 0]]]]}, "pair"),
+        ({"poles": [[0, True]], "matrices": [[[[1, 0]]]]}, "pair"),
+        ({"poles": 0, "matrices": []}, "poles must be a list"),
+    ], ids=["missing-key", "not-an-object", "short-pole", "string-entry",
+            "huge-entry", "boolean-part", "poles-not-a-list"])
+    def test_malformed_fuchsian_file_is_64(self, tmp_path, system, fault):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        code, out, err = run(["--json", "fuchsian", str(path)])
+        assert (code, out) == (64, "")
+        assert err.startswith("error: ValueError: ") and fault in err
 
     def test_config_override(self, tmp_path):
         cfg = tmp_path / "settings.cfg"

@@ -13,8 +13,7 @@ from finitude.fuchsian import (MAX_ORDER, FuchsianSystem, integrate_along,
                                monodromy_at_infinity,
                                simultaneous_triangularizable,
                                small_norm_verdict, system_monodromy)
-from finitude.monodromy import (Arc, Segment, auto_base_point, bridged,
-                                generate_loops, highway_legs)
+from finitude.monodromy import Arc, Segment, auto_base_point, generate_loops
 from finitude.solvability.verdicts import VerdictStatus
 
 E = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -210,10 +209,10 @@ class TestTaylorTransport:
             n, count = 2 + k % 3, 2 + k // 3
             system = FuchsianSystem(
                 poles[:count], [random_matrix(rng, n) for _ in range(count)])
-            base = auto_base_point(system.singular_set())
-            loops = generate_loops(system.singular_set(), base)
-            pieces = [piece for loop, leg in highway_legs(loops, base)
-                      for piece in (leg, *bridged(loop.spoke), loop.circle)]
+            loops = generate_loops(system.poles,
+                                   auto_base_point(system.poles))
+            pieces = [piece for loop in loops
+                      for piece in (loop.leg, *loop.spoke, loop.circle)]
             for piece, (F, bound) in zip(pieces,
                                          integrate_along(system, pieces)):
                 ((G, alone),) = integrate_along(system, [piece])

@@ -1,6 +1,9 @@
 """Singular points, loops, continuation, and monodromy groups."""
 
+import cmath
+import json
 import math
+import os
 import random
 
 import numpy as np
@@ -12,29 +15,29 @@ from finitude.algebra import (BivariatePolynomial, UnivariatePolynomial,
                               parse_bivariate)
 from finitude.algebra.roots import ComplexInterval
 from finitude.errors import PathCollision, SquareFreeRequired
-from finitude.monodromy import (SingularSet, continue_roots, generate_loops,
-                                loop_at_infinity_permutation, match_end_roots,
-                                monodromy_group, ordered_product,
-                                singular_points)
+from finitude.monodromy import (Segment, auto_base_point, continue_roots,
+                                generate_loops, loop_at_infinity_permutation,
+                                match_end_roots, monodromy_group,
+                                ordered_product, singular_points)
 from finitude.permgroups import cycle_type, cycles_string, inverse
 
 
 class TestSingularPoints:
     def test_sqrt(self):
         s = singular_points(parse_bivariate("y^2 - x"))
-        assert len(s) == 1 and abs(s.centers()[0]) < 1e-9
+        assert len(s) == 1 and abs(s[0].center) < 1e-9
 
     def test_two_points(self):
         s = singular_points(parse_bivariate("y^2 - (x^2 - 1)"))
-        got = sorted(z.real for z in s.centers())
+        got = sorted(p.center.real for p in s)
         assert got == pytest.approx([-1.0, 1.0])
 
     def test_quintic_four_points(self):
         s = singular_points(parse_bivariate("y^5 + y - x"))
         assert len(s) == 4
-        for z in s.centers():
+        for p in s:
             # roots of 3125 x^4 + 256
-            assert abs(3125 * z ** 4 + 256) < 1e-6
+            assert abs(3125 * p.center ** 4 + 256) < 1e-6
 
     def test_squarefree_required(self):
         with pytest.raises(SquareFreeRequired):
@@ -51,8 +54,8 @@ class TestSingularPoints:
         act = monodromy_group(P, root_tol=root_tol)
         fresh = singular_points(P, root_tol)
         assert [args[1] for args in calls] == [root_tol]
-        assert [(p.center, p.radius) for p in act.singular.points] == \
-            [(p.center, p.radius) for p in fresh.points]
+        assert [(p.center, p.radius) for p in act.singular] == \
+            [(p.center, p.radius) for p in fresh]
 
     def test_action_keeps_its_singular_set(self):
         act = monodromy_group(parse_bivariate("y^5 + y - x"))
@@ -62,7 +65,7 @@ class TestSingularPoints:
 class TestLoops:
     def test_single_point_radius(self):
         s = singular_points(parse_bivariate("y^2 - (x - 0)"))
-        loops = generate_loops(s, base=2.0)
+        loops = generate_loops([p.center for p in s], 2.0)
         assert len(loops) == 1
         # circular part has radius 1 (half the distance to the base)
         circle = loops[0].circle
@@ -72,16 +75,60 @@ class TestLoops:
     def test_empty_singular_set(self):
         s = singular_points(parse_bivariate("y^2 - (x^2 + 1) - x^4"))
         if len(s) == 0:
-            assert generate_loops(s) == []
+            assert generate_loops([], auto_base_point([])) == []
 
     def test_ordering_convention(self):
         s = singular_points(parse_bivariate("y^2 - (x^2 - 1)"))
-        loops = generate_loops(s, base=3.0)
-        ordered_centers = [s.centers()[l.singular_index] for l in loops]
+        loops = generate_loops([p.center for p in s], 3.0)
+        ordered_centers = [s[l.singular_index].center for l in loops]
         # documented convention: the sweep angle lives in (0, 2 pi], so the
         # point on the base direction (+1) closes the sweep and is listed
         # after -1 (and traveled first in the ordered product)
         assert ordered_centers[0].real < 0 < ordered_centers[1].real
+
+
+class TestLoopTree:
+    """The edges of the loop tree join up: each leg starts where the one
+    before ends (the first at the base), each spoke at its leg's end and
+    each circle at its spoke's end, so bridging adds no chord at a joint
+    and walking the legs, spokes and circles in order walks the tree."""
+
+    PANEL = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "panel.json")
+
+    @staticmethod
+    def assert_joined(centers, base):
+        loops = generate_loops(centers, base)
+        assert sorted(loop.singular_index for loop in loops) == \
+            list(range(len(centers)))
+        angle = cmath.phase(complex(base))
+        for loop in loops:
+            assert loop.leg.a0 == angle
+            assert abs(loop.spoke[0].start - loop.leg.end) <= 1e-12
+            assert abs(loop.circle.start - loop.spoke[-1].end) <= 1e-12
+            angle = loop.leg.a1
+
+    def test_seeded_centre_sets(self):
+        rng = random.Random(33)
+        for k in range(300):
+            centers = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                       for _ in range(rng.randint(1, 9))]
+            if k % 3 == 0:  # collinear points on a ray, blocking spokes
+                ray = cmath.exp(1j * rng.choice([0.0, math.pi / 2, 1.0]))
+                centers += [t * ray for t in (0.5, 1.5, 2.5)]
+            base = auto_base_point(centers)
+            if k % 2:  # a base off the real axis
+                base *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            self.assert_joined(centers, base)
+
+    def test_singular_sets_of_panel_curves(self):
+        with open(self.PANEL, encoding="utf-8") as handle:
+            panel = json.load(handle)["curves"]
+        for curves in panel.values():
+            for expr in curves[:2]:
+                centers = [p.center
+                           for p in singular_points(parse_bivariate(expr))]
+                self.assert_joined(centers, auto_base_point(centers))
 
 
 class TestContinuation:
@@ -97,12 +144,11 @@ class TestContinuation:
             assert cycle_type(act.generators[0]) == (n,)
 
     def test_contractible_loop_identity(self):
-        from finitude.monodromy import Loop, Segment
         act = monodromy_group(parse_bivariate("y^2 - x"))
         base = act.base_point
         square = [base, base + 0.5, base + 0.5 + 0.5j, base + 0.5j, base]
         sides = [Segment(a, b) for a, b in zip(square, square[1:])]
-        sigma = continue_roots(act.tracker, Loop(base, sides, -1), act.roots)
+        sigma = continue_roots(act.tracker, sides, act.roots)
         assert sigma == tuple(range(2))
 
 
@@ -213,10 +259,10 @@ class TestProductRelation:
         # loop is listed last and must start with the full highway circle
         P = parse_bivariate("y^3 - 3*y - x")
         exact = singular_points(P)
-        moved = SingularSet(
-            [ComplexInterval(p.center + (1e-30j if p.center.real > 0 else 0),
-                             p.radius) for p in exact.points])
-        assert sorted(c.imag for c in moved.centers()) == [0.0, 1e-30]
+        moved = [ComplexInterval(p.center + (1e-30j if p.center.real > 0
+                                             else 0), p.radius)
+                 for p in exact]
+        assert sorted(p.center.imag for p in moved) == [0.0, 1e-30]
         monkeypatch.setattr(monodromy, "singular_points",
                             lambda *_args, **_kwargs: moved)
         act = monodromy_group(P)

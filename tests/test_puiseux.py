@@ -23,7 +23,7 @@ CLOSE_PAIR = "y^5 + (2*x-2)*y^4 - y^3 + 3*y^2 + (2*x^2-3*x+2)*y - 2"
 
 
 def close_pair_centers(P):
-    centers = [complex(enc.center) for enc in singular_points(P).points]
+    centers = [complex(enc.center) for enc in singular_points(P)]
     return [c for c in centers
             if min(abs(c - d) for d in centers if d != c) < 0.1]
 
@@ -119,7 +119,7 @@ class TestMonodromyConsistency:
             act = monodromy_group(P)
             sing = singular_points(P)
             for loop, gen in zip(act.loops, act.generators):
-                center = sing.points[loop.singular_index].center
+                center = sing[loop.singular_index].center
                 ram = ramification_multiset(P, center)
                 assert ram == cycle_type(gen), (expr, center)
 
@@ -127,7 +127,7 @@ class TestMonodromyConsistency:
         for expr in ["y^5 + y - x", "y^4 - 2*x^2*y + x*y + x^4 - 1"]:
             P = parse_bivariate(expr)
             sing = singular_points(P)
-            for enc in sing.points:
+            for enc in sing:
                 ram = ramification_multiset(P, enc.center)
                 assert sum(ram) == P.degree_y()
 
@@ -138,8 +138,8 @@ class TestResidualRegressions:
         P = parse_bivariate("y^4 + (-x^2-3*x-2)*y^3 + (-x^2+2)*y^2"
                             " + (-3*x^2-2*x-2)*y")
         sing = singular_points(P)
-        assert sing.points
-        for enc in sing.points:
+        assert sing
+        for enc in sing:
             series = puiseux_expand(P, enc.center, order=3, exact=False)
             assert any(all(c == 0 for _, c in s.terms) for s in series)
             for s in series:

@@ -30,7 +30,9 @@ Run from the root of a source checkout.  The comparison set is
   ``integrate`` and an ``ode 2`` request whose huge root, past the double
   grid, is that of a linear factor, an ``integrate`` request whose
   Gaussian-rational residues, past the double grid, are the roots of a
-  quadratic factor, and malformed inputs that exit 64.
+  quadratic factor, three whose residues are roots of a quadratic factor
+  beyond double range (rational, Gaussian and irrational), and malformed
+  inputs that exit 64.
 
 Each tree serves the whole set in one process of its own, calling
 ``finitude.cli.main(["--json", ...])`` in-process, one request after
@@ -137,7 +139,11 @@ FRONT_END = [
     ["ode", "2", "--", "0", "-(10^400-10^200)/x^2"],
     ["decompose", "--", "4*10^600*x^3 - 3*10^200*x"],
     ["integrate", "--", "1/(x^2 - 10^400)"],
+    # residues +-1/(2 10^350), +-i/(2 10^350) and +-1/(2 sqrt(2) 10^350):
+    # beyond double range only the Gaussian-rational ones are found
     ["integrate", "--", "1/(x^2 - 10^700)"],
+    ["integrate", "--", "1/(x^2 + 10^700)"],
+    ["integrate", "--", "1/(x^2 - 2*10^700)"],
     # T_5(10^130 x): the exact fifth root of a w of more than 900 bits
     # starts from a guess at w scaled into double range
     ["decompose", "--", "16*10^650*x^5 - 20*10^390*x^3 + 5*10^130*x"],
