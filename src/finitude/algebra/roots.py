@@ -467,7 +467,7 @@ def exact_nth_root(z: GaussianRational, n: int) -> GaussianRational | None:
     return None
 
 
-def exact_gaussian_roots(factors, tol: float = 1e-10):
+def exact_gaussian_roots(factors, tol: float = ROOT_TOL):
     """The roots of ``factors``, pairwise coprime (square-free factor,
     multiplicity) pairs as ``squarefree_factorization`` returns them, each
     certified once at ``tol``: (roots, rest), the (GaussianRational,

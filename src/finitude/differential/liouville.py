@@ -21,10 +21,11 @@ modulo m and modulo the square-free parts, the arithmetic mod m and the
 sequence itself run on Gaussian-integer vectors (``gaussvec``).
 
 The whole form differentiates back exactly: a conjugate log sum has the
-derivative Tr(t g_x q) / Norm(g) with Norm(g) = Res_t(m, g), q = Norm / g
-mod m, and the trace a sum over the power sums of the roots of m.  The
-Norm is reconstructed from its images mod p and checked by that exact
-division, with the exact resultant as the fallback.  So
+derivative Tr(t g_x q) / den, with q = den / g mod m and the trace a sum
+over the power sums of the roots of m.  Each g(a, x) is gcd(den,
+num - a den'), so it divides the square-free denominator den the block
+came from; an exact division modulo m checks that, and the Norm
+Res_t(m, g) takes den's place only where it fails.  So
 ``LiouvilleForm.derivative`` returns a plain rational function and the
 identity d(form)/dx = f is checkable with no floating point at all.
 """
@@ -46,39 +47,41 @@ class AlgebraicResidueBlock:
 
     ``argument`` is g as a BivariatePolynomial in which x plays y: row k is
     the coefficient of x^k, a polynomial in t reduced mod m; g is monic in x.
+    ``multiple`` is a polynomial in x that g divides modulo m: the
+    square-free denominator of the part the block integrates.
     ``enclosures`` are the certified centres of the roots of m, sorted by
     (real, imaginary) part.
     """
 
     def __init__(self, modulus: UnivariatePolynomial,
-                 argument: BivariatePolynomial, enclosures):
+                 argument: BivariatePolynomial, enclosures,
+                 multiple: UnivariatePolynomial):
         self.modulus = modulus      # m(t), monic and square-free
         self.argument = argument
         self.enclosures = list(enclosures)
+        self.multiple = multiple
 
     def derivative_contribution(self) -> RationalFunction:
         """d/dx of the conjugate log sum, exactly.
 
-        Sum over conjugates of t g_x/g = Tr(t g_x q) / N, where N is
-        Norm(g) = Res_t(m, g) up to a constant and q = N / g modulo m.
-        Tr(t c) is sum_k c_k p_{k+1} with p_j the power sums of the roots
-        of m.  The identity holds for every nonzero N that g divides
-        modulo m, since then N = g(a, x) q(a, x) at each root a; so the
-        Norm reconstructed mod p is used once ``_quotient_mod`` has checked
-        that division, and the exact resultant otherwise.
+        Sum over conjugates of t g_x/g = Tr(t g_x q) / N for every nonzero
+        N that g divides modulo m, with q = N / g modulo m, since then
+        N = g(a, x) q(a, x) at each root a.  Tr(t c) is sum_k c_k p_{k+1}
+        with p_j the power sums of the roots of m.  N is ``multiple`` once
+        ``_quotient_mod`` has checked that division, and otherwise the
+        Norm Res_t(m, g), which g always divides.
         """
-        m, g = self.modulus, self.argument
-        norm = _modular_norm(m, g)
-        quotient = None if norm is None else _quotient_mod(norm, g, m)
+        m, g, multiple = self.modulus, self.argument, self.multiple
+        quotient = _quotient_mod(multiple, g, m)
         if quotient is None:
-            norm = _resultant_norm(m, g)
-            quotient = _quotient_mod(norm, g, m)
+            multiple = _resultant_norm(m, g)
+            quotient = _quotient_mod(multiple, g, m)
         prod = g.derivative_y() * quotient
         sums = _power_sums(m, max(row.degree() for row in prod.rows) + 1)
         numerator = UnivariatePolynomial(
             [sum((c * p for c, p in zip(row.coeffs, sums)), ZERO)
              for row in prod.rows])
-        return RationalFunction(numerator, norm)
+        return RationalFunction(numerator, multiple)
 
     def format_argument(self) -> str:
         parts = []
@@ -118,37 +121,6 @@ def _resultant_norm(m: UnivariatePolynomial, g: BivariatePolynomial):
               for j in range(max(row.degree() for row in g.rows) + 1)]
     return resultant_y(BivariatePolynomial(m.coeffs),
                        BivariatePolynomial(t_rows))
-
-
-def _modular_norm(m: UnivariatePolynomial, g: BivariatePolynomial):
-    """A candidate for the monic Norm(g) = prod over the roots a of m of
-    g(a, x), from its images mod the primes of ``modular``, or None.
-
-    Each image is Res_t(m, g(t, x0)) at the nodes x0 = 0, 1, ..., n deg_x g,
-    which is the product of g(a, x0) because m is monic, interpolated in
-    x0.  The candidate is only ever used through ``_quotient_mod``, which
-    checks exactly that g divides it modulo m.
-    """
-    from ..algebra import modular  # only here, as in _coprime_mod_p
-    n, top = m.degree(), m.degree() * g.degree_y()
-
-    def images(p, s):
-        m_p = modular.image(m.coeffs, p, s)
-        rows = [modular.image(row.coeffs, p, s) for row in g.rows]
-        if m_p is None or None in rows:
-            return None
-        values = []
-        for x0 in range(top + 1):
-            h, power = [0] * n, 1  # g(t, x0), whose t-degree is below n
-            for row in rows:
-                for j, c in enumerate(row):
-                    h[j] = (h[j] + c * power) % p
-                power = power * x0 % p
-            values.append(modular.resultant(m_p, modular.trim(h), p))
-        return modular.interpolate(values, p)
-
-    coeffs = modular.gaussian_candidate(images)
-    return None if coeffs is None else UnivariatePolynomial(coeffs)
 
 
 def _power_sums(m: UnivariatePolynomial, count: int):
@@ -316,5 +288,6 @@ def _rothstein_trager(num: UnivariatePolynomial, den: UnivariatePolynomial,
         rows = gaussvec.multiply_mod([row.coeffs for row in S.rows[:-1]],
                                      inv, m.coeffs)
         blocks.append(AlgebraicResidueBlock(m, BivariatePolynomial(
-            [UnivariatePolynomial(row) for row in rows] + [1]), enclosures))
+            [UnivariatePolynomial(row) for row in rows] + [1]), enclosures,
+            den))
     return logs, blocks

@@ -563,8 +563,8 @@ class TestWorkPerRequest:
 
     def test_one_subresultant_sequence_per_integrand(self, monkeypatch):
         # R(t) comes from the tail of the sequence that gives the log
-        # arguments; the derivative check takes the Norm of the block mod p
-        # and needs no exact Norm resultant
+        # arguments; the derivative check divides the integrand's own
+        # denominator by the block's log argument and needs no Norm
         sequences = count_calls(monkeypatch, "subresultant_prs",
                                 poly.subresultant_prs)
         resultants = count_calls(monkeypatch, "resultant_y", poly.resultant_y)
@@ -617,8 +617,8 @@ class TestWorkPerRequest:
 
     def test_modular_kernels_multiply_no_gaussian_rationals(
             self, monkeypatch):
-        # the inverse of lc_x(S) modulo m and the division of the Norm
-        # modulo m run on cleared integer vectors
+        # the inverse of lc_x(S) modulo m and the division of the
+        # denominator modulo m run on cleared integer vectors
         products = count_calls(monkeypatch, "__mul__",
                                GaussianRational.__mul__, GaussianRational)
         inverses = count_inside(monkeypatch, "inverse_mod",
@@ -642,25 +642,39 @@ class TestWorkPerRequest:
         assert code == 0
         assert resultants == [0] and divisions
 
-    @pytest.mark.parametrize("integrand, exact_norms", [
-        # the Norm x^2 - 3000000019 does not reconstruct from one prime;
-        # it does from two, by Chinese remainders
-        ("1/(x^2 - 3000000019)", 0),
-        # one prime reconstructs a wrong constant term, which the exact
-        # division check rejects
-        ("1/((x^2+1)*(x^3 - 5*x + 1234567891011))", 1),
-        # a Norm of 127 bits is out of reach of the whole prime table
-        ("1/(x^2 - 170141183460469231731687303715884105727)", 1),
-    ], ids=["two-primes", "wrong-candidate", "table-runs-out"])
-    def test_exact_norm_only_where_the_modular_one_fails(
-            self, monkeypatch, integrand, exact_norms):
+    @pytest.mark.parametrize("integrand", [
+        # the block's Norm is the whole denominator, a 32-bit constant
+        "1/(x^2 - 3000000019)",
+        # x^2 + 1 gives Gaussian-rational residues; the block's Norm is the
+        # cubic factor, a 41-bit constant
+        "1/((x^2+1)*(x^3 - 5*x + 1234567891011))",
+        # the block's Norm is the whole denominator, a 127-bit constant
+        "1/(x^2 - 170141183460469231731687303715884105727)",
+    ], ids=["32-bit", "41-bit", "127-bit"])
+    def test_no_exact_norm_for_the_integrands_denominator(
+            self, monkeypatch, integrand):
+        # each log argument divides the denominator it came from, so the
+        # derivative check takes no resultant, however large the Norm
         f = parse_rational(integrand)
         form = liouville.integrate_rational(f)
+        assert form.blocks
         resultants = count_calls(monkeypatch, "resultant_y", poly.resultant_y)
         assert form.derivative() == f
-        assert len(resultants) == exact_norms
+        assert len(resultants) == 0
         code, out, _ = run(["--json", "integrate", "--", integrand])
         assert code == 0 and json.loads(out)["derivative_verified"] is True
+
+    def test_block_without_a_multiple_takes_the_norm(self, monkeypatch):
+        # g does not divide the constant 1, so the block falls back on the
+        # exact Norm and still differentiates to its true derivative
+        f = parse_rational("1/(x^3 - 2)")
+        (block,) = liouville.integrate_rational(f).blocks
+        stray = liouville.AlgebraicResidueBlock(
+            block.modulus, block.argument, block.enclosures,
+            UnivariatePolynomial([1]))
+        resultants = count_calls(monkeypatch, "resultant_y", poly.resultant_y)
+        assert stray.derivative_contribution() == f
+        assert len(resultants) == 1
 
     @pytest.mark.parametrize("argv, message", [
         (["algebraic", "(y-x)^2"], "SquareFreeRequired"),

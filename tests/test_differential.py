@@ -279,10 +279,10 @@ class TestIntegration:
                                   squarefree_factorization(f.den))
         assert {2, 3, 4} <= multiplicities
 
-    def test_modular_norm_against_resultant(self):
-        # every block's Norm, reconstructed mod p, is the exact Res_t(m, g)
-        # made monic, and passes the exact division check; a perturbed one
-        # fails it
+    def test_blocks_divide_their_denominator(self):
+        # every block's log argument divides, modulo m, the denominator the
+        # block came from, and the contribution over that denominator is the
+        # one over the exact Res_t(m, g); g does not divide Norm + 1
         rng = random.Random(1981)
         blocks = []
         while len(blocks) < 40:
@@ -300,9 +300,13 @@ class TestIntegration:
             blocks += form.blocks
         for block in blocks:
             m, g = block.modulus, block.argument
-            norm = liouville._modular_norm(m, g)
-            assert norm == liouville._resultant_norm(m, g).monic()
+            assert liouville._quotient_mod(block.multiple, g, m) is not None
+            norm = liouville._resultant_norm(m, g)
             assert liouville._quotient_mod(norm, g, m) is not None
+            over_norm = liouville.AlgebraicResidueBlock(
+                m, g, block.enclosures, norm)
+            assert block.derivative_contribution() \
+                == over_norm.derivative_contribution()
             # g, monic of positive degree in x, does not divide Norm + 1
             assert liouville._quotient_mod(norm + 1, g, m) is None
         assert any(c.im != 0 for block in blocks

@@ -16,8 +16,9 @@ Run from the root of a source checkout.  The comparison set is
   defective (a degree is skipped), integrands with repeated
   denominator factors, which exercise Hermite reduction, an integrand
   whose log argument has a leading coefficient of higher degree than the
-  modulus it is inverted by, integrands whose Norm does not reconstruct
-  from one prime, and a sum of coprime powers;
+  modulus it is inverted by, integrands whose Norm has a large constant
+  term, one whose residue class has a reducible modulus, and a sum of
+  coprime powers;
 * front-end requests: nested quotients, negative powers of subexpressions
   and constant divisors in every subcommand that parses, an integrand with
   rational coefficients in numerator and denominator, two ``ode 2``
@@ -89,10 +90,13 @@ HERMITE_INTEGRANDS = (
 # than the residues' minimal polynomial m, whose inverse it needs
 HIGH_LEAD_INTEGRAND = \
     "(2*x + 3)/(x^7 - 8*x^6 - 6*x^5 + 8*x^4 + 5*x^3 - 5*x^2 + 5*x)"
-# the Norm of the derivative check needs two primes (x^2 - 3000000019),
-# or one prime gives a wrong candidate and the exact resultant is taken
+# conjugate blocks whose Norm, a factor of the denominator, has a 32-bit
+# and a 41-bit constant term; the second sits beside rational residues
 NORM_INTEGRANDS = ("1/(x^2 - 3000000019)",
                    "1/((x^2+1)*(x^3 - 5*x + 1234567891011))")
+# one residue class, m = (t^2 - 1/8)(t^2 - 1/12): the derivative check
+# divides modulo a reducible m, over a product of two fields
+REDUCIBLE_MODULUS = "1/((x^2-2)*(x^2-3))"
 # every gcd that normalises the sum is coprime, and certified mod p
 COPRIME_POWERS = "1/(x+1)^40 + 1/(x+2)^40"
 FRONT_END = [
@@ -196,7 +200,7 @@ def bench_requests(out_dir):
         + [["integrate", "--", integrand] for integrand in
            (SPLIT_INTEGRAND, *GAUSSIAN_INTEGRANDS, *DEFECTIVE_INTEGRANDS,
             *HERMITE_INTEGRANDS, HIGH_LEAD_INTEGRAND, *NORM_INTEGRANDS,
-            COPRIME_POWERS)] \
+            REDUCIBLE_MODULUS, COPRIME_POWERS)] \
         + FRONT_END
 
 
