@@ -38,6 +38,20 @@ _new = object.__new__
 _SMALL = 1 << 62
 
 
+def power(x, n: int, one):
+    """x^n for n >= 0 by square and multiply, from ``one``."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -237,14 +251,7 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ONE)
 
     def conjugate(self) -> "GaussianRational":
         return _reduced(self._a, -self._b, self._d)

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from ..errors import DegreeTooLow, SquareFreeRequired, ZeroPolynomial
 from . import gaussvec
-from .gaussian import GaussianRational, ZERO
+from .gaussian import GaussianRational, ZERO, power
 
 
 def _coprime_mod_p(a, b) -> bool:
@@ -146,17 +146,7 @@ class UnivariatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UnivariatePolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, UnivariatePolynomial.constant(1))
 
     def scale(self, c) -> "UnivariatePolynomial":
         c = GaussianRational.coerce(c)
@@ -278,8 +268,6 @@ class UnivariatePolynomial:
         return self.format()
 
     def format(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for k in range(self.degree(), -1, -1):
             c = self.coefficient(k)
@@ -296,10 +284,18 @@ class UnivariatePolynomial:
                 else:
                     term = f"{c}*{xk}"
             parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return signed_sum(parts)
+
+
+def signed_sum(parts) -> str:
+    """Printed terms joined by " + ", or by " - " before a term that starts
+    with a minus sign; "0" when there are none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
 
 
 def squarefree_factorization(p: UnivariatePolynomial):
@@ -638,15 +634,7 @@ class BivariatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = BivariatePolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, BivariatePolynomial.constant(1))
 
     # --- views / substitutions ----------
 
@@ -709,8 +697,6 @@ class BivariatePolynomial:
         return self.format()
 
     def format(self, xvar: str = "x", yvar: str = "y") -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for j in range(self.degree_y(), -1, -1):
             row = self.coefficient_y(j)
@@ -726,10 +712,7 @@ class BivariatePolynomial:
                 parts.append(f"{row.constant_value()}*{yj}")
             else:
                 parts.append(f"({row.format(xvar)})*{yj}")
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return signed_sum(parts)
 
 
 def resultant_y(P: BivariatePolynomial, Q: BivariatePolynomial) -> UnivariatePolynomial:

@@ -13,7 +13,7 @@ u, u', u'', u''', u^(4), ...
 
 from __future__ import annotations
 
-from ..algebra.poly import RationalFunction
+from ..algebra.poly import RationalFunction, signed_sum
 from ..errors import NotHomogeneous, OrderTooLarge
 
 MAX_JET_ORDER = 12
@@ -173,8 +173,6 @@ class DifferentialPolynomial:
         return f"u^({i})"
 
     def format(self) -> str:
-        if not self.terms:
-            return "0"
         def key_rank(k):
             return (sum(i * p for i, p in enumerate(k)), sum(k), k)
         parts = []
@@ -197,10 +195,7 @@ class DifferentialPolynomial:
                 parts.append(f"{coeff.format()}*{mono}")
             else:
                 parts.append(f"({coeff.format()})*{mono}")
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return signed_sum(parts)
 
     def __str__(self):
         return self.format()

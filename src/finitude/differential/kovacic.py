@@ -4,8 +4,11 @@ For y'' + a1 y' + a2 y = 0 the substitution u = v - a1/2 turns the Riccati
 equation into v' + v^2 = r with r = a1^2/4 + a1'/2 - a2, and a rational v
 must assemble from fixed local parts at each pole of r and at infinity plus
 a logarithmic derivative N'/N of an unknown monic polynomial whose degree is
-forced by the residue count.  Local parts come from exact Laurent series;
-N is found by exact linear algebra.  Everything stays inside Gaussian
+forced by the residue count.  Each pole and infinity gives its local parts
+(a root part and an exponent alpha) by one rule: the exact Laurent series of
+r there (of the shifted quotient at a pole, of the reversed one at
+infinity) and its truncated square root, as in Kovacic (JSC 2, 1986).  N is
+found by exact linear algebra.  Everything stays inside Gaussian
 rational data: poles at non-Gaussian points or irrational local square roots
 end the search (no witness within this scope), which the caller must read as
 "none found", never as a proof of unsolvability.
@@ -27,6 +30,7 @@ from .jets import LinearODE, verify_exp_integral_witness
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 _HALF = GaussianRational(Fraction(1, 2))
+_NO_PART = RationalFunction.coerce(0)
 
 
 def _series_sqrt(coeffs, order):
@@ -44,104 +48,76 @@ def _series_sqrt(coeffs, order):
     return out
 
 
-def _local_series(r: RationalFunction, pole: GaussianRational, order: int,
-                  depth: int):
-    """Series of (x - pole)^order * r, to the requested depth, exact."""
-    a = r.num.shift(pole)
-    b = r.den.shift(pole)
+def _laurent(a: UnivariatePolynomial, b: UnivariatePolynomial, depth: int):
+    """Series of s^v a/b, s^v the highest power of the variable s that
+    divides b, to the requested depth, exact.  At a pole p, a and b are the
+    numerator and denominator of r shifted by p, and this is the series of
+    (x - p)^order r; at infinity they are reversed, and it is that of
+    x^order r in s = 1/x."""
     v = 0
     while b.coefficient(v).is_zero():
         v += 1
-    b_unit = UnivariatePolynomial(b.coeffs[v:])
-    a_list = [a.coefficient(k) for k in range(depth + 1)]
-    binv = series_inverse([b_unit.coefficient(k) for k in range(depth + 1)],
+    binv = series_inverse([b.coefficient(v + k) for k in range(depth + 1)],
                           depth, _ZERO)
-    return series_mul(a_list, binv, depth, _ZERO)
+    return series_mul([a.coefficient(k) for k in range(depth + 1)], binv,
+                      depth, _ZERO)
 
 
-def _series_at_infinity(r: RationalFunction, depth: int):
-    """(nu, series) with r = w^nu (s0 + s1 w + ...), w = 1/x, exact."""
-    nu = r.den.degree() - r.num.degree()
-    a = r.num.reversed_coeffs()
-    b = r.den.reversed_coeffs()
-    a_list = [a.coefficient(k) for k in range(depth + 1)]
-    binv = series_inverse([b.coefficient(k) for k in range(depth + 1)],
-                          depth, _ZERO)
-    return nu, series_mul(a_list, binv, depth, _ZERO)
+def _order_two(c0):
+    """Local parts at a point of order 2 with leading coefficient c0: no
+    root part, alpha = (1 +- sqrt(1 + 4 c0))/2."""
+    disc = exact_nth_root(_ONE + 4 * c0, 2)
+    if disc is None:
+        return []
+    return [(_NO_PART, (_ONE + s) * _HALF) for s in (disc, -disc)]
 
 
-class _LocalData:
-    """Candidate local parts at one pole: list of (sqrt_part, alpha)."""
-
-    def __init__(self, pole, variants):
-        self.pole = pole
-        self.variants = variants  # (RationalFunction sqrt part, alpha)
+def _root_variants(series, K, e, part):
+    """Local parts at a point of even order: h, the first K terms of the
+    series' square root, gives the root part part(h), and alpha =
+    (b/h_0 + e)/2 with b = series_K - (h^2)_K; both signs of h."""
+    h = _series_sqrt(series, K - 1)
+    if h is None:
+        return []
+    b = series[K] - series_mul(h, h, K, _ZERO)[K]
+    root_part = part(h)
+    return [(root_part, (b / h[0] + e) * _HALF),
+            (-root_part, (b / -h[0] + e) * _HALF)]
 
 
 def _pole_candidates(r: RationalFunction, pole: GaussianRational, order: int):
-    variants = []
+    """Local parts (root part, alpha) at a pole of r, or None at an odd
+    order >= 3, where no rational witness exists.  At order 2k >= 4 the
+    root part is sum_{i<k-1} h_i (x - pole)^(i-k)."""
     if order == 1:
-        variants.append((RationalFunction.coerce(0), _ONE))
-        return _LocalData(pole, variants)
-    if order == 2:
-        series = _local_series(r, pole, order, 0)
-        b2 = series[0]
-        disc = exact_nth_root(_ONE + 4 * b2, 2)
-        if disc is None:
-            return _LocalData(pole, [])
-        for s in (disc, -disc):
-            variants.append((RationalFunction.coerce(0), (_ONE + s) * _HALF))
-        return _LocalData(pole, variants)
+        return [(_NO_PART, _ONE)]
     if order % 2 == 1:
-        return None  # odd order >= 3: no rational witness exists
+        return None
     k = order // 2
-    series = _local_series(r, pole, order, k + 1)
-    g = _series_sqrt(series, k - 1)
-    if g is None:
-        return _LocalData(pole, [])
-    # sqrt part S = sum_{i=0}^{k-2} g_i (x-pole)^(i-k)
+    series = _laurent(r.num.shift(pole), r.den.shift(pole), k - 1)
+    if k == 1:
+        return _order_two(series[0])
     lin = UnivariatePolynomial([-pole, 1])
-    s_fn = RationalFunction.coerce(0)
-    for i in range(0, k - 1):
-        s_fn = s_fn + RationalFunction(
-            UnivariatePolynomial.constant(g[i]), lin ** (k - i))
-    gg = series_mul(g[:k - 1], g[:k - 1], k + 1, _ZERO)
-    b = (series[k - 1] if k - 1 < len(series) else _ZERO) - gg[k - 1]
-    variants = []
-    for sign, s_signed in ((_ONE, s_fn), (-_ONE, -s_fn)):
-        alpha = (b / (sign * g[0]) + k) * _HALF
-        variants.append((s_signed, alpha))
-    return _LocalData(pole, variants)
+    return _root_variants(series, k - 1, k, lambda h: RationalFunction(
+        UnivariatePolynomial(h).shift(-pole), lin ** k))
 
 
 def _infinity_candidates(r: RationalFunction):
+    """Local parts at infinity, where r has order nu = deg den - deg num,
+    or None at an odd order.  At order -2d <= 0 the root part is the
+    polynomial sum_{m<=d} h_m x^(d-m)."""
     nu = r.den.degree() - r.num.degree()
     if nu > 2:
-        return [(RationalFunction.coerce(0), _ZERO),
-                (RationalFunction.coerce(0), _ONE)]
-    if nu == 2:
-        _nu, series = _series_at_infinity(r, 0)
-        disc = exact_nth_root(_ONE + 4 * series[0], 2)
-        if disc is None:
-            return []
-        return [(RationalFunction.coerce(0), (_ONE + s) * _HALF)
-                for s in (disc, -disc)]
+        return [(_NO_PART, _ZERO), (_NO_PART, _ONE)]
     if nu % 2 == 1:
-        return None  # odd order at infinity: no rational witness
+        return None
     d = -nu // 2
-    _nu, series = _series_at_infinity(r, d + 1)
-    g = _series_sqrt(series, d)
-    if g is None:
-        return []
-    # polynomial part sum_m g_m x^(d-m), coefficients low degree first
-    p_fn = RationalFunction(UnivariatePolynomial(list(reversed(g[:d + 1]))))
-    gg = series_mul(g[:d + 1], g[:d + 1], d + 1, _ZERO)
-    b = series[d + 1] - gg[d + 1]
-    out = []
-    for sign, p_signed in ((_ONE, p_fn), (-_ONE, -p_fn)):
-        alpha = (b / (sign * g[0]) - d) * _HALF
-        out.append((p_signed, alpha))
-    return out
+    series = _laurent(r.num.reversed_coeffs(), r.den.reversed_coeffs(),
+                      d + 1)
+    if nu == 2:
+        return _order_two(series[0])
+    return _root_variants(series, d + 1, -d, lambda h: RationalFunction(
+        UnivariatePolynomial(h[::-1])))
 
 
 def _solve_linear(rows, rhs):
@@ -248,10 +224,10 @@ def rational_witness_search(ode: LinearODE):
             "rational; exact search unsupported")
     locals_ = []
     for pole, order in den_factors:
-        data = _pole_candidates(r, pole, order)
-        if data is None or not data.variants:
+        variants = _pole_candidates(r, pole, order)
+        if not variants:
             return [], None
-        locals_.append(data)
+        locals_.append(variants)
     inf_variants = _infinity_candidates(r)
     if not inf_variants:
         return [], None
@@ -259,7 +235,7 @@ def rational_witness_search(ode: LinearODE):
                        + abs(r.num.degree() - r.den.degree()) + 2)
     seen = set()
     skipped = None
-    for choice in product(*([d.variants for d in locals_] + [inf_variants])):
+    for choice in product(*locals_, inf_variants):
         pole_parts = choice[:-1]
         inf_part = choice[-1]
         d_val = inf_part[1]

@@ -56,22 +56,26 @@ def commutator(a, b):
     return compose(inverse(a), compose(inverse(b), compose(a, b)))
 
 
-def cycle_type(p):
-    """Sorted tuple of cycle lengths, fixed points included."""
-    n = len(p)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
+def cycles(p):
+    """Disjoint cycles of p as point lists, fixed points included, in the
+    order of their least points, each starting there."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        cycle = []
         j = i
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+        if cycle:
+            out.append(cycle)
+    return out
+
+
+def cycle_type(p):
+    """Sorted tuple of cycle lengths, fixed points included."""
+    return tuple(sorted(len(c) for c in cycles(p)))
 
 
 def perm_order(p):
@@ -83,22 +87,8 @@ def perm_order(p):
 
 def cycles_string(p) -> str:
     """Disjoint-cycle text with 1-based labels; identity prints as "()"."""
-    n = len(p)
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return "".join("(" + " ".join(str(k + 1) for k in c) + ")"
+                   for c in cycles(p) if len(c) > 1) or "()"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -124,6 +114,22 @@ def parse_cycles(text: str, degree: int):
 
 
 # --- stabilizer chain --------------------------------------------------------
+
+
+def _transversal(point, gens, n):
+    """Orbit of ``point`` under ``gens``, each orbit point mapped to a
+    coset representative: a depth-first walk where b = g(a) gets g*rep(a)."""
+    transversal = {point: identity(n)}
+    frontier = [point]
+    while frontier:
+        a = frontier.pop()
+        rep = transversal[a]
+        for gen in gens:
+            b = gen[a]
+            if b not in transversal:
+                transversal[b] = compose(gen, rep)
+                frontier.append(b)
+    return transversal
 
 
 class _ChainNode:
@@ -184,26 +190,13 @@ class _ChainNode:
             self.stab._add_new(p)
         else:
             self.gens.append(p)
-        self._rebuild_tree()
         gens = self.all_gens()
+        self.transversal = _transversal(self.point, gens, self.n)
         for a, rep in list(self.transversal.items()):
             for gen in gens:
                 w = compose(gen, rep)
                 schreier = compose(inverse(self.transversal[w[self.point]]), w)
                 self.stab.add_gen(schreier)
-
-    def _rebuild_tree(self):
-        gens = self.all_gens()
-        self.transversal = {self.point: identity(self.n)}
-        frontier = [self.point]
-        while frontier:
-            a = frontier.pop()
-            rep = self.transversal[a]
-            for gen in gens:
-                b = gen[a]
-                if b not in self.transversal:
-                    self.transversal[b] = compose(gen, rep)
-                    frontier.append(b)
 
     def levels(self):
         out = []
@@ -266,7 +259,7 @@ class PermGroup:
     def _with_chain(root: _ChainNode, generators) -> "PermGroup":
         """The group of ``generators``, ``root`` grown by them in order."""
         group = PermGroup(root.n, generators)
-        group._chain, group._order = root.levels(), root.order()
+        group._chain, group._order = root, root.order()
         return group
 
     def _build_chain(self):
@@ -274,7 +267,7 @@ class PermGroup:
             root = _ChainNode(self.degree)
             for g in self.generators:
                 root.add_gen(g)
-            self._chain, self._order = root.levels(), root.order()
+            self._chain, self._order = root, root.order()
 
     def order(self) -> int:
         self._build_chain()
@@ -283,14 +276,8 @@ class PermGroup:
     def contains(self, g) -> bool:
         if isinstance(g, str):
             g = parse_cycles(g, self.degree)
-        g = tuple(g)
         self._build_chain()
-        for level in self._chain:
-            rep = level.transversal.get(g[level.point])
-            if rep is None:
-                return False
-            g = compose(inverse(rep), g)
-        return g == identity(self.degree)
+        return self._chain.sift(tuple(g)) == identity(self.degree)
 
     def elements(self, budget: int = ELEMENT_BUDGET):
         """Iterate all elements via transversal products (order-capped)."""
@@ -300,7 +287,7 @@ class PermGroup:
                 budget=budget)
         self._build_chain()
         result = [identity(self.degree)]
-        for level in reversed(self._chain):
+        for level in reversed(self._chain.levels()):
             reps = list(level.transversal.values())
             result = [compose(r, g) for r in reps for g in result]
         return result
@@ -337,15 +324,7 @@ class PermGroup:
     def stabilizer(self, point0: int) -> "PermGroup":
         """Stabilizer of a 0-based point, via Schreier generators."""
         n = self.degree
-        transversal = {point0: identity(n)}
-        frontier = [point0]
-        while frontier:
-            pt = frontier.pop()
-            for g in self.generators:
-                img = g[pt]
-                if img not in transversal:
-                    transversal[img] = compose(g, transversal[pt])
-                    frontier.append(img)
+        transversal = _transversal(point0, self.generators, n)
         gens = set()
         for pt, rep in transversal.items():
             for g in self.generators:
@@ -653,8 +632,8 @@ def classify_primitive_solvable_with_cycle(group: PermGroup):
         raise NotApplicable("group is not primitive")
     if not group.is_solvable():
         raise NotApplicable("group is not solvable")
-    cycles = full_cycles(group)
-    if not cycles:
+    full = full_cycles(group)
+    if not full:
         raise NotApplicable("group has no full cycle")
     n = group.degree
     if n == 4:
@@ -662,13 +641,11 @@ def classify_primitive_solvable_with_cycle(group: PermGroup):
     if not _is_prime(n):
         raise NotApplicable(
             f"degree {n} is neither 4 nor prime; hypotheses cannot hold")
-    sigma = cycles[0]
+    sigma = full[0]
     # label sigma^j(0) as j in F_p; then sigma acts as x -> x + 1
     label = [0] * n
-    pt = 0
-    for j in range(n):
+    for j, pt in enumerate(cycles(sigma)[0]):
         label[pt] = j
-        pt = sigma[pt]
     affine_maps = []
     for g in group.generators:
         # g acts on labels: x -> a x + b must match on all points
@@ -689,11 +666,4 @@ def classify_primitive_solvable_with_cycle(group: PermGroup):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _abelian_factor_primes(n) == [("cyclic", n)]

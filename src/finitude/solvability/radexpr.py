@@ -10,7 +10,11 @@ written as plain trees.
 
 Serialization follows the parser grammar extended with "root(m, expr)"; the
 imaginary unit prints as the name i.  Constants are exact Gaussian rationals,
-or complex floats, which flag the expression ``exact = False``.
+or complex floats, which flag the expression ``exact = False``.  The helpers
+``add``, ``mul`` and ``div`` fold what a tree need not print: exact zero
+terms and factors, zero numerators, and unit factors and denominators,
+exact or float.  ``monomial_sum`` writes sum c x^k, for exact polynomials
+and for fitted float coefficients alike.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import RationalFunction, UnivariatePolynomial
 
 class RadicalExpression:
-    """Base node; use the subclass constructors or the helpers below.
+    """Base node; build trees with the subclass constructors, or with the
+    helpers below, which fold exact zeros and unit factors.
 
     Calling a node evaluates it at x in complex doubles with the principal
     branch convention.
@@ -163,14 +168,6 @@ class Root(RadicalExpression):
 # --- helpers ----------------------------------------------------------------
 
 
-def const(value) -> Const:
-    return Const(value)
-
-
-def var() -> Var:
-    return Var()
-
-
 def add(*parts) -> RadicalExpression:
     flat = [p for p in parts if not _is_zero(p)]
     if not flat:
@@ -192,13 +189,9 @@ def mul(*parts) -> RadicalExpression:
 
 
 def div(num, den) -> RadicalExpression:
-    if _is_one(den):
+    if _is_zero(num) or _is_one(den):
         return num
     return Div(num, den)
-
-
-def root(index: int, child) -> RadicalExpression:
-    return Root(index, child)
 
 
 def neg(p) -> RadicalExpression:
@@ -210,22 +203,21 @@ def _is_zero(p) -> bool:
 
 
 def _is_one(p) -> bool:
-    return isinstance(p, Const) and p.exact and p.value.is_one()
+    """An exact 1, or a float constant equal to 1 (a fit's unit
+    coefficient)."""
+    return isinstance(p, Const) and p.value == 1
+
+
+def monomial_sum(terms) -> RadicalExpression:
+    """The sum of c*x^k over (k, c) pairs, c a Const node."""
+    return add(*(mul(c, Var() if k == 1 else Pow(Var(), k)) if k else c
+                 for k, c in terms))
 
 
 def from_polynomial(poly: UnivariatePolynomial) -> RadicalExpression:
     """Expression tree for an exact univariate polynomial in x."""
-    parts = []
-    for k, c in enumerate(poly.coeffs):
-        if c.is_zero():
-            continue
-        if k == 0:
-            parts.append(Const(c))
-        elif c.is_one():
-            parts.append(Var() if k == 1 else Pow(Var(), k))
-        else:
-            parts.append(mul(Const(c), Var() if k == 1 else Pow(Var(), k)))
-    return add(*parts)
+    return monomial_sum((k, Const(c)) for k, c in enumerate(poly.coeffs)
+                        if not c.is_zero())
 
 
 def from_rational(fn: RationalFunction) -> RadicalExpression:

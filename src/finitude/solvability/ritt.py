@@ -26,11 +26,8 @@ _GAUSSIAN_UNITS = [GaussianRational(1), GaussianRational(-1),
 class CompositionChain:
     """Factors listed innermost first; composing them reproduces the input."""
 
-    def __init__(self, factors, primitive_flags=None):
+    def __init__(self, factors):
         self.factors = list(factors)
-        self.primitive_flags = (list(primitive_flags)
-                                if primitive_flags is not None
-                                else [True] * len(self.factors))
 
     def __iter__(self):
         return iter(self.factors)

@@ -1,12 +1,18 @@
 """Constructive radical towers for solvable monodromy.
 
 Exact closed forms cover degree <= 4 (quadratic formula, Cardano with the
-paired cube root written as C - p/(3C), Ferrari via the resolvent cubic) and
-binomial curves A(x) y^n + B(x).  Regular cyclic and dihedral monodromy of
-higher degree goes through Lagrange resolvents: the invariants q = r_1^n and
-t_j = r_j / r_1^j are single valued, hence rational functions, fitted
-numerically to continuation samples; those towers keep the fit's floating
-coefficients and are flagged inexact.
+paired cube root written as C - p/(3C), Ferrari via the resolvent cubic,
+whose roots come from the same Cardano trees) and binomial curves
+A(x) y^n + B(x).  Regular cyclic and dihedral monodromy of higher degree
+goes through Lagrange resolvents (Dummit, Math. Comp. 57, 1991): the
+invariants q = r_1^n and t_j = r_j / r_1^j are single valued, hence rational
+functions, fitted numerically to continuation samples.  Both towers build
+the same candidates (-a_{n-1}/a_n + rho + sum_j t_j rho^j)/n from them; the
+dihedral one first takes q and t_j from the invariants of the resolvents and
+of their images under the reversing involution, over the square root s of a
+fitted discriminant.  These towers keep the fit's floating coefficients and
+are flagged inexact; a fitted invariant that is zero, or a fitted unit
+denominator, leaves no term in the tree.
 
 Every emitted tree evaluates, under the principal-branch convention, to some
 root of P(x, .) at every non-singular x; a root-of-unity factor pins the
@@ -23,7 +29,7 @@ from fractions import Fraction
 from ..algebra.poly import BivariatePolynomial, RationalFunction
 from ..errors import UnsupportedGroup
 from ..monodromy import MonodromyAction, monodromy_group, track_to_point
-from ..permgroups import compose, full_cycles, inverse
+from ..permgroups import compose, cycles, full_cycles, inverse
 from . import radexpr as rx
 
 MATCH_TOL = 1e-8
@@ -113,7 +119,7 @@ def _binomial_tower(P: BivariatePolynomial, action):
     if any(not P.coefficient_y(j).is_zero() for j in range(1, n)):
         return None
     radicand = RationalFunction(-P.coefficient_y(0), P.coefficient_y(n))
-    rho = rx.root(n, rx.from_rational(radicand))
+    rho = rx.Root(n, rx.from_rational(radicand))
     return _pick_matching(_phase_candidates(n, rho),
                           action.base_point, action.roots[0])
 
@@ -121,44 +127,40 @@ def _binomial_tower(P: BivariatePolynomial, action):
 def _quadratic_tower(P: BivariatePolynomial, action):
     a, b, c = _coeff(P, 2), _coeff(P, 1), _coeff(P, 0)
     disc = b * b - 4 * a * c
-    sq = rx.root(2, rx.from_rational(disc))
+    sq = rx.Root(2, rx.from_rational(disc))
     two_a = rx.from_rational(2 * a)
     plus = rx.div(rx.add(rx.neg(rx.from_rational(b)), sq), two_a)
     minus = rx.div(rx.add(rx.neg(rx.from_rational(b)), rx.neg(sq)), two_a)
     return _pick_matching([plus, minus], action.base_point, action.roots[0])
 
 
-def _depressed_cubic_root_trees(p: RationalFunction, q: RationalFunction):
-    """Cardano trees for z^3 + p z + q = 0, all branch variants."""
+def _depressed_cubic(b: RationalFunction, c: RationalFunction,
+                     d: RationalFunction):
+    """Cardano trees for y^3 + b y^2 + c y + d = 0, all branch variants:
+    y = z - b/3 with z^3 + p z + q = 0, and the paired cube root of z
+    written as C - p/(3C)."""
+    p = c - b * b * Fraction(1, 3)
+    q = d - b * c * Fraction(1, 3) + b * b * b * Fraction(2, 27)
     if p.is_zero():
-        rho = rx.root(3, rx.from_rational(-q))
-        return _phase_candidates(3, rho)
-    delta = q * q * Fraction(1, 4) + p * p * p * Fraction(1, 27)
-    sq = rx.root(2, rx.from_rational(delta))
-    out = []
-    for sign in (1, -1):
-        inner = rx.add(rx.from_rational(q * Fraction(-1, 2)),
-                       sq if sign > 0 else rx.neg(sq))
-        c_root = rx.root(3, inner)
-        for cand in _phase_candidates(3, c_root):
-            out.append(rx.add(cand,
-                              rx.neg(rx.div(rx.from_rational(p),
-                                            rx.mul(rx.const(3), cand)))))
-    return out
+        roots = _phase_candidates(3, rx.Root(3, rx.from_rational(-q)))
+    else:
+        delta = q * q * Fraction(1, 4) + p * p * p * Fraction(1, 27)
+        sq = rx.Root(2, rx.from_rational(delta))
+        roots = []
+        for s in (sq, rx.neg(sq)):
+            c_root = rx.Root(3, rx.add(rx.from_rational(q * Fraction(-1, 2)),
+                                       s))
+            for cand in _phase_candidates(3, c_root):
+                roots.append(rx.add(cand, rx.neg(rx.div(
+                    rx.from_rational(p), rx.mul(rx.Const(3), cand)))))
+    shift = rx.from_rational(b * Fraction(1, 3))
+    return [rx.add(z, rx.neg(shift)) for z in roots]
 
 
 def _cubic_tower(P: BivariatePolynomial, action):
     a3, a2, a1, a0 = (_coeff(P, j) for j in (3, 2, 1, 0))
-    b = a2 / a3
-    c = a1 / a3
-    d = a0 / a3
-    shift = b * Fraction(1, 3)
-    p = c - b * b * Fraction(1, 3)
-    q = d - b * c * Fraction(1, 3) + b * b * b * Fraction(2, 27)
-    shift_expr = rx.from_rational(shift)
-    candidates = [rx.add(z, rx.neg(shift_expr))
-                  for z in _depressed_cubic_root_trees(p, q)]
-    return _pick_matching(candidates, action.base_point, action.roots[0])
+    return _pick_matching(_depressed_cubic(a2 / a3, a1 / a3, a0 / a3),
+                          action.base_point, action.roots[0])
 
 
 def _quartic_tower(P: BivariatePolynomial, action):
@@ -172,40 +174,30 @@ def _quartic_tower(P: BivariatePolynomial, action):
     shift_expr = rx.from_rational(shift)
     candidates = []
     if q.is_zero():
-        inner = rx.root(2, rx.from_rational(p * p - 4 * r))
+        inner = rx.Root(2, rx.from_rational(p * p - 4 * r))
         for s1 in (1, -1):
             radicand = rx.div(rx.add(rx.neg(rx.from_rational(p)),
                                      inner if s1 > 0 else rx.neg(inner)),
-                              rx.const(2))
-            outer = rx.root(2, radicand)
+                              rx.Const(2))
+            outer = rx.Root(2, radicand)
             candidates.extend([outer, rx.neg(outer)])
     else:
         # resolvent cubic 8 m^3 + 8 p m^2 + (2 p^2 - 8 r) m - q^2 = 0,
-        # monic: m^3 + p m^2 + ((p^2 - 4r)/4) m - q^2/8 = 0
-        rp = p
-        rq = q
-        A = rp
-        B = (rp * rp - 4 * r) * Fraction(1, 4)
-        C = -rq * rq * Fraction(1, 8)
-        pp = B - A * A * Fraction(1, 3)
-        qq = C - A * B * Fraction(1, 3) + A * A * A * Fraction(2, 27)
-        m_shift = rx.from_rational(A * Fraction(1, 3))
-        for z in _depressed_cubic_root_trees(pp, qq):
-            m_expr = rx.add(z, rx.neg(m_shift))
-            w = rx.root(2, rx.mul(rx.const(2), m_expr))
-            q_over_2w = rx.div(rx.from_rational(rq),
-                               rx.mul(rx.const(2), w))
-            for eq_sign in (1, -1):
-                lin = rx.add(rx.from_rational(rp * Fraction(1, 2)), m_expr,
-                             q_over_2w if eq_sign > 0 else rx.neg(q_over_2w))
-                inner = rx.add(rx.Pow(w, 2),
-                               rx.mul(rx.const(-4), lin))
-                sq = rx.root(2, inner)
-                w_term = w if eq_sign > 0 else rx.neg(w)
-                for s2 in (1, -1):
-                    num = rx.add(w_term, sq if s2 > 0 else rx.neg(sq))
-                    candidates.append(rx.div(num, rx.const(2)))
-            break  # one resolvent root suffices; its variants cover all roots
+        # monic: m^3 + p m^2 + ((p^2 - 4r)/4) m - q^2/8 = 0; one of its
+        # roots suffices, its variants cover all roots
+        m_expr = _depressed_cubic(p, (p * p - 4 * r) * Fraction(1, 4),
+                                  -q * q * Fraction(1, 8))[0]
+        w = rx.Root(2, rx.mul(rx.Const(2), m_expr))
+        q_over_2w = rx.div(rx.from_rational(q), rx.mul(rx.Const(2), w))
+        for eq_sign in (1, -1):
+            lin = rx.add(rx.from_rational(p * Fraction(1, 2)), m_expr,
+                         q_over_2w if eq_sign > 0 else rx.neg(q_over_2w))
+            inner = rx.add(rx.Pow(w, 2), rx.mul(rx.Const(-4), lin))
+            sq = rx.Root(2, inner)
+            w_term = w if eq_sign > 0 else rx.neg(w)
+            for s2 in (1, -1):
+                num = rx.add(w_term, sq if s2 > 0 else rx.neg(sq))
+                candidates.append(rx.div(num, rx.Const(2)))
     candidates = [rx.add(z, rx.neg(shift_expr)) for z in candidates]
     return _pick_matching(candidates, action.base_point, action.roots[0])
 
@@ -220,11 +212,14 @@ def _perm_power(p, m):
     return out
 
 
-def _orbit_of(sigma, n):
-    orbit = [0]
-    while len(orbit) < n:
-        orbit.append(sigma[orbit[-1]])
-    return orbit
+def _resolvents(vals, orbit, zeta, relabel=None):
+    """Lagrange resolvents r_j = sum_k zeta^(-jk) y_(orbit[k]), j < n, of
+    one sample of roots; ``relabel`` first maps each orbit point."""
+    n = len(orbit)
+    if relabel is not None:
+        orbit = [relabel[pt] for pt in orbit]
+    return [sum(zeta ** (-j * k) * vals[orbit[k]] for k in range(n))
+            for j in range(n)]
 
 
 def _select_generator(sigma, n, sample_roots_list, zeta):
@@ -239,9 +234,8 @@ def _select_generator(sigma, n, sample_roots_list, zeta):
         if math.gcd(m, n) != 1:
             continue
         cand = _perm_power(sigma, m)
-        orbit = _orbit_of(cand, n)
-        r1 = sum(zeta ** (-k) * vals[orbit[k]] for k in range(n))
-        if abs(r1) > 1e-6 * max(1.0, scale):
+        orbit = cycles(cand)[0]
+        if abs(_resolvents(vals, orbit, zeta)[1]) > 1e-6 * max(1.0, scale):
             return cand, orbit
     raise UnsupportedGroup("all Lagrange resolvents vanish at the samples")
 
@@ -292,70 +286,55 @@ def _fit_rational(xs, vals, max_degree=16, holdout=6):
 
 
 def _float_poly_expr(coeffs):
-    parts = []
-    for k, c in enumerate(coeffs):
-        if abs(c) < 1e-14:
-            continue
-        term = rx.Const(complex(c))
-        if k == 1:
-            term = rx.mul(term, rx.var())
-        elif k > 1:
-            term = rx.mul(term, rx.Pow(rx.var(), k))
-        parts.append(term)
-    return rx.add(*parts) if parts else rx.const(0)
+    return rx.monomial_sum((k, rx.Const(complex(c)))
+                           for k, c in enumerate(coeffs)
+                           if not abs(c) < 1e-14)
 
 
-def _invariant_expr(xs, vals):
-    """Expression tree for a single-valued invariant given by samples."""
+def _invariant_expr(xs, vals, tower):
+    """Expression tree for a single-valued invariant given by samples;
+    raises UnsupportedGroup, naming the tower, when no fit is found."""
     fit = _fit_rational(xs, vals)
     if fit is None:
-        return None
+        raise UnsupportedGroup(f"resolvent invariant fit failed ({tower})")
     num, den = fit
     lead = max(den, key=abs)
     return rx.div(_float_poly_expr([c / lead for c in num]),
                   _float_poly_expr([c / lead for c in den]))
 
 
-def _trailing_sum_expr(P: BivariatePolynomial):
-    """Exact expression for the root sum -a_{n-1}/a_n."""
+def _lagrange_candidates(P: BivariatePolynomial, q_expr, t_exprs):
+    """(-a_(n-1)/a_n + rho + sum_j t_j rho^j)/n, j = 2..n-1, for rho each
+    n-th root of q: the roots of P from the resolvent invariants
+    q = r_1^n and t_j = r_j/r_1^j."""
     n = P.degree_y()
-    return rx.from_rational(
+    root_sum = rx.from_rational(
         RationalFunction(-P.coefficient_y(n - 1), P.coefficient_y(n)))
+    candidates = []
+    for rho_k in _phase_candidates(n, rx.Root(n, q_expr)):
+        terms = [rx.mul(t, rx.Pow(rho_k, j))
+                 for j, t in enumerate(t_exprs, start=2)]
+        candidates.append(rx.div(rx.add(root_sum, rho_k, *terms),
+                                 rx.Const(n)))
+    return candidates
 
 
 def _cyclic_tower(P: BivariatePolynomial, action):
     n = P.degree_y()
-    cycles = full_cycles(action.group)
-    if not cycles:
+    full = full_cycles(action.group)
+    if not full:
         raise UnsupportedGroup("cyclic-order group without a full cycle")
     zeta = cmath.exp(2j * math.pi / n)
     points = _sample_points(action, 44)
     samples = _sample_roots(action, points)
-    sigma, orbit = _select_generator(cycles[0], n, samples, zeta)
-
-    def resolvents(vals):
-        return [sum(zeta ** (-j * k) * vals[orbit[k]] for k in range(n))
-                for j in range(n)]
-
-    r_all = [resolvents(v) for v in samples]
-    q_vals = [r[1] ** n for r in r_all]
-    q_expr = _invariant_expr(points, q_vals)
-    if q_expr is None:
-        raise UnsupportedGroup("resolvent invariant fit failed (cyclic)")
-    t_exprs = {}
-    for j in range(2, n):
-        t_vals = [r[j] / (r[1] ** j) for r in r_all]
-        t_exprs[j] = _invariant_expr(points, t_vals)
-        if t_exprs[j] is None:
-            raise UnsupportedGroup("resolvent invariant fit failed (cyclic)")
-    rho = rx.root(n, q_expr)
-    candidates = []
-    for rho_k in _phase_candidates(n, rho):
-        terms = [_trailing_sum_expr(P), rho_k]
-        for j in range(2, n):
-            terms.append(rx.mul(t_exprs[j], rx.Pow(rho_k, j)))
-        candidates.append(rx.div(rx.add(*terms), rx.const(n)))
-    return _pick_matching(candidates, action.base_point, action.roots[0])
+    sigma, orbit = _select_generator(full[0], n, samples, zeta)
+    r_all = [_resolvents(v, orbit, zeta) for v in samples]
+    q_expr = _invariant_expr(points, [r[1] ** n for r in r_all], "cyclic")
+    t_exprs = [_invariant_expr(points, [r[j] / (r[1] ** j) for r in r_all],
+                               "cyclic")
+               for j in range(2, n)]
+    return _pick_matching(_lagrange_candidates(P, q_expr, t_exprs),
+                          action.base_point, action.roots[0])
 
 
 def _dihedral_tower(P: BivariatePolynomial, action, sigma):
@@ -376,50 +355,30 @@ def _dihedral_tower(P: BivariatePolynomial, action, sigma):
             break
     if tau is None:
         raise UnsupportedGroup("no reversing involution found")
-
-    def resolvents(vals, relabel=None):
-        def img(k):
-            pt = orbit[k]
-            return relabel[pt] if relabel is not None else pt
-        return [sum(zeta ** (-j * k) * vals[img(k)] for k in range(n))
-                for j in range(n)]
-
-    r_all = [resolvents(v) for v in samples]
-    rt_all = [resolvents(v, relabel=tau) for v in samples]
+    r_all = [_resolvents(v, orbit, zeta) for v in samples]
+    rt_all = [_resolvents(v, orbit, zeta, relabel=tau) for v in samples]
     q_vals = np.array([r[1] ** n for r in r_all])
     qbar_vals = np.array([r[1] ** n for r in rt_all])
-    E_vals = q_vals + qbar_vals
-    W_vals = (q_vals - qbar_vals) ** 2
-    E_expr = _invariant_expr(points, E_vals)
-    W_expr = _invariant_expr(points, W_vals)
-    if E_expr is None or W_expr is None:
-        raise UnsupportedGroup("resolvent invariant fit failed (dihedral)")
-    s_expr = rx.root(2, W_expr)
-    u_exprs, v_exprs = {}, {}
+    E_expr = _invariant_expr(points, q_vals + qbar_vals, "dihedral")
+    W_expr = _invariant_expr(points, (q_vals - qbar_vals) ** 2, "dihedral")
+    s_expr = rx.Root(2, W_expr)
+    u_exprs, v_exprs = [], []
     s_sample = q_vals - qbar_vals
     for j in range(2, n):
         t_vals = np.array([r[j] / (r[1] ** j) for r in r_all])
         tt_vals = np.array([rt[j] / (rt[1] ** j) for rt in rt_all])
-        u_exprs[j] = _invariant_expr(points, (t_vals + tt_vals) / 2)
+        u_exprs.append(_invariant_expr(points, (t_vals + tt_vals) / 2,
+                                       "dihedral"))
         with np.errstate(divide="ignore", invalid="ignore"):
-            v_exprs[j] = _invariant_expr(points,
-                                         (t_vals - tt_vals) / (2 * s_sample))
-        if u_exprs[j] is None or v_exprs[j] is None:
-            raise UnsupportedGroup("resolvent invariant fit failed (dihedral)")
-    for s_sign in (1, -1):
-        s_signed = s_expr if s_sign > 0 else rx.neg(s_expr)
-        q_expr = rx.div(rx.add(E_expr, s_signed), rx.const(2))
-        rho = rx.root(n, q_expr)
-        candidates = []
-        for rho_k in _phase_candidates(n, rho):
-            terms = [_trailing_sum_expr(P), rho_k]
-            for j in range(2, n):
-                t_expr = rx.add(u_exprs[j], rx.mul(v_exprs[j], s_signed))
-                terms.append(rx.mul(t_expr, rx.Pow(rho_k, j)))
-            candidates.append(rx.div(rx.add(*terms), rx.const(n)))
+            v_exprs.append(_invariant_expr(
+                points, (t_vals - tt_vals) / (2 * s_sample), "dihedral"))
+    for s_signed in (s_expr, rx.neg(s_expr)):
+        q_expr = rx.div(rx.add(E_expr, s_signed), rx.Const(2))
+        t_exprs = [rx.add(u, rx.mul(v, s_signed))
+                   for u, v in zip(u_exprs, v_exprs)]
         try:
-            return _pick_matching(candidates, action.base_point,
-                                  action.roots[0])
+            return _pick_matching(_lagrange_candidates(P, q_expr, t_exprs),
+                                  action.base_point, action.roots[0])
         except UnsupportedGroup:
             continue
     raise UnsupportedGroup("dihedral branch matching failed")

@@ -524,6 +524,22 @@ class TestProducts:
             for c in got.coeffs:  # normalised triples
                 assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
 
+    def test_powers_against_repeated_products(self):
+        g = GaussianRational(Fraction(2, 3), -1)
+        f = parse_univariate("x^2 - (1 + i)*x + 1/2")
+        P = parse_bivariate("x*y^2 + y - 3")
+        for value, one in ((g, GaussianRational(1)),
+                           (f, UnivariatePolynomial.constant(1)),
+                           (P, BivariatePolynomial.constant(1))):
+            expected = one
+            for n in range(7):
+                assert value ** n == expected
+                expected = expected * value
+        # a negative power of a polynomial raises, and does not loop
+        for value in (f, P):
+            with pytest.raises(ValueError):
+                value ** -1
+
 
 class TestResultant:
     def test_spec_examples(self):

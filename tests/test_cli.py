@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON reports, corpus driver."""
 
 import ast
+import importlib
 import io
 import json
 import operator
@@ -150,6 +151,25 @@ class TestExitCodes:
         else:
             assert skipped in data["skipped"]
 
+    @pytest.mark.parametrize("a2, witnesses", [
+        # r = 1/x^4: a pole of order 4, and order 4 at infinity
+        ("-1/x^4", ["(x + 1)/(x^2)", "(x - 1)/(x^2)"]),
+        # r = 1/x^6 - 3/x^4: a pole of order 6 whose root part has two terms
+        ("3/x^4 - 1/x^6", ["(1)/(x^3)"]),
+        # r = 2/x^4 and r = 2 x^2: the local square root needs sqrt(2), at an
+        # even-order pole and at infinity
+        ("-2/x^4", []),
+        ("-2*x^2", []),
+    ], ids=["order-4-pole", "order-6-pole", "pole-without-root",
+            "infinity-without-root"])
+    def test_ode_even_order_local_parts(self, a2, witnesses):
+        code, out, _ = run(["--json", "ode", "2", "--", "0", a2])
+        assert json.loads(out)["witnesses"] == witnesses
+        assert code == (0 if witnesses else 2)
+        if not witnesses:
+            code, out, _ = run(["ode", "2", "--", "0", a2])
+            assert code == 2 and "no rational witness found" in out
+
     def test_huge_chebyshev_conjugate_decomposes(self):
         # T_3(10^200 x): the n-th root of 10^600 is never taken in floats
         code, out, _ = run(["--json", "decompose", "--",
@@ -269,6 +289,15 @@ class TestReports:
         worst = max(certificate_residual(curve, radicals["certificate"], x)
                     for x in SAMPLE_X)
         assert worst < (1e-40 if exact else 1e-8)
+
+    def test_fitted_certificate_has_no_dead_terms(self):
+        # a fitted invariant that is zero leaves no 0/(...) term, and a
+        # fitted unit denominator is not printed as a division
+        code, out, _ = run(["--json", "algebraic", "--tower", "--",
+                            "16*y^5-20*y^3+5*y-x"])
+        assert code == 0
+        certificate = json.loads(out)["radicals"]["certificate"]
+        assert "0/(" not in certificate and "/(1.0" not in certificate
 
     def test_idempotent_modulo_timing(self):
         _, out1, _ = run(["--json", "algebraic", "y^4-x"])
@@ -809,3 +838,22 @@ def test_exact_subcommands_load_no_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_names_resolve():
+    # the bench tracer wraps each traced function by owner.__dict__[name],
+    # so a rename or a move in src/ would break a traced bench run; TRACED
+    # is read as text, so nothing under bench/ is imported or compiled
+    with open(os.path.join(REPO, "bench", "tracer.py"), encoding="utf-8") \
+            as handle:
+        module = ast.parse(handle.read())
+    traced = [ast.literal_eval(node.value) for node in module.body
+              if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets] == ["TRACED"]][0]
+    assert traced
+    for _metric, module_name, attr in traced:
+        owner = importlib.import_module(module_name)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert leaf in owner.__dict__, f"{module_name}.{attr}"

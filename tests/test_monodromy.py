@@ -1,19 +1,24 @@
 """Singular points, loops, continuation, and monodromy groups."""
 
 import cmath
+import io
 import json
 import math
 import os
 import random
+import re
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+import sympy
 from scipy.optimize import linear_sum_assignment
 
 from finitude import monodromy
 from finitude.algebra import (BivariatePolynomial, UnivariatePolynomial,
                               parse_bivariate)
 from finitude.algebra.roots import ComplexInterval
+from finitude.cli import main
 from finitude.errors import PathCollision, SquareFreeRequired
 from finitude.monodromy import (Segment, auto_base_point, continue_roots,
                                 generate_loops, loop_at_infinity_permutation,
@@ -238,6 +243,30 @@ class TestGroups:
                     if act.group.order() == math.factorial(n):
                         break
             assert act.group.order() == math.factorial(n)
+
+    @pytest.mark.parametrize("curve, order, code", [
+        # once read as intransitive (exit 64), and once with three odd
+        # generators where disc_y has one zero of odd order
+        ("x + y^5 - y^3 - 3*y^2 + y - 2", 120, 1),
+        ("x^2*y^2 + 3*x + y^4 + 3*y^2 + 1", 8, 0),
+    ], ids=["quintic", "quartic"])
+    def test_odd_generators_match_discriminant_parity(self, curve, order,
+                                                      code):
+        # sqrt(disc_y) = lc^(n-1) prod_(i<j) (y_i - y_j) changes sign along
+        # a loop by the sign of its permutation, so a generator is odd
+        # exactly when disc_y vanishes to odd order at its point
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["--json", "algebraic", "--", curve]) == code
+        mono = json.loads(out.getvalue())["monodromy"]
+        assert mono["group_order"] == order and mono["transitive"]
+        odd = sum(sum(len(c.split()) - 1
+                      for c in re.findall(r"\(([^()]*)\)", g)) % 2
+                  for g in mono["generators"])
+        X, Y = sympy.symbols("x y")
+        disc = sympy.discriminant(sympy.sympify(curve.replace("^", "**")), Y)
+        assert odd == sum(sympy.degree(f, X)
+                          for f, m in sympy.sqf_list(disc, X)[1] if m % 2)
 
 
 class TestProductRelation:

@@ -103,7 +103,6 @@ class TestRitt:
     def test_prime_degree_primitive(self):
         chain = ritt_decompose(parse_univariate("x^5 + x"))
         assert chain.degrees() == [5]
-        assert chain.primitive_flags == [True]
 
     def test_against_sympy_decompose(self):
         # seeded compositions of two or three factors of prime degree over

@@ -22,11 +22,14 @@ Run from the root of a source checkout.  The comparison set is
 * front-end requests: nested quotients, negative powers of subexpressions
   and constant divisors in every subcommand that parses, an integrand with
   rational coefficients in numerator and denominator, two ``ode 2``
-  requests whose witnesses have two poles and two outside the witness
-  search, a curve whose subresultant sequence skips four degrees at its
-  end, radical towers of two dihedral curves and a cyclic one, an
-  ``ode 3`` request (the order-n path), a curve with x-content, rational
-  residues in two classes, inputs with huge exact roots (a fifth root
+  requests whose witnesses have two poles, two outside the witness search
+  and four whose local parts come from poles of order 4 and 6 or from
+  infinity, with and without a Gaussian-rational square root, a curve
+  whose subresultant sequence skips four degrees at its end, radical
+  towers of two dihedral curves and a cyclic one, an ``ode 3`` request
+  (the order-n path), a curve with x-content, two curves whose monodromy
+  was once misread (plain and with ``--k 4``), rational residues in two
+  classes, inputs with huge exact roots (a fifth root
   among them), coefficients beyond double range or roots beyond it, an
   ``integrate`` and an ``ode 2`` request whose huge root, past the double
   grid, is that of a linear factor, an ``integrate`` request whose
@@ -124,6 +127,13 @@ FRONT_END = [
     # Gaussian rational, and a degree above the automatic bound
     ["ode", "2", "--", "0", "-2/(x^2-2)"],
     ["ode", "2", "--", "-2*x", "24"],
+    # even-order local parts: poles of order 4 and 6 and order 4 at
+    # infinity, and local square roots that are not Gaussian rational at a
+    # pole and at infinity (exit 2)
+    ["ode", "2", "--", "0", "-1/x^4"],
+    ["ode", "2", "--", "0", "3/x^4 - 1/x^6"],
+    ["ode", "2", "--", "0", "-2/x^4"],
+    ["ode", "2", "--", "0", "-2*x^2"],
     # radical towers: two planted dihedral curves and a cyclic one
     # (y = rho + rho^2, rho^5 = x); the order-n path of ode
     ["algebraic", "--tower", "--", "16*y^5-20*y^3+5*y-x"],
@@ -134,6 +144,12 @@ FRONT_END = [
     # loops do not use; rational residues in two classes (the order of
     # the log terms)
     ["algebraic", "--", "(x-1)*(y^2-x)"],
+    # two curves whose monodromy was once misread: S_5, and a group of
+    # order 8 with one odd generator
+    ["algebraic", "--", "x + y^5 - y^3 - 3*y^2 + y - 2"],
+    ["algebraic", "--k", "4", "--", "x + y^5 - y^3 - 3*y^2 + y - 2"],
+    ["algebraic", "--", "x^2*y^2 + 3*x + y^4 + 3*y^2 + 1"],
+    ["algebraic", "--k", "4", "--", "x^2*y^2 + 3*x + y^4 + 3*y^2 + 1"],
     ["integrate", "--", "1/(x-1) + 1/(x-2) + 2/(x-3)"],
     # a Gaussian-rational pole of large numerator, a witness search with a
     # candidate beyond the degree bound, huge exact square and cube roots,
