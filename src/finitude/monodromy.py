@@ -7,8 +7,9 @@ loops, end matching to the nearest start root within the separation margin,
 and group closure through the permutation-group layer.  One tracker, the
 float image of the curve, serves every path of a computation, and the
 returned action keeps it for later continuations (the tower samples).
-Every tracker step is checked (Newton contraction, a correction small
-against the branch separation) but not certified.
+Every tracker step is checked (Newton contraction, each branch's
+correction small against the distance to its nearest neighbour) but not
+certified.
 
 Conventions (fixed so reruns are bit-identical):
 
@@ -48,11 +49,11 @@ from .errors import (BasePointTooClose, PathCollision, SingularOnPath,
                      SquareFreeRequired)
 from .permgroups import PermGroup, compose, cycles_string
 
-# Largest tracker step on an arc, in radians.  A step is taken along the
-# chord; at pi/4 the chord keeps 0.92 of the radius from the centre, and
-# a square-root branch's Euler prediction errs by 0.04 of the branch
-# separation (the basin check allows 0.25).
-MAX_ARC_STEP = math.pi / 4
+# Largest tracker step on an arc, in radians.  Around an n-cycle, a step of
+# angle t errs in its Euler prediction by |1 + (e^{it} - 1)/n - e^{it/n}|
+# / (2 sin(pi/n)) of the nearest separation: at pi/3, 0.067 for n = 2 and
+# at most 0.082 for n <= 32 (0.038, 0.047 at pi/4); the check allows 0.25.
+MAX_ARC_STEP = math.pi / 3
 # Widest relative radius accepted for a singular point that root finding
 # cannot separate to the requested tolerance.
 LOCATOR_TOL = 1e-8
@@ -125,15 +126,11 @@ class TreeEdge(NamedTuple):
     circle: Arc
 
 
-class StepCounts:
+class StepCounts(NamedTuple):
     """Tracker steps accepted and rejected, summed over the paths tracked."""
 
-    def __init__(self, accepted: int = 0, rejected: int = 0):
-        self.accepted = accepted
-        self.rejected = rejected
-
-    def __repr__(self):
-        return f"StepCounts(accepted={self.accepted}, rejected={self.rejected})"
+    accepted: int
+    rejected: int
 
 
 class MonodromyAction:
@@ -376,15 +373,22 @@ def bridged(pieces):
         x = piece.end
 
 
+def _nearest(ys):
+    """Distance from each value to the nearest other one (inf when alone)."""
+    near = [math.inf] * len(ys)
+    for i, a in enumerate(ys):
+        for j in range(i + 1, len(ys)):
+            d = abs(a - ys[j])
+            if d < near[i]:
+                near[i] = d
+            if d < near[j]:
+                near[j] = d
+    return near
+
+
 def _min_separation(ys):
     """Smallest distance between two of the values (inf for fewer than two)."""
-    best = math.inf
-    for i, a in enumerate(ys):
-        for b in ys[i + 1:]:
-            d = abs(a - b)
-            if d < best:
-                best = d
-    return best
+    return min(_nearest(ys), default=math.inf)
 
 
 def _magnitude(ys):
@@ -405,7 +409,7 @@ class _Tracker:
         self.rows_x = [[complex(c) for c in reversed(dPx.coefficient_y(j).coeffs)]
                        for j in range(P.degree_y(), -1, -1)]
         self.tol = tol
-        self.counts = StepCounts()
+        self.accepted = self.rejected = 0
         self._x = self._cs = None
 
     def coefficients(self, x):
@@ -414,99 +418,100 @@ class _Tracker:
             self._x, self._cs = x, [_horner(row, x) for row in self.rows]
         return self._cs
 
-    def _correct(self, x, ys, steps=3):
+    def _correct(self, x, ys):
         """Newton-correct all branches at x; accepted when the corrector
         contracts by >= 4 within three iterations, then polished to tol."""
         cs = self.coefficients(x)
-        first = None
         contracted = False
-        for k in range(steps + 8):
-            size = 0.0
+        for k in range(11):
+            size, scale = 0.0, 1.0
             new = []
             for y in ys:
                 p, d = value_and_slope(cs, y)
                 if abs(d) < 1e-300:
                     return ys, False
                 delta = p / d
-                new.append(y - delta)
+                y -= delta
+                new.append(y)
                 a = abs(delta)
                 if a > size:
                     size = a
                 elif a != a:  # NaN
                     return ys, False
+                if abs(y) > scale:
+                    scale = abs(y)
             ys = new
-            scale = _magnitude(ys)
-            if first is None:
-                first = size
-            if k >= 1 and size <= first / 4.0:
-                contracted = True
-            if k >= steps and not contracted and size > first / 4.0 \
-                    and size > self.tol * scale:
-                return ys, False
             if size <= self.tol * scale:
                 return ys, True
-        return ys, size <= 100 * self.tol * _magnitude(ys)
+            if k == 0:
+                first = size
+            elif size <= first / 4.0:
+                contracted = True
+            elif k >= 3 and not contracted:
+                return ys, False
+        return ys, size <= 100 * self.tol * scale
 
-    def _step(self, x0, x1, ys):
-        """Euler prediction from x0 to x1 and Newton correction.  Returns
-        None when the step is rejected, else the new values and the load of
-        the basin check: the correction over its limit, a quarter of the
-        branch separation."""
-        cs = self.coefficients(x0)
-        cs_x = [_horner(row, x0) for row in self.rows_x]
-        dx = x1 - x0
-        pred = []
+    def _slopes(self, x, ys):
+        """dy/dx = -P_x/P_y of each branch at x."""
+        cs = self.coefficients(x)
+        cs_x = [_horner(row, x) for row in self.rows_x]
+        slopes = []
         for y in ys:
-            _p, d = value_and_slope(cs, y)
+            d = value_and_slope(cs, y)[1]
             if abs(d) < 1e-300:
-                return None
-            pred.append(y + dx * (-_horner(cs_x, y) / d))
+                raise SingularOnPath(f"P_y vanishes near x={x:.6g}")
+            slopes.append(-_horner(cs_x, y) / d)
+        return slopes
+
+    def _step(self, x0, x1, ys, slopes):
+        """Euler prediction from x0 to x1 along the slopes at x0, and Newton
+        correction.  Returns None when the step is rejected, else the new
+        values and the basin check's load: the largest ratio of a branch's
+        correction to a quarter of its prediction's nearest separation."""
+        dx = x1 - x0
+        pred = [y + dx * s for y, s in zip(ys, slopes)]
         out, ok = self._correct(x1, pred)
-        if not ok:
+        # equal predictions correct to equal values and are rejected here,
+        # so no nearest distance below is 0
+        if not ok or _min_separation(out) < 1e-12 * _magnitude(out):
             return None
-        # stay safely within the local Newton basin: the correction must be
-        # small against the separation of the predicted configuration
-        sep = _min_separation(pred)
-        if not math.isfinite(sep):
-            return out, 0.0
-        moved = max(abs(a - b) for a, b in zip(out, pred))
-        if moved > sep / 4.0:
-            return None
-        if _min_separation(out) < 1e-12 * _magnitude(out):
-            return None
-        return out, moved / (sep / 4.0)
+        # stay within each root's own Newton basin, whose size is set by
+        # how far that root is from the others
+        load = max(abs(a - b) / (near / 4.0)
+                   for a, b, near in zip(out, pred, _nearest(pred)))
+        return (out, load) if load <= 1.0 else None
 
     def track(self, pieces, ys):
-        """Continue the branch values ys along the bridged pieces.  Returns
-        the end values."""
+        """The branch values ys continued along the bridged pieces."""
         ys = [complex(y) for y in ys]
         for piece in bridged(pieces):
             ys = self._follow(piece, ys)
         return ys
 
     def _follow(self, piece, ys):
-        """Step along one piece.  A rejected step halves h.  After an
-        accepted one, h is scaled so that the basin check's load, which
-        grows like h^2 (the Euler error), comes to about 0.64, and at most
-        doubled."""
+        """Step along one piece, with the slopes computed once per accepted
+        point.  A rejected step halves h.  After an accepted one, h is
+        scaled so that the basin check's load, which grows like h^2 (the
+        Euler error), comes to about 0.64, and at most doubled."""
         if piece.length == 0:
             return ys
-        counts = self.counts
         t, h = 0.0, piece.max_step
-        x0 = piece.start
+        x0, slopes = piece.start, None
         while t < 1.0 - 1e-15:
             h = min(h, 1.0 - t)
             x1 = piece.at(t + h)
-            out = self._step(x0, x1, ys)
+            if slopes is None:
+                slopes = self._slopes(x0, ys)
+            out = self._step(x0, x1, ys, slopes)
             if out is not None:
-                counts.accepted += 1
+                self.accepted += 1
                 ys, load = out
-                x0 = x1
+                x0, slopes = x1, None
                 t += h
                 h = min(piece.max_step,
                         h * (2.0 if load < 0.16 else 0.8 / math.sqrt(load)))
                 continue
-            counts.rejected += 1
+            self.rejected += 1
             h /= 2.0
             if h < 1e-12:
                 sep = _min_separation(ys)
@@ -604,7 +609,7 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
         entry = tracker.track(loop.spoke, values)
         generators.append(continue_roots(tracker, [loop.circle], entry))
     group = PermGroup(max(P.degree_y(), 1), generators)
-    steps = StepCounts(tracker.counts.accepted, tracker.counts.rejected)
+    steps = StepCounts(tracker.accepted, tracker.rejected)
     return MonodromyAction(P, singular, base, roots, loops, generators, group,
                            tracker, steps)
 
