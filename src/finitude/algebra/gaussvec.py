@@ -26,6 +26,10 @@ the sequence itself, every resultant as one more psi step at its tail
 carries a cofactor.  An element of Q(i)[t]/(m), m monic, is a cleared
 pair (D, u), reduced by pseudo-division by the cleared m, whose leading
 coefficient is an integer, and one content gcd (``reduce_mod``).
+
+The one exact linear solve over Q(i), ``solve``, is fraction-free
+Gauss-Jordan (Bareiss, Math. Comp. 22 (1968)); it solves for the monic N
+of the ``ode 2`` witness search (``kovacic._polynomial_kernel``).
 """
 
 from __future__ import annotations
@@ -247,6 +251,59 @@ def inverse_mod(a, m):
     return [_triple(Da * (x[0] * rr + y[0] * ri),
                     Da * (y[0] * rr - x[0] * ri), norm) if x else ZERO
             for x, y in U]
+
+
+# --- linear systems ----------
+
+def solve(rows):
+    """The solution over Q(i) of A x = b whose unknowns without a pivot
+    are 0, as GaussianRationals, or None when there is none, for a
+    nonempty list of augmented rows [A | b], pairs (re, im) of integer
+    lists of one length.
+
+    Fraction-free Gauss-Jordan: columns in order, the first row at or
+    below the current one that is nonzero there is the pivot row v, and
+    every other row u becomes (p u - q v) / prev from that column on, for
+    p the pivot, q u's entry in its column and prev the previous pivot.
+    The entries stay minors of [A | b], so the division is exact
+    (ArithmeticError otherwise), and each pivot row ends with the last
+    pivot d on its diagonal: its unknown is its b / d.
+    """
+    rows = [(list(re), list(im)) for re, im in rows]
+    n = len(rows[0][0]) - 1
+    pivots, (gr, gi) = [], (1, 0)
+    for col in range(n):
+        r = len(pivots)
+        sel = next((k for k in range(r, len(rows))
+                    if rows[k][0][col] or rows[k][1][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        vr, vi = rows[r]
+        pr, pi = vr[col], vi[col]
+        norm = gr * gr + gi * gi
+        for k, (xr, xi) in enumerate(rows):
+            if k == r:
+                continue
+            qr, qi = xr[col], xi[col]
+            for j in range(col, n + 1):
+                # t + s i = p x_j - q v_j, then over prev = gr + gi i
+                t = pr * xr[j] - pi * xi[j] - qr * vr[j] + qi * vi[j]
+                s = pr * xi[j] + pi * xr[j] - qr * vi[j] - qi * vr[j]
+                xr[j], rest = divmod(t * gr + s * gi, norm)
+                xi[j], rest_i = divmod(s * gr - t * gi, norm)
+                if rest or rest_i:
+                    raise ArithmeticError("inexact division over Z[i]")
+        pivots.append(col)
+        gr, gi = pr, pi
+    if any(xr[n] or xi[n] for xr, xi in rows[len(pivots):]):
+        return None
+    x = [ZERO] * n
+    norm = gr * gr + gi * gi
+    for (xr, xi), col in zip(rows, pivots):
+        x[col] = _triple(xr[n] * gr + xi[n] * gi, xi[n] * gr - xr[n] * gi,
+                         norm)
+    return x
 
 
 # --- Q(i)[t]/(m) ----------

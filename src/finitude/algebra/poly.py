@@ -801,6 +801,19 @@ def series_inverse(a, order, zero):
     return inv
 
 
+def series_power(a, alpha, order, g0):
+    """a^alpha truncated at s^order, for a[0] != 0 and g0 a value of
+    a[0]^alpha, by J.C.P. Miller's recurrence from a g' = alpha a' g:
+    m a_0 g_m = sum_{k=1..m} ((alpha + 1) k - m) a_k g_{m-k}."""
+    g = [g0]
+    for m in range(1, order + 1):
+        acc = ZERO
+        for k in range(1, min(m, len(a) - 1) + 1):
+            acc = acc + ((alpha + 1) * k - m) * a[k] * g[m - k]
+        g.append(acc / (m * a[0]))
+    return g
+
+
 def discriminant_y(P: BivariatePolynomial) -> UnivariatePolynomial:
     """(-1)^{n(n-1)/2} Res_y(P, dP/dy) / lc_y(P), exact."""
     P = BivariatePolynomial.coerce(P)

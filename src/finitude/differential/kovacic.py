@@ -7,11 +7,12 @@ a logarithmic derivative N'/N of an unknown monic polynomial whose degree is
 forced by the residue count.  Each pole and infinity gives its local parts
 (a root part and an exponent alpha) by one rule: the exact Laurent series of
 r there (of the shifted quotient at a pole, of the reversed one at
-infinity) and its truncated square root, as in Kovacic (JSC 2, 1986).  N is
-found by exact linear algebra.  Everything stays inside Gaussian
-rational data: poles at non-Gaussian points or irrational local square roots
-end the search (no witness within this scope), which the caller must read as
-"none found", never as a proof of unsolvability.
+infinity) and its truncated square root, as in Kovacic (JSC 2, 1986).  N
+solves one linear system, built by ``_polynomial_kernel`` and solved by
+``gaussvec.solve``.  Everything stays inside Gaussian rational data: poles
+at non-Gaussian points or irrational local square roots end the search (no
+witness within this scope), which the caller must read as "none found",
+never as a proof of unsolvability.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from ..algebra import gaussvec
 from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import (RationalFunction, UnivariatePolynomial,
-                            series_inverse, series_mul,
+                            series_inverse, series_mul, series_power,
                             squarefree_factorization)
 from ..algebra.roots import exact_gaussian_roots, exact_nth_root
 from ..errors import BoundExceeded
@@ -31,21 +33,6 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 _HALF = GaussianRational(Fraction(1, 2))
 _NO_PART = RationalFunction.coerce(0)
-
-
-def _series_sqrt(coeffs, order):
-    """Exact sqrt of a series with square leading term, or None."""
-    g0 = exact_nth_root(coeffs[0], 2)
-    if g0 is None:
-        return None
-    out = [g0]
-    inv2g0 = (g0 + g0).inverse()
-    for m in range(1, order + 1):
-        acc = coeffs[m] if m < len(coeffs) else _ZERO
-        for j in range(1, m):
-            acc = acc - out[j] * out[m - j]
-        out.append(acc * inv2g0)
-    return out
 
 
 def _laurent(a: UnivariatePolynomial, b: UnivariatePolynomial, depth: int):
@@ -76,9 +63,10 @@ def _root_variants(series, K, e, part):
     """Local parts at a point of even order: h, the first K terms of the
     series' square root, gives the root part part(h), and alpha =
     (b/h_0 + e)/2 with b = series_K - (h^2)_K; both signs of h."""
-    h = _series_sqrt(series, K - 1)
-    if h is None:
+    h0 = exact_nth_root(series[0], 2)
+    if h0 is None:
         return []
+    h = series_power(series, _HALF, K - 1, h0)
     b = series[K] - series_mul(h, h, K, _ZERO)[K]
     root_part = part(h)
     return [(root_part, (b / h[0] + e) * _HALF),
@@ -120,75 +108,29 @@ def _infinity_candidates(r: RationalFunction):
         UnivariatePolynomial(h[::-1])))
 
 
-def _solve_linear(rows, rhs):
-    """One exact solution of rows * x = rhs over Q(i), or None."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [list(row) + [val] for row, val in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for k in range(row, m):
-            if not aug[k][col].is_zero():
-                sel = k
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [v * inv for v in aug[row]]
-        for k in range(m):
-            if k != row and not aug[k][col].is_zero():
-                factor = aug[k][col]
-                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for k in range(row, m):
-        if not aug[k][n].is_zero():
-            return None
-    solution = [_ZERO] * n
-    for r_idx, col in enumerate(pivots):
-        solution[col] = aug[r_idx][n]
-    return solution
-
-
 def _polynomial_kernel(theta: RationalFunction, w: RationalFunction, d: int):
-    """Monic N of degree d with N'' + 2 theta N' + w N = 0, or None."""
-    den = theta.den * w.den
-    two_theta_den = 2 * theta * RationalFunction(den)
-    w_den = w * RationalFunction(den)
-    if not two_theta_den.is_polynomial() or not w_den.is_polynomial():
-        raise AssertionError("denominator clearing failed")
-    P1 = den
-    P2 = two_theta_den.num
-    P3 = w_den.num
-    # E = P1 N'' + P2 N' + P3 N must vanish identically.
-    def column(npoly):
-        e = P1 * npoly.derivative().derivative() + P2 * npoly.derivative() \
-            + P3 * npoly
-        return e
-    monic = UnivariatePolynomial.monomial(GaussianRational(1), d)
-    base = column(monic)
-    if d == 0:
-        return monic if base.is_zero() else None
-    cols = []
-    for k in range(d):
-        cols.append(column(UnivariatePolynomial.monomial(GaussianRational(1),
-                                                         k)))
-    deg_max = max([base.degree()] + [c.degree() for c in cols if not c.is_zero()]
-                  + [0])
-    rows = []
-    rhs = []
-    for power in range(deg_max + 1):
-        rows.append([c.coefficient(power) for c in cols])
-        rhs.append(-base.coefficient(power))
-    sol = _solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    return UnivariatePolynomial(list(sol) + [GaussianRational(1)])
+    """Monic N of degree d with N'' + 2 theta N' + w N = 0, or None.
+
+    Times theta.den w.den the operator is L = P1 D^2 + P2 D + P3, with
+    P1 = theta.den w.den, P2 = 2 theta.num w.den and P3 = w.num theta.den
+    cleared once to integer lists.  Column k < d of the system holds
+    L(x^k) = k (k - 1) P1 x^(k-2) + k P2 x^(k-1) + P3 x^k, and the
+    right-hand side is -L(x^d).
+    """
+    _, P = gaussvec.clear_rows([theta.den * w.den, 2 * theta.num * w.den,
+                                w.num * theta.den])
+    size = d + max(len(re) for re, _im in P)
+    rows = [([0] * (d + 1), [0] * (d + 1)) for _ in range(size)]
+    for k in range(d + 1):
+        for c, (pr, pi), shift in ((k * (k - 1), P[0], k - 2),
+                                   (k, P[1], k - 1), (1, P[2], k)):
+            c *= 1 if k < d else -1
+            if c:
+                for j, (x, y) in enumerate(zip(pr, pi), shift):
+                    rows[j][0][k] += c * x
+                    rows[j][1][k] += c * y
+    sol = gaussvec.solve(rows)
+    return None if sol is None else UnivariatePolynomial(sol + [_ONE])
 
 
 def rational_witness_search(ode: LinearODE):

@@ -300,8 +300,8 @@ def _chain_bound(links, norms):
     return bound
 
 
-def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
-                     base=None) -> MonodromyMatrices:
+def system_monodromy(system: FuchsianSystem,
+                     tol: float = FUCHSIAN_TOL) -> MonodromyMatrices:
     """Monodromy matrices along the standard generator loops.
 
     Loop geometry and ordering are shared with the scalar monodromy module
@@ -320,8 +320,7 @@ def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
     order, and every norm comes from one SVD call after them.
     """
     n = system.dimension
-    if base is None:
-        base = auto_base_point(system.poles)
+    base = auto_base_point(system.poles)
     loops = generate_loops(system.poles, base)
     transfers = iter(integrate_along(
         system, [piece for loop in loops
@@ -356,11 +355,10 @@ def system_monodromy(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
                              bounds, cond.tolist())
 
 
-def monodromy_at_infinity(system: FuchsianSystem, tol: float = FUCHSIAN_TOL,
-                          base=None) -> np.ndarray:
+def monodromy_at_infinity(system: FuchsianSystem,
+                          tol: float = FUCHSIAN_TOL) -> np.ndarray:
     """The matrix of one big counterclockwise circle around all poles."""
-    if base is None:
-        base = auto_base_point(system.poles)
+    base = auto_base_point(system.poles)
     pieces = list(bridged(big_circle_loop(system.poles, base)))
     return _multiply(np.eye(system.dimension, dtype=complex),
                      integrate_along(system, pieces, tol), [])[0]

@@ -574,7 +574,7 @@ def track_to_point(action: MonodromyAction, target: complex):
 
 
 def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
-                    root_tol: float = ROOT_TOL, base=None) -> MonodromyAction:
+                    root_tol: float = ROOT_TOL) -> MonodromyAction:
     """Monodromy action of the curve P(x, y) = 0.
 
     The group is generated by one permutation per singular point; for
@@ -594,8 +594,7 @@ def monodromy_group(P: BivariatePolynomial, tol: float = CONTINUATION_TOL,
     P = P.primitive_y()
     singular = singular_points(P, root_tol)
     centers = [p.center for p in singular]
-    if base is None:
-        base = auto_base_point(centers)
+    base = auto_base_point(centers)
     loops = generate_loops(centers, base)
     tracker = _Tracker(P, tol)
     cs = tracker.coefficients(complex(base))

@@ -228,6 +228,7 @@ class PermGroup:
         self.generators = tuple(gens)
         self._chain = None
         self._order = None
+        self._series = None
 
     # --- constructors ----------
 
@@ -360,16 +361,16 @@ class PermGroup:
         return self.normal_closure(comms)
 
     def derived_series(self):
-        """G >= G' >= G'' ... until stabilization."""
-        series = [self]
-        while True:
-            nxt = series[-1].derived_subgroup()
-            if nxt.order() == series[-1].order():
-                break
-            series.append(nxt)
-            if nxt.is_trivial():
-                break
-        return series
+        """G >= G' >= G'' ... until stabilization, a tuple built once."""
+        if self._series is None:
+            series = [self]
+            while not series[-1].is_trivial():
+                nxt = series[-1].derived_subgroup()
+                if nxt.order() == series[-1].order():
+                    break
+                series.append(nxt)
+            self._series = tuple(series)
+        return self._series
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].is_trivial()

@@ -2,7 +2,7 @@
 
 Right factors are found exactly over the Gaussian rationals: for each
 divisor d of the degree, the unique monic candidate with zero constant term
-comes from an approximate e-th root (triangular coefficient solve), and the
+comes from the first d terms of an e-th root of the reversed f, and the
 h-adic expansion of f certifies or refutes it.  A primitive factor is then
 classified through its critical-value structure: one critical value of full
 multiplicity is a conjugated power map, two critical values hit by a
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..algebra.gaussian import GaussianRational
 from ..algebra.poly import (BivariatePolynomial, UnivariatePolynomial,
-                            discriminant_y)
+                            discriminant_y, series_power)
 from ..algebra.roots import exact_gaussian_roots, exact_nth_root
 from ..errors import DegreeTooLow
 
@@ -56,25 +56,14 @@ def _divisors(n: int):
 
 
 def _approximate_root(f: UnivariatePolynomial, d: int) -> UnivariatePolynomial:
-    """Monic candidate right factor of degree d with zero constant term.
-
-    Solves the triangular system matching the top d-1 coefficients of
-    f = h^e + lower against h = x^d + c_{d-1} x^{d-1} + ... + c_1 x.
-    """
-    n = f.degree()
-    e = n // d
-    coeffs = [GaussianRational(0)] * (d + 1)
-    coeffs[d] = GaussianRational(1)
-    h = UnivariatePolynomial(coeffs)
-    for j in range(1, d):
-        power = h ** e
-        target = f.coefficient(n - j)
-        current = power.coefficient(n - j)
-        # coefficient of x^{n-j} in h^e is e*c_{d-j} + (known terms)
-        delta = (target - current) / e
-        coeffs[d - j] = coeffs[d - j] + delta
-        h = UnivariatePolynomial(coeffs)
-    return h
+    """Monic candidate right factor h of degree d with h(0) = 0 for a monic
+    f = g(h) of degree n = d e: f - h^e has degree at most n - d, so the
+    top d coefficients of h are the first d terms of F^(1/e), for
+    F(s) = s^n f(1/s)."""
+    n, one = f.degree(), GaussianRational(1)
+    root = series_power([f.coefficient(n - k) for k in range(d)],
+                        one / (n // d), d - 1, one)
+    return UnivariatePolynomial([0] + root[::-1])
 
 
 def _adic_expansion(f: UnivariatePolynomial, h: UnivariatePolynomial):

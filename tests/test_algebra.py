@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
@@ -828,8 +829,97 @@ def _assert_sympy_roots_enclosed(p, tol):
     return pairs
 
 
+LINEAR_KINDS = ("square", "tall", "wide", "deficient", "zero-column",
+                "no-unknowns", "60-bit")
+
+
+def _linear_systems(count=140):
+    """Seeded systems (A, b, kind) over Q(i), A a list of m rows of n
+    GaussianRationals, a quarter of them 0: square, tall and wide ones,
+    rank-deficient products of an m x r and an r x n matrix, ones with a
+    zero column, ones with no unknowns, and ones whose numerators and
+    denominators have 60 bits.  b is A x0 for every other pass over the
+    kinds, and drawn at random otherwise."""
+    rng = random.Random(3701)
+
+    def entry(bits):
+        if rng.randrange(4) == 0:
+            return GaussianRational(0)
+        big = 1 << bits
+        return GaussianRational(
+            Fraction(rng.randint(-big, big), rng.randint(1, big)),
+            Fraction(rng.choice([0, rng.randint(-big, big)]),
+                     rng.randint(1, big)))
+
+    def matrix(m, n, bits=4):
+        return [[entry(bits) for _ in range(n)] for _ in range(m)]
+
+    def times(A, x):
+        return [sum((a * c for a, c in zip(row, x)), GaussianRational(0))
+                for row in A]
+
+    for k in range(count):
+        kind = LINEAR_KINDS[k % len(LINEAR_KINDS)]
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        if kind == "square":
+            n = m
+        elif kind == "tall":
+            m = n + rng.randint(1, 3)
+        elif kind == "wide":
+            n = m + rng.randint(1, 3)
+        elif kind == "no-unknowns":
+            n = 0
+        A = matrix(m, n, 60 if kind == "60-bit" else 4)
+        if kind == "deficient":
+            r = rng.randint(1, min(m, n) - 1)
+            B, C = matrix(m, r), matrix(r, n)
+            A = [times(list(zip(*C)), row) for row in B]
+        elif kind == "zero-column":
+            j = rng.randrange(n)
+            A = [row[:j] + [GaussianRational(0)] + row[j + 1:] for row in A]
+        if k // len(LINEAR_KINDS) % 2 == 0:
+            b = times(A, [entry(4) for _ in range(n)])
+        else:
+            b = [entry(4) for _ in range(m)]
+        yield A, b, kind
+
+
+def _qq_i(g):
+    return QQ_I(QQ(g.re.numerator, g.re.denominator),
+                QQ(g.im.numerator, g.im.denominator))
+
+
 class TestSympyOracle:
     """The exact layer against sympy, an independent implementation."""
+
+    def test_solve_against_domain_matrix(self):
+        seen, free = set(), 0
+        for A, b, kind in _linear_systems():
+            m, n = len(A), len(A[0])
+            got = gaussvec.solve([gaussvec.clear(row + [c])[1:]
+                                  for row, c in zip(A, b)])
+            matrix = DomainMatrix([[_qq_i(a) for a in row] for row in A],
+                                  (m, n), QQ_I)
+            augmented = DomainMatrix([[_qq_i(a) for a in row + [c]]
+                                      for row, c in zip(A, b)], (m, n + 1),
+                                     QQ_I)
+            _, pivots = matrix.rref()
+            # None exactly when rank [A | b] > rank A
+            assert (got is None) == (augmented.rank() > len(pivots)), kind
+            seen.add((kind, got is None))
+            if got is None:
+                continue
+            assert len(got) == n
+            for row, c in zip(A, b):
+                assert sum((a * v for a, v in zip(row, got)),
+                           GaussianRational(0)) == c, kind
+            assert all(v.is_zero() for j, v in enumerate(got)
+                       if j not in pivots), kind
+            free += len(pivots) < n
+        assert {(kind, True) for kind in
+                ("tall", "deficient", "no-unknowns")} <= seen
+        assert {(kind, False) for kind in LINEAR_KINDS} <= seen
+        assert free >= 20
 
     def test_resultant_against_sylvester_determinant(self):
         tails = set()

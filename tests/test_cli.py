@@ -151,6 +151,18 @@ class TestExitCodes:
         else:
             assert skipped in data["skipped"]
 
+    def test_ode_witness_with_free_unknown(self):
+        # the system of the third witness's N has 3 unknowns and rank 2:
+        # the unknown without a pivot, N's constant term, is 0
+        code, out, _ = run(["--json", "ode", "2", "--", "0",
+                            "-2/(x-100000000000000000001)^2"])
+        assert code == 0
+        p = 100000000000000000001
+        assert json.loads(out)["witnesses"] == [
+            f"(-1)/(x - {p})", f"(2)/(x - {p})",
+            f"(2*x^3 - {6 * p}*x^2 + {6 * p ** 2}*x - {3 * p ** 3})"
+            f"/(x^4 - {4 * p}*x^3 + {6 * p ** 2}*x^2 - {3 * p ** 3}*x)"]
+
     @pytest.mark.parametrize("a2, witnesses", [
         # r = 1/x^4: a pole of order 4, and order 4 at infinity
         ("-1/x^4", ["(x + 1)/(x^2)", "(x - 1)/(x^2)"]),
@@ -573,6 +585,18 @@ class TestWorkPerRequest:
                           "y^5 + y - x"])
         assert code == 1
         assert closures and set(closures) == {1}
+
+    def test_one_derived_series(self, monkeypatch):
+        # the verdict's and the tower's is_solvable and is_k_solvable read
+        # one series, kept on the group; only the first call builds it
+        subgroups = count_calls(monkeypatch, "derived_subgroup",
+                                PermGroup.derived_subgroup, PermGroup)
+        series = count_inside(monkeypatch, "derived_series",
+                              PermGroup.derived_series, subgroups, PermGroup)
+        code, out, _ = run(["--json"] + self.ARGV)
+        assert code == 0 and json.loads(out)["radicals"]["certificate"]
+        assert len(series) == 3
+        assert [built for built in series if built] == [1]
 
     def test_one_transport_per_fuchsian_request(self, monkeypatch):
         # every piece of the loop tree goes through one series recurrence
